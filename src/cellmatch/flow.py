@@ -75,7 +75,7 @@ class GeometricComplex:
                 [self.coordinates[v][i] - base[i] for i in range(self.ambient_dim)]
                 for v in verts[1:]
             ]
-            if linalg.matrix_rank(rows, linalg.RATIONALS) != self.n:
+            if linalg.matrix_rank(rows) != self.n:
                 raise InvalidComplexError(f"degenerate top simplex {top}")
         if self.n >= 1:
             for f in complex.cells_of_dim(self.n - 1):
@@ -333,5 +333,6 @@ def flow_matching(fs: FlowStructure) -> Matching:
     pairs = {tuple(sorted((c, m))) for c, m in mate.items()}
     result = Matching(pairs, relative_to=fs.split.exiting)
     report = validate_matching(pair, result)
-    assert report.ok, f"flow matching failed validation: {report.violations[:3]}"
+    if not report.ok:
+        raise AssertionError(f"flow matching failed validation: {report.violations[:3]}")
     return result

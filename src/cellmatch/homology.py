@@ -6,6 +6,14 @@ field. Simplicial boundary signs come from the ascending-vertex
 orientation (the i-th hyperface carries sign (-1)^i); cw-kind complexes
 need caller-supplied signs for rational coefficients but work out of the
 box over the two-element field.
+
+Boundary maps are sparse columns: int bitsets over the two-element field,
+``{row: Fraction}`` dicts over the rationals. Each dimension is reduced
+once, left to right by lowest row (``linalg.reduce_columns``), and ranks,
+pivot columns, Betti numbers, the acyclic filtration and its layer checks
+all read that one reduction. Its pivot columns are the leftmost-lowest
+pivots of dense elimination, so filtrations and matchings depend only on
+the id order of the cells.
 """
 
 from __future__ import annotations
@@ -24,18 +32,20 @@ def _default_field(complex: CellComplex) -> str:
 
 
 class ChainComplex:
-    """Boundary matrices of a subcomplex pair over an exact field.
+    """Boundary maps of a subcomplex pair over an exact field.
 
     ``basis(n)`` lists the n-dimensional cells outside the subcomplex in id
-    order; ``matrix(n)`` maps dimension n to n-1, rows indexed by
-    ``basis(n-1)`` and columns by ``basis(n)``.
+    order. The boundary from dimension n to n-1 is stored as one sparse
+    ``linalg`` column per cell of ``basis(n)``, with rows indexed by
+    ``basis(n-1)``; ``matrix(n)`` gives it as dense rows. One column
+    reduction per dimension, run once on first use, gives the ranks and
+    pivot columns.
     """
 
     def __init__(self, pair: SubcomplexPair, field: str | None = None, signs=None):
         complex = pair.complex
         self.pair = pair
-        self.field_name = field or _default_field(complex)
-        self._field = linalg.field_by_name(self.field_name)
+        self.field_name = linalg.check_field(field or _default_field(complex))
         if self.field_name == "q" and complex.kind == CW and signs is None:
             raise PreconditionError(
                 "rational coefficients on a cw-kind complex require incidence signs"
@@ -43,10 +53,8 @@ class ChainComplex:
         self._bases: dict[int, tuple[str, ...]] = {
             d: pair.rel_cells_of_dim(d) for d in range(complex.dim + 1)
         }
-        self._matrices: dict[int, list[list]] = {}
-        for d in range(complex.dim + 1):
-            self._matrices[d] = self._boundary_matrix(d, signs)
-        self._ranks: dict[int, int] = {}
+        self._columns = {d: self._boundary_columns(d, signs) for d in self._bases}
+        self._lows: dict[int, dict[int, int]] | None = None
         self._check_boundary_squared()
 
     def _coefficient(self, cid: str, fid: str, position: int, signs):
@@ -59,13 +67,11 @@ class ChainComplex:
             raise PreconditionError(f"missing incidence sign for ({cid}, {fid})")
         return Fraction(value)
 
-    def _boundary_matrix(self, d: int, signs):
+    def _boundary_columns(self, d: int, signs) -> list:
         complex = self.pair.complex
-        rows = self._bases.get(d - 1, ())
-        cols = self._bases[d]
-        row_index = {c: i for i, c in enumerate(rows)}
-        matrix = linalg.zeros(len(rows), len(cols), self._field)
-        for j, cid in enumerate(cols):
+        row_index = {c: i for i, c in enumerate(self._bases.get(d - 1, ()))}
+        columns = []
+        for cid in self._bases[d]:
             if complex.kind == SIMPLICIAL:
                 verts = complex.vertices(cid)
                 faces = [
@@ -73,48 +79,66 @@ class ChainComplex:
                 ] if d >= 1 else []
             else:
                 faces = [(f, 0) for f in sorted(complex.hyperfaces(cid))]
+            entries = {}
             for fid, position in faces:
                 i = row_index.get(fid)
                 if i is None:
                     continue  # face lies in the subcomplex
-                coeff = self._coefficient(cid, fid, position, signs)
-                matrix[i][j] = self._field.add(matrix[i][j], coeff)
-        return matrix
+                entries[i] = self._coefficient(cid, fid, position, signs)
+            columns.append(linalg.column(entries, self.field_name))
+        return columns
 
     def _check_boundary_squared(self):
         for d in range(1, self.pair.complex.dim + 1):
-            lower = self._matrices[d - 1]
-            upper = self._matrices[d]
-            if not lower or not upper:
-                continue
-            product = linalg.mat_mul(lower, upper, self._field)
-            if not linalg.is_zero_matrix(product, self._field):
+            if not linalg.composes_to_zero(
+                self._columns[d - 1], self._columns[d], self.field_name
+            ):
                 raise PreconditionError(
                     f"boundary squared is nonzero in dimension {d}; "
                     "the complex is not a valid chain complex over this field"
                 )
 
+    def _reduced(self, d: int) -> dict[int, int]:
+        """Pivot columns of dimension ``d`` with their lowest rows.
+
+        Dimensions are reduced from the top down. A cell that is the lowest
+        row of a reduced column one dimension up has a boundary column that
+        depends on the columns to its left (boundary squared is zero), so it
+        is skipped (the clearing of Chen-Kerber 2011); the pivots are the
+        same as without it.
+        """
+        if self._lows is None:
+            self._lows = {}
+            cleared = ()
+            for k in sorted(self._columns, reverse=True):
+                self._lows[k] = linalg.reduce_columns(
+                    self._columns[k], self.field_name, skip=cleared
+                )
+                cleared = set(self._lows[k].values())
+        return self._lows.get(d, {})
+
     def basis(self, d: int) -> tuple[str, ...]:
         return self._bases.get(d, ())
 
     def matrix(self, d: int) -> list[list]:
-        return self._matrices.get(d, [])
+        """Dense boundary matrix of dimension ``d``, as a list of rows."""
+        if d not in self._columns:
+            return []
+        return linalg.dense_rows(self._columns[d], len(self.basis(d - 1)), self.field_name)
 
     def rank(self, d: int) -> int:
-        if d not in self._bases or not self._bases[d]:
-            return 0
-        if d not in self._ranks:
-            self._ranks[d] = linalg.matrix_rank(self._matrices[d], self._field)
-        return self._ranks[d]
+        return len(self._reduced(d))
 
     def kernel_dim(self, d: int) -> int:
         return len(self.basis(d)) - self.rank(d)
 
     def pivot_columns(self, d: int) -> tuple[int, ...]:
-        rows = [list(r) for r in self._matrices[d]]
-        rank, pivots = linalg.row_reduce(rows, self._field)
-        self._ranks.setdefault(d, rank)
-        return tuple(pivots)
+        return tuple(self._reduced(d))
+
+    def betti(self) -> "BettiVector":
+        top = self.pair.complex.dim
+        betti = tuple(self.kernel_dim(d) - self.rank(d + 1) for d in range(top + 1))
+        return BettiVector(betti, self.field_name)
 
 
 def chain_complex(pair: SubcomplexPair, field: str | None = None, signs=None) -> ChainComplex:
@@ -134,10 +158,7 @@ class BettiVector:
 
 
 def betti_numbers(pair: SubcomplexPair, field: str | None = None, signs=None) -> BettiVector:
-    cc = chain_complex(pair, field=field, signs=signs)
-    top = pair.complex.dim
-    betti = tuple(cc.kernel_dim(d) - cc.rank(d + 1) for d in range(top + 1))
-    return BettiVector(betti, cc.field_name)
+    return chain_complex(pair, field=field, signs=signs).betti()
 
 
 @dataclass(frozen=True)
@@ -161,19 +182,18 @@ def acyclic_filtration(pair: SubcomplexPair, field: str | None = None, signs=Non
     n-cells together with the (n-1)-cells left over from the stage below,
     and those two groups always have equal size when the pair is acyclic.
     """
-    bv = betti_numbers(pair, field=field, signs=signs)
+    cc = chain_complex(pair, field=field, signs=signs)
+    bv = cc.betti()
     if not bv.is_zero():
         raise HomologyNonzeroError(
             f"pair has nonzero homology {bv.betti}", betti=bv
         )
     complex = pair.complex
-    cc = chain_complex(pair, field=field, signs=signs)
     top = complex.dim
     selected: dict[int, frozenset[str]] = {}
     for d in range(top + 1):
         basis = cc.basis(d)
-        pivots = cc.pivot_columns(d) if basis else ()
-        selected[d] = frozenset(basis[j] for j in pivots)
+        selected[d] = frozenset(basis[j] for j in cc.pivot_columns(d))
     stages = [pair.sub]
     current = pair.sub
     for d in range(1, top + 2):
@@ -202,15 +222,13 @@ def _check_layer_injective(cc: ChainComplex, d: int, upper, lower):
     matching relies on."""
     if not upper:
         return
-    basis_up = [c for c in cc.basis(d) if c in upper]
-    rows_keep = [i for i, c in enumerate(cc.basis(d - 1)) if c in lower]
-    col_index = {c: j for j, c in enumerate(cc.basis(d))}
-    full = cc.matrix(d)
-    sub = [[full[i][col_index[c]] for c in basis_up] for i in rows_keep]
-    rank = linalg.matrix_rank(sub, linalg.field_by_name(cc.field_name))
-    if rank != len(basis_up):
+    rows = [i for i, c in enumerate(cc.basis(d - 1)) if c in lower]
+    columns = [col for c, col in zip(cc.basis(d), cc._columns[d]) if c in upper]
+    restricted = linalg.restrict_rows(columns, rows, cc.field_name)
+    rank = len(linalg.reduce_columns(restricted, cc.field_name))
+    if rank != len(columns):
         raise AssertionError(
-            f"layer {d} boundary is not injective (rank {rank} of {len(basis_up)})"
+            f"layer {d} boundary is not injective (rank {rank} of {len(columns)})"
         )
 
 
@@ -234,5 +252,8 @@ def match_acyclic_pair(pair: SubcomplexPair, field: str | None = None, signs=Non
         parts.append(outcome)
     result = compose_matchings(parts, relative_to=pair.sub)
     report = validate_matching(pair, result)
-    assert report.ok, f"acyclic-pair matching failed validation: {report.violations[:3]}"
+    if not report.ok:
+        raise AssertionError(
+            f"acyclic-pair matching failed validation: {report.violations[:3]}"
+        )
     return result

@@ -1,130 +1,152 @@
 """Exact linear algebra over the rationals and the two-element field.
 
-Matrices are plain lists of rows. Rational entries are ``Fraction``;
-two-element-field entries are the ints 0 and 1. Everything is exact, and
-pivoting is deterministic: columns are scanned left to right and, within a
-column, rows top to bottom, so with bases listed in id order the pivot
-choice is the leftmost-lowest one.
+Boundary maps are stored sparsely, one column per cell. Over the
+two-element field (``"f2"``) a column is a Python int used as a bitset: bit
+i is set when row i holds a 1. Over the rationals (``"q"``) a column is a
+``{row: Fraction}`` dict with no zero entries.
+
+``reduce_columns`` is the left-to-right column reduction of PHAT
+(Bauer-Kerber-Reininghaus-Wagner 2014). Each column is reduced against the
+pivot columns to its left, by its lowest (largest-index) nonzero row, until
+that row is new or the column vanishes. A column keeps a pivot exactly when
+it is independent of the columns to its left, so the pivot columns are the
+ones that dense elimination with leftmost-lowest pivoting picks.
+
+``matrix_rank`` and ``solve_exact`` are small dense solvers over the
+rationals, for the geometric systems of the flow construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-
-class FieldSpec:
-    """Operation bundle for a coefficient field."""
-
-    def __init__(self, name, zero, one, add, neg, mul, inv):
-        self.name = name
-        self.zero = zero
-        self.one = one
-        self.add = add
-        self.neg = neg
-        self.mul = mul
-        self.inv = inv
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def __repr__(self):
-        return f"FieldSpec({self.name!r})"
+FIELDS = ("q", "f2")
 
 
-RATIONALS = FieldSpec(
-    "q",
-    Fraction(0),
-    Fraction(1),
-    lambda a, b: a + b,
-    lambda a: -a,
-    lambda a, b: a * b,
-    lambda a: Fraction(1) / a,
-)
-
-GF2 = FieldSpec(
-    "f2",
-    0,
-    1,
-    lambda a, b: (a + b) & 1,
-    lambda a: a & 1,
-    lambda a, b: a & b,
-    lambda a: a,
-)
-
-FIELDS = {"q": RATIONALS, "f2": GF2}
+def check_field(name: str) -> str:
+    if name not in FIELDS:
+        raise ValueError(f"unknown field {name!r}; expected 'q' or 'f2'")
+    return name
 
 
-def field_by_name(name: str) -> FieldSpec:
-    try:
-        return FIELDS[name]
-    except KeyError:
-        raise ValueError(f"unknown field {name!r}; expected 'q' or 'f2'") from None
+def column(entries: dict, field: str):
+    """Sparse column with the nonzero entries ``{row: value}``."""
+    if field == "f2":
+        return sum(1 << i for i, v in entries.items() if v % 2)
+    return dict(entries)
 
 
-def zeros(n_rows: int, n_cols: int, field: FieldSpec) -> list[list]:
-    return [[field.zero] * n_cols for _ in range(n_rows)]
+def dense_rows(columns: list, n_rows: int, field: str) -> list[list]:
+    """The columns as ``n_rows`` dense rows: ints 0/1 over f2, Fractions
+    over q."""
+    if field == "f2":
+        return [[(col >> i) & 1 for col in columns] for i in range(n_rows)]
+    zero = Fraction(0)
+    return [[col.get(i, zero) for col in columns] for i in range(n_rows)]
 
 
-def row_reduce(rows: list[list], field: FieldSpec) -> tuple[int, list[int]]:
-    """Echelonize ``rows`` in place; return (rank, pivot column indices)."""
+def reduce_columns(columns: list, field: str, skip=()) -> dict[int, int]:
+    """Reduce ``columns`` left to right; map each pivot column to its
+    lowest row, in column order. Columns listed in ``skip`` are known to
+    depend on the columns to their left and are not reduced."""
+    lows: dict[int, int] = {}
+    pivots: dict = {}  # lowest row -> reduced pivot column
+    if field == "f2":
+        for j, col in enumerate(columns):
+            if j in skip:
+                continue
+            while col:
+                low = col.bit_length() - 1
+                other = pivots.get(low)
+                if other is None:
+                    pivots[low] = col
+                    lows[j] = low
+                    break
+                col ^= other
+        return lows
+    for j, col in enumerate(columns):
+        if j in skip or not col:
+            continue
+        col = dict(col)
+        while col:
+            low = max(col)
+            other = pivots.get(low)
+            if other is None:
+                scale = Fraction(1) / col[low]
+                pivots[low] = {r: v * scale for r, v in col.items()}
+                lows[j] = low
+                break
+            factor = col[low]
+            for r, v in other.items():
+                value = col.get(r, 0) - factor * v
+                if value:
+                    col[r] = value
+                else:
+                    del col[r]
+    return lows
+
+
+def restrict_rows(columns: list, rows, field: str) -> list:
+    """The columns with every entry outside ``rows`` dropped."""
+    if field == "f2":
+        mask = sum(1 << i for i in rows)
+        return [col & mask for col in columns]
+    rows = set(rows)
+    return [{r: v for r, v in col.items() if r in rows} for col in columns]
+
+
+def composes_to_zero(lower: list, upper: list, field: str) -> bool:
+    """Whether the map with columns ``lower`` kills every column of
+    ``upper``, whose rows index the columns of ``lower``."""
+    if field == "f2":
+        for col in upper:
+            image = 0
+            while col:
+                bit = col & -col
+                image ^= lower[bit.bit_length() - 1]
+                col ^= bit
+            if image:
+                return False
+        return True
+    for col in upper:
+        image: dict[int, Fraction] = {}
+        for i, a in col.items():
+            for r, b in lower[i].items():
+                image[r] = image.get(r, 0) + a * b
+        if any(image.values()):
+            return False
+    return True
+
+
+def _row_echelon(rows: list[list[Fraction]]) -> list[int]:
+    """Echelonize ``rows`` in place, scanning columns left to right and
+    rows top to bottom; return the pivot column indices."""
     if not rows or not rows[0]:
-        return 0, []
+        return []
     n_rows, n_cols = len(rows), len(rows[0])
     pivot_cols: list[int] = []
-    piv_r = 0
     for col in range(n_cols):
-        hit = None
-        for r in range(piv_r, n_rows):
-            if rows[r][col] != field.zero:
-                hit = r
-                break
+        piv_r = len(pivot_cols)
+        hit = next((r for r in range(piv_r, n_rows) if rows[r][col]), None)
         if hit is None:
             continue
-        if hit != piv_r:
-            rows[piv_r], rows[hit] = rows[hit], rows[piv_r]
-        inv_p = field.inv(rows[piv_r][col])
+        rows[piv_r], rows[hit] = rows[hit], rows[piv_r]
+        src = rows[piv_r]
+        inv_p = Fraction(1) / src[col]
         for r in range(piv_r + 1, n_rows):
-            entry = rows[r][col]
-            if entry == field.zero:
-                continue
-            factor = field.mul(entry, inv_p)
-            src = rows[piv_r]
             dst = rows[r]
-            for c in range(col, n_cols):
-                dst[c] = field.sub(dst[c], field.mul(factor, src[c]))
+            factor = dst[col] * inv_p
+            if factor:
+                for c in range(col, n_cols):
+                    dst[c] -= factor * src[c]
         pivot_cols.append(col)
-        piv_r += 1
-        if piv_r == n_rows:
+        if len(pivot_cols) == n_rows:
             break
-    return len(pivot_cols), pivot_cols
+    return pivot_cols
 
 
-def matrix_rank(rows: list[list], field: FieldSpec) -> int:
-    rank, _ = row_reduce([list(r) for r in rows], field)
-    return rank
-
-
-def mat_mul(a: list[list], b: list[list], field: FieldSpec) -> list[list]:
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m, field)
-    for i in range(n):
-        row = a[i]
-        acc = out[i]
-        for j in range(k):
-            entry = row[j]
-            if entry == field.zero:
-                continue
-            src = b[j]
-            for c in range(m):
-                if src[c] != field.zero:
-                    acc[c] = field.add(acc[c], field.mul(entry, src[c]))
-    return out
-
-
-def is_zero_matrix(rows: list[list], field: FieldSpec) -> bool:
-    return all(entry == field.zero for row in rows for entry in row)
+def matrix_rank(rows: list[list[Fraction]]) -> int:
+    return len(_row_echelon([list(r) for r in rows]))
 
 
 def solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
@@ -137,7 +159,7 @@ def solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | 
     n_rows = len(a)
     n_cols = len(a[0]) if a else 0
     aug = [list(a[r]) + [b[r]] for r in range(n_rows)]
-    rank, pivots = row_reduce(aug, RATIONALS)
+    pivots = _row_echelon(aug)
     if n_cols in pivots:
         return None  # pivot in the constant column: inconsistent
     if len(pivots) < n_cols:

@@ -154,20 +154,37 @@ def _hopcroft_karp(left, right, adjacency):
                     queue.append(w)
         return found
 
-    def dfs(u) -> bool:
-        for v in adjacency[u]:
-            w = mate_right.get(v)
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                mate_left[u] = v
-                mate_right[v] = u
-                return True
-        dist[u] = _UNREACHED
-        return False
+    def augment(root) -> None:
+        """Depth-first search for an augmenting path from ``root`` along
+        the BFS layers, with an explicit stack; ``path[k]`` is the right
+        vertex taken from ``stack[k]``. A vertex whose search fails is
+        marked unreached."""
+        stack = [(root, iter(adjacency[root]))]
+        path: list[str] = []
+        while stack:
+            u, nbrs = stack[-1]
+            for v in nbrs:
+                w = mate_right.get(v)
+                if w is None:
+                    path.append(v)
+                    for (x, _), y in zip(stack, path):
+                        mate_left[x] = y
+                        mate_right[y] = x
+                    return
+                if dist[w] == dist[u] + 1:
+                    path.append(v)
+                    stack.append((w, iter(adjacency[w])))
+                    break
+            else:
+                dist[u] = _UNREACHED
+                stack.pop()
+                if path:
+                    path.pop()
 
     while bfs():
         for u in left:
             if u not in mate_left:
-                dfs(u)
+                augment(u)
     return mate_left, mate_right
 
 
@@ -224,7 +241,8 @@ def complete_matching(pair: SubcomplexPair, use_parity_shortcut: bool = True):
         cert = _koenig_certificate(graph, side, mate_even, mate_odd)
     else:
         cert = _koenig_certificate(graph, side, mate_odd, mate_even)
-    assert cert.verify(pair), "internal error: certificate failed verification"
+    if not cert.verify(pair):
+        raise AssertionError("internal error: certificate failed verification")
     return cert
 
 

@@ -64,7 +64,8 @@ def match_sphere_pipeline(complex: CellComplex) -> Matching:
 
     result = compose_matchings([cycle_part, middle_part, boundary_part])
     report = validate_matching(SubcomplexPair(complex), result)
-    assert report.ok, f"sphere pipeline output invalid: {report.violations[:3]}"
+    if not report.ok:
+        raise AssertionError(f"sphere pipeline output invalid: {report.violations[:3]}")
     return result
 
 
@@ -136,7 +137,8 @@ def match_loop_pipeline(
 
     result = compose_matchings(parts, relative_to=base_set)
     report = validate_matching(SubcomplexPair(complex, base_set), result)
-    assert report.ok, f"loop pipeline output invalid: {report.violations[:3]}"
+    if not report.ok:
+        raise AssertionError(f"loop pipeline output invalid: {report.violations[:3]}")
     return result
 
 

@@ -119,5 +119,8 @@ def propagate_matching(
     result = compose_matchings(parts, relative_to=sub_base)
     target = SubcomplexPair(smap.subdivided, sub_base)
     final = validate_matching(target, result)
-    assert final.ok, f"propagated matching failed validation: {final.violations[:3]}"
+    if not final.ok:
+        raise AssertionError(
+            f"propagated matching failed validation: {final.violations[:3]}"
+        )
     return result

@@ -1,15 +1,18 @@
 """Shared oracles for the test suite.
 
 These helpers stay independent of the library code paths they check: the
-matching counter enumerates permutations directly, and the collapse replay
-rebuilds coface data from the raw hyperface tables.
+matching counter enumerates permutations directly, the collapse replay
+rebuilds coface data from the raw hyperface tables, and the linear algebra
+works on dense lists of rows with plain ``Fraction``/mod-2 arithmetic.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+import random
 from itertools import permutations
 
-from cellmatch import SubcomplexPair, incidence_graph
+from cellmatch import SubcomplexPair, from_simplices, incidence_graph
 
 
 def count_matchings_by_permutations(pair: SubcomplexPair) -> int:
@@ -56,3 +59,69 @@ def replay_collapse(pair: SubcomplexPair, order) -> None:
         )
         remaining -= {lower, upper}
     assert not remaining, f"collapse left cells behind: {sorted(remaining)[:5]}"
+
+
+def _entry(value, field: str):
+    return value % 2 if field == "f2" else Fraction(value)
+
+
+def mat_mul(a: list[list], b: list[list], field: str) -> list[list]:
+    """Dense matrix product over ``field`` ("q" or "f2")."""
+    if not a or not b:
+        return []
+    return [
+        [_entry(sum(row[k] * b[k][c] for k in range(len(b))), field) for c in range(len(b[0]))]
+        for row in a
+    ]
+
+
+def is_zero_matrix(rows: list[list]) -> bool:
+    return all(entry == 0 for row in rows for entry in row)
+
+
+def dense_boundary(pair: SubcomplexPair, d: int, field: str) -> list[list]:
+    """Boundary matrix of a simplicial pair from its vertex tuples alone:
+    rows are the (d-1)-cells outside the base, columns the d-cells, both in
+    the pair's cell order; the face omitting the i-th smallest vertex
+    carries (-1)^i."""
+    X = pair.complex
+    rows = [c for c in pair.rel_cells if X.dim_of(c) == d - 1]
+    cols = [c for c in pair.rel_cells if X.dim_of(c) == d]
+    index = {c: i for i, c in enumerate(rows)}
+    out = [[_entry(0, field)] * len(cols) for _ in rows]
+    for j, c in enumerate(cols):
+        verts = sorted(X.vertices(c))
+        for i in range(len(verts)):
+            face = ".".join(str(v) for v in verts[:i] + verts[i + 1:])
+            if face in index:
+                out[index[face]][j] = _entry((-1) ** i, field)
+    return out
+
+
+def dense_pivot_columns(rows: list[list], field: str) -> list[int]:
+    """Pivot columns of dense Gaussian elimination: columns scanned left to
+    right, within a column the first nonzero row at or below the pivot
+    row."""
+    rows = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        hit = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
+        if hit is None:
+            continue
+        rows[top], rows[hit] = rows[hit], rows[top]
+        p = rows[top]
+        for r in range(top + 1, len(rows)):
+            factor = rows[r][col] / p[col] if field == "q" else rows[r][col]
+            if factor:
+                rows[r] = [_entry(x - factor * y, field) for x, y in zip(rows[r], p)]
+        pivots.append(col)
+    return pivots
+
+
+def shuffled_path_rel_end(n_edges: int, seed: int) -> SubcomplexPair:
+    """A path of ``n_edges`` edges with shuffled vertex labels, relative to
+    one endpoint; its augmenting paths are as long as the path."""
+    labels = random.Random(seed).sample(range(n_edges + 1), n_edges + 1)
+    X = from_simplices([labels[i], labels[i + 1]] for i in range(n_edges))
+    return SubcomplexPair(X, [str(labels[0])])

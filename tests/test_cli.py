@@ -7,6 +7,8 @@ import pytest
 from cellmatch import io
 from cellmatch.cli import main
 
+from conftest import shuffled_path_rel_end
+
 
 def run(*argv) -> int:
     return main(list(argv))
@@ -212,3 +214,12 @@ def test_emitted_files_reparse(tmp_path):
     first = io.load_matching(str(m))
     io.save_matching(first, str(m))
     assert io.load_matching(str(m)) == first
+
+
+def test_match_long_shuffled_path(tmp_path):
+    pair = shuffled_path_rel_end(5000, seed=3)
+    c, rel, m = tmp_path / "p.json", tmp_path / "rel.json", tmp_path / "m.json"
+    io.save_complex(pair.complex, str(c))
+    io.save_subcomplex(sorted(pair.sub), str(rel))
+    assert run("match", str(c), "--rel", str(rel), "-o", str(m)) == 0
+    assert len(io.read_json(str(m))["pairs"]) == 5000

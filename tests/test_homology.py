@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
+import cellmatch
 from cellmatch import (
     HomologyNonzeroError,
     PreconditionError,
@@ -12,11 +18,23 @@ from cellmatch import (
     chain_complex,
     enumerate_matchings,
     euler_characteristic,
+    from_simplices,
     match_acyclic_pair,
     validate_matching,
 )
-from cellmatch.generators import apex_of, circle, cone, simplex, sphere_boundary, torus7
-from cellmatch.linalg import is_zero_matrix, mat_mul
+from cellmatch.generators import (
+    apex_of,
+    circle,
+    cone,
+    grid_square,
+    interval,
+    simplex,
+    sphere_boundary,
+    torus7,
+    wedge,
+)
+
+from conftest import dense_boundary, dense_pivot_columns, is_zero_matrix, mat_mul
 
 
 def test_circle_boundary_rank():
@@ -43,9 +61,7 @@ def test_boundary_squared_zero_both_fields():
         for d in range(1, 4):
             lower, upper = cc.matrix(d - 1), cc.matrix(d)
             if lower and upper:
-                assert is_zero_matrix(
-                    mat_mul(lower, upper, cc._field), cc._field
-                )
+                assert is_zero_matrix(mat_mul(lower, upper, field))
 
 
 def test_rank_nullity_per_degree():
@@ -204,3 +220,71 @@ def test_layer_boundary_full_column_rank_checked():
     filtration = acyclic_filtration(pair)
     assert [set(s) for s in filtration.stages][-1] == set(X.cells())
     assert set(pair.rel_cells) == {"1.2", "0.1.2"}
+
+
+def _shuffled_grid_rel_vertex(m: int, seed: int) -> SubcomplexPair:
+    X = grid_square(m)
+    tokens = list(X.vertex_tokens())
+    relabel = dict(zip(tokens, random.Random(seed).sample(tokens, len(tokens))))
+    Y = from_simplices([[relabel[v] for v in X.vertices(c)] for c in X.top_cells()])
+    return SubcomplexPair(Y, [Y.cells_of_dim(0)[0]])
+
+
+def test_sparse_reduction_matches_dense_elimination():
+    pairs = [
+        SubcomplexPair(X)
+        for X in (
+            circle(5), simplex(3), sphere_boundary(2), sphere_boundary(3),
+            sphere_boundary(4), sphere_boundary(5), torus7(), wedge(),
+            interval(4), grid_square(2), cone(circle(4)),
+        )
+    ]
+    pairs.append(_shuffled_grid_rel_vertex(3, seed=11))
+    for pair in pairs:
+        for field in ("q", "f2"):
+            cc = chain_complex(pair, field=field)
+            for d in range(pair.complex.dim + 1):
+                dense = dense_boundary(pair, d, field)
+                assert cc.matrix(d) == dense, (pair, field, d)
+                pivots = dense_pivot_columns(dense, field)
+                assert list(cc.pivot_columns(d)) == pivots, (pair, field, d)
+                assert cc.rank(d) == len(pivots)
+
+
+def test_inconsistent_cw_signs_fail_boundary_squared():
+    X = build_cw([
+        ("u", 0, []), ("v", 0, []),
+        ("e", 1, ["u", "v"]), ("f", 1, ["u", "v"]),
+        ("disk", 2, ["e", "f"]),
+    ])
+    signs = {
+        ("e", "u"): -1, ("e", "v"): 1,
+        ("f", "u"): -1, ("f", "v"): 1,
+        ("disk", "e"): 1, ("disk", "f"): 1,
+    }
+    with pytest.raises(PreconditionError, match="boundary squared"):
+        chain_complex(SubcomplexPair(X), field="q", signs=signs)
+
+
+def test_postcondition_raises_under_optimize():
+    script = (
+        "import cellmatch.homology as homology\n"
+        "from cellmatch import SubcomplexPair\n"
+        "from cellmatch.generators import simplex\n"
+        "from cellmatch.matching import MatchingReport\n"
+        "if __debug__:\n"
+        "    raise SystemExit('assertions are enabled')\n"
+        "homology.validate_matching = lambda pair, m: MatchingReport(False, ('forced',))\n"
+        "try:\n"
+        "    homology.match_acyclic_pair(SubcomplexPair(simplex(2), ['0']))\n"
+        "except AssertionError as err:\n"
+        "    print('raised:', err)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cellmatch.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "raised: acyclic-pair matching failed validation" in result.stdout

@@ -30,7 +30,7 @@ from cellmatch.generators import (
     wedge,
 )
 
-from conftest import count_matchings_by_permutations, replay_collapse
+from conftest import count_matchings_by_permutations, replay_collapse, shuffled_path_rel_end
 
 
 def test_incidence_graph_circle():
@@ -293,3 +293,11 @@ def test_complete_matching_deterministic():
     first = complete_matching(pair)
     second = complete_matching(pair)
     assert first == second
+
+
+def test_long_shuffled_path_matches_at_default_recursion_limit():
+    pair = shuffled_path_rel_end(5000, seed=3)
+    m = complete_matching(pair)
+    assert isinstance(m, Matching)
+    assert len(m) == 5000
+    assert validate_matching(pair, m).ok
