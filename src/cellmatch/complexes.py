@@ -427,16 +427,11 @@ class DualGraph:
     edges: dict[str, tuple[str, str]]  # (n-1)-cell id -> its two cofaces
     boundary: frozenset[str]  # (n-1)-cells with a single coface
     non_manifold: frozenset[str]  # (n-1)-cells with three or more cofaces
+    adjacency: dict[str, tuple[tuple[str, str], ...]]  # node -> neighbors(node)
 
     def neighbors(self, node: str) -> tuple[tuple[str, str], ...]:
         """Sorted (edge cell, other node) pairs at ``node``."""
-        out = []
-        for f, (a, b) in self.edges.items():
-            if a == node:
-                out.append((f, b))
-            elif b == node:
-                out.append((f, a))
-        return tuple(sorted(out))
+        return self.adjacency.get(node, ())
 
     @property
     def edge_count(self) -> int:
@@ -463,7 +458,14 @@ def dual_graph(complex: CellComplex) -> DualGraph:
             edges[f] = (cofs[0], cofs[1])
         elif len(cofs) >= 3:
             non_manifold.add(f)
-    return DualGraph(nodes, edges, frozenset(boundary), frozenset(non_manifold))
+    around: dict[str, list[tuple[str, str]]] = {}
+    for f, (a, b) in edges.items():
+        around.setdefault(a, []).append((f, b))
+        around.setdefault(b, []).append((f, a))
+    adjacency = {node: tuple(sorted(out)) for node, out in around.items()}
+    return DualGraph(
+        nodes, edges, frozenset(boundary), frozenset(non_manifold), adjacency
+    )
 
 
 def spanning_dual_loop(complex: CellComplex) -> DualLoop:

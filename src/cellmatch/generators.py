@@ -134,6 +134,8 @@ def product(a: CellComplex, b: CellComplex) -> CellComplex:
 
 def _lattice_paths(p: int, q: int):
     """Monotone paths from (0,0) to (p,q) stepping +1 in one coordinate."""
+    # Each call lowers p + q by one: the recursion depth is p + q, the sum
+    # of the factor simplex dimensions, at most that of the factors.
     if p == 0 and q == 0:
         return [[(0, 0)]]
     out = []

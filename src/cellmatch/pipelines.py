@@ -121,13 +121,14 @@ def match_loop_pipeline(
     inner_base = base_set | circle_set if circle_set is not None else base_set
     rest = complex.restrict(pair.sub)
     inner_pair = SubcomplexPair(rest, inner_base)
-    bv = betti_numbers(inner_pair)
-    if not bv.is_zero():
+    try:
+        middle_part = match_acyclic_pair(inner_pair)
+    except HomologyNonzeroError as err:
         raise HomologyNonzeroError(
-            f"loop complement is not acyclic relative to the base: betti {bv.betti}",
-            betti=bv,
-        )
-    middle_part = match_acyclic_pair(inner_pair)
+            "loop complement is not acyclic relative to the base: "
+            f"betti {err.betti.betti}",
+            betti=err.betti,
+        ) from err
 
     parts = [cycle_part, middle_part]
     if circle_set is not None:

@@ -63,6 +63,8 @@ def barycentric(complex: CellComplex) -> SubdivisionMap:
     """First barycentric subdivision with its carrier map."""
     chains_by_cell: dict[str, list[tuple[str, ...]]] = {}
 
+    # Each call recurses on strictly lower-dimensional faces, so the
+    # recursion depth is at most the complex dimension plus 1.
     def chains_ending(cid: str) -> list[tuple[str, ...]]:
         cached = chains_by_cell.get(cid)
         if cached is not None:

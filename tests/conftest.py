@@ -1,9 +1,10 @@
 """Shared oracles for the test suite.
 
 These helpers stay independent of the library code paths they check: the
-matching counter enumerates permutations directly, the collapse replay
-rebuilds coface data from the raw hyperface tables, and the linear algebra
-works on dense lists of rows with plain ``Fraction``/mod-2 arithmetic.
+matching counter enumerates permutations directly, the collapse replay and
+the greedy collapse order rebuild coface data from the raw hyperface
+tables, and the linear algebra works on dense lists of rows with plain
+``Fraction``/mod-2 arithmetic.
 """
 
 from __future__ import annotations
@@ -59,6 +60,48 @@ def replay_collapse(pair: SubcomplexPair, order) -> None:
         )
         remaining -= {lower, upper}
     assert not remaining, f"collapse left cells behind: {sorted(remaining)[:5]}"
+
+
+def greedy_collapse_order(pair: SubcomplexPair, matching) -> list[tuple[str, str]]:
+    """The leftmost-first free-face collapse, by full rescans: pairs as
+    (lower, upper) ordered by the lower cell's place in ``cells()``; each
+    step removes the first pair whose lower cell has its mate as its only
+    remaining coface. Quadratic; coface sets come from the hyperface
+    table through ``transitive_cofaces``."""
+    X = pair.complex
+    place = {c: i for i, c in enumerate(X.cells())}
+    pairs = sorted(
+        ((a, b) if X.dim_of(a) < X.dim_of(b) else (b, a) for a, b in matching.pairs),
+        key=lambda p: place[p[0]],
+    )
+    cofaces = {lower: transitive_cofaces(X, lower) for lower, _ in pairs}
+    remaining = {c for p in pairs for c in p}
+    order = []
+    while pairs:
+        pick = next(p for p in pairs if len(cofaces[p[0]] & remaining) == 1)
+        pairs.remove(pick)
+        remaining -= set(pick)
+        order.append(pick)
+    return order
+
+
+def relabeled(complex, seed: int):
+    """The simplicial complex with its integer vertex labels moved to
+    random distinct labels in ``range(3 * n)``, coordinates carried along;
+    returns the new complex and the old-to-new label map."""
+    tokens = list(complex.vertex_tokens())
+    fresh = random.Random(seed).sample(range(3 * len(tokens)), len(tokens))
+    perm = dict(zip(tokens, fresh))
+    covered = {f for c in complex.cells() for f in complex.hyperfaces(c)}
+    tops = [
+        [perm[t] for t in complex.vertices(c)]
+        for c in complex.cells()
+        if c not in covered
+    ]
+    coords = None
+    if complex.coordinates is not None:
+        coords = {perm[t]: p for t, p in complex.coordinates.items()}
+    return from_simplices(tops, coordinates=coords), perm
 
 
 def _entry(value, field: str):

@@ -182,6 +182,25 @@ def test_spanning_dual_loop_circle():
     assert set(loop.link_cells) == set(X.cells_of_dim(0))
 
 
+def test_dual_graph_neighbors_equal_edge_scan():
+    for X in (sphere_boundary(3), sphere_boundary(4), torus7(), circle(5)):
+        g = dual_graph(X)
+        for node in g.nodes + ("absent",):
+            scan = sorted(
+                (f, b if a == node else a)
+                for f, (a, b) in g.edges.items()
+                if node in (a, b)
+            )
+            assert g.neighbors(node) == tuple(scan)
+
+
+def test_spanning_dual_loop_long_circle():
+    X = circle(3000)
+    loop = spanning_dual_loop(X)
+    assert loop.k == 3000
+    assert set(loop.cells) == set(X.cells())
+
+
 def test_complement_of_full_circle_loop_is_empty():
     X = circle(3)
     loop = spanning_dual_loop(X)

@@ -6,15 +6,21 @@ import pytest
 
 from cellmatch import (
     BruteForceBoundError,
+    GeometricComplex,
     HallCertificate,
     InvalidMatchingError,
     Matching,
     SubcomplexPair,
+    cell_id,
     complete_matching,
     compose_matchings,
     enumerate_matchings,
     euler_characteristic,
+    flow_matching,
+    flow_structure,
+    from_simplices,
     incidence_graph,
+    match_acyclic_pair,
     match_dual_cycle,
     orbit_analysis,
     spanning_dual_loop,
@@ -24,13 +30,21 @@ from cellmatch.generators import (
     apex_of,
     circle,
     cone,
+    grid_square,
+    interval,
     simplex,
     sphere_boundary,
     torus7,
     wedge,
 )
 
-from conftest import count_matchings_by_permutations, replay_collapse, shuffled_path_rel_end
+from conftest import (
+    count_matchings_by_permutations,
+    greedy_collapse_order,
+    relabeled,
+    replay_collapse,
+    shuffled_path_rel_end,
+)
 
 
 def test_incidence_graph_circle():
@@ -221,6 +235,37 @@ def test_oracle_equivalence_small_pairs():
         assert isinstance(outcome, Matching) == (count >= 1)
 
 
+def test_complete_matching_agrees_with_permutation_oracle_on_shuffled_pairs():
+    rng = random.Random(314)
+    figure_eight_and_point = from_simplices(
+        [[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4], [5]]
+    )
+    bundled = [
+        circle(5), circle(6), simplex(2), simplex(3), sphere_boundary(3), wedge(),
+        figure_eight_and_point,
+    ]
+    kinds = set()
+    for _ in range(120):
+        X, _ = relabeled(rng.choice(bundled), rng.randrange(1 << 30))
+        seeds = rng.sample(list(X.cells()), rng.randint(0, 5))
+        pair = SubcomplexPair(X, X.closure(seeds))
+        graph = incidence_graph(pair)
+        balanced = len(graph.even) == len(graph.odd)
+        if balanced and len(graph.even) > 7:
+            continue
+        count = count_matchings_by_permutations(pair)
+        kinds.add((balanced, count > 0))
+        for shortcut in (True, False):
+            outcome = complete_matching(pair, use_parity_shortcut=shortcut)
+            if count > 0:
+                assert isinstance(outcome, Matching)
+                assert validate_matching(pair, outcome).ok
+            else:
+                assert isinstance(outcome, HallCertificate)
+                assert outcome.verify(pair)
+    assert kinds == {(True, True), (True, False), (False, False)}
+
+
 def test_orbit_circle_is_cyclic_length6():
     X = circle(3)
     pair = SubcomplexPair(X)
@@ -275,6 +320,39 @@ def test_collapse_replay_on_cone():
     report = orbit_analysis(pair, m)
     if report.classification == "acyclic":
         replay_collapse(pair, report.collapse_order)
+
+
+def _shuffled_acyclic_cases():
+    rng = random.Random(2718)
+    for k in (3, 4, 5):
+        X, _ = relabeled(grid_square(k), rng.randrange(1 << 30))
+        pair = SubcomplexPair(X, [rng.choice(X.cells_of_dim(0))])
+        yield pair, match_acyclic_pair(pair)
+    for k, direction in ((3, (1, -3)), (4, (-2, 1)), (5, (3, 1))):
+        X, _ = relabeled(grid_square(k), rng.randrange(1 << 30))
+        fs = flow_structure(GeometricComplex(X), direction)
+        yield SubcomplexPair(X, fs.rel_base()), flow_matching(fs)
+    for k in (1, 7, 40):
+        X, perm = relabeled(interval(k), rng.randrange(1 << 30))
+        pair = SubcomplexPair(X, [str(perm[rng.choice((0, k))])])
+        yield pair, complete_matching(pair)
+
+
+def test_collapse_order_equals_greedy_rescan():
+    for pair, m in _shuffled_acyclic_cases():
+        report = orbit_analysis(pair, m)
+        assert report.classification == "acyclic"
+        assert list(report.collapse_order) == greedy_collapse_order(pair, m)
+
+
+def test_collapse_order_long_shuffled_interval_runs_back_to_base():
+    n = 3000
+    X, perm = relabeled(interval(n), seed=11)
+    pair = SubcomplexPair(X, [str(perm[0])])
+    report = orbit_analysis(pair, complete_matching(pair))
+    assert report.collapse_order == tuple(
+        (str(perm[i]), cell_id([perm[i - 1], perm[i]])) for i in range(n, 0, -1)
+    )
 
 
 def test_compose_matchings():

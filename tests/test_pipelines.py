@@ -138,6 +138,33 @@ def test_loop_pipeline_rejects_bad_complement():
     assert not err.value.betti.is_zero()
 
 
+def test_loop_pipeline_reduces_once(monkeypatch):
+    from cellmatch import homology, star_cycle
+
+    X = torus7()
+    loop = find_dual_loop(X, _annulus_complement, budget=3000)
+    core = _find_core_circle(X.restrict(complement_of_dual_loop(X, loop).sub))
+    built = []
+    real_init = homology.ChainComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(homology.ChainComplex, "__init__", counting_init)
+    match_loop_pipeline(X, loop, base=(), circle_cells=core)
+    assert len(built) == 1
+    built.clear()
+    bad_core = frozenset({"1", "2", "3", "1.2", "2.3", "1.3"})
+    with pytest.raises(HomologyNonzeroError) as err:
+        match_loop_pipeline(X, star_cycle(X, "0"), base=(), circle_cells=bad_core)
+    assert len(built) == 1
+    assert str(err.value).startswith(
+        "loop complement is not acyclic relative to the base: betti "
+    )
+    assert not err.value.betti.is_zero()
+
+
 def _product_sphere_loop():
     """Dual loop of product(circle(3), sphere_boundary(3)) running once
     around the circle factor over the base triangle (1,2,3)."""
