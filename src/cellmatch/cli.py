@@ -111,7 +111,7 @@ def _parse_base_rule(text: str) -> tuple[str, int | None]:
 
 
 def _cmd_generate(args) -> int:
-    spec = FamilySpec(args.family, _parse_params(args.params), seed=args.seed)
+    spec = FamilySpec(args.family, _parse_params(args.params))
     complex = generate(spec)
     _emit(io.encode_complex(complex), args.output)
     return EXIT_OK
@@ -166,6 +166,8 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_subdivide(args) -> int:
+    if args.propagate and not args.matching_out:
+        raise _UsageError("--propagate requires --matching-out")
     complex = io.load_complex(args.complex)
     smap = barycentric(complex)
     _emit(io.encode_complex(smap.subdivided), args.output)
@@ -179,8 +181,6 @@ def _cmd_subdivide(args) -> int:
         else:
             pair = SubcomplexPair(complex)
         propagated = propagate_matching(smap, pair, matching)
-        if not args.matching_out:
-            raise _UsageError("--propagate requires --matching-out")
         io.write_json(args.matching_out, io.encode_matching(propagated))
     return EXIT_OK
 
@@ -305,7 +305,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="emit a bundled example complex")
     p.add_argument("family", choices=family_names())
     p.add_argument("--params", help="comma-separated integer parameters")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_generate)
 

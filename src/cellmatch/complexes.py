@@ -468,37 +468,58 @@ def dual_graph(complex: CellComplex) -> DualGraph:
     )
 
 
+def _alternating_cycle(nodes, ends) -> DualLoop | None:
+    """The alternating cycle node, link, node, ... through every node, where
+    ``ends[link]`` holds the two nodes a link joins; None unless every link
+    joins two nodes, every node meets exactly two links and one walk reaches
+    every node. The walk starts at ``nodes[0]``, leaves by its smallest link
+    and never turns back along the link it came in by. Linear in the input."""
+    around: dict[str, list[str]] = {node: [] for node in nodes}
+    for link, pair in ends.items():
+        if len(set(pair)) != 2 or not all(node in around for node in pair):
+            return None
+        for node in pair:
+            around[node].append(link)
+    if not nodes or any(len(links) != 2 for links in around.values()):
+        return None
+    start = nodes[0]
+    node, link = start, min(around[start])
+    seq: list[str] = []
+    while True:
+        seq += (node, link)
+        a, b = ends[link]
+        node = b if node == a else a
+        if node == start:
+            break
+        first, second = around[node]
+        link = second if link == first else first
+    return DualLoop(tuple(seq)) if len(seq) == 2 * len(nodes) else None
+
+
 def spanning_dual_loop(complex: CellComplex) -> DualLoop:
     """The dual loop through every top cell, for a complex whose dual graph
-    is a single simple cycle (a cellulated circle, for instance)."""
+    is a single simple cycle (a cellulated circle, for instance).
+
+    The loop starts at the first top cell in the cell order and leaves it
+    by its smallest codimension-1 cell. Raises InvalidLoopError when the
+    dual graph has boundary or non-manifold cells, or is not one cycle."""
     graph = dual_graph(complex)
     if graph.boundary or graph.non_manifold:
         raise InvalidLoopError("dual graph has boundary or non-manifold cells")
-    if graph.edge_count != len(graph.nodes):
+    loop = _alternating_cycle(graph.nodes, graph.edges)
+    if loop is None:
         raise InvalidLoopError("dual graph is not a single cycle")
-    for node in graph.nodes:
-        if len(graph.neighbors(node)) != 2:
-            raise InvalidLoopError(f"dual graph is not a single cycle at {node}")
-    start = graph.nodes[0]
-    first_edge, nxt = graph.neighbors(start)[0]
-    seq = [start, first_edge]
-    prev_edge = first_edge
-    node = nxt
-    while node != start:
-        seq.append(node)
-        options = [(f, m) for f, m in graph.neighbors(node) if f != prev_edge]
-        prev_edge, node = options[0]
-        seq.append(prev_edge)
-    if len(seq) != 2 * len(graph.nodes):
-        raise InvalidLoopError("dual graph is not connected")
-    loop = DualLoop(tuple(seq))
-    loop.validate(complex)
     return loop
 
 
 def star_cycle(complex: CellComplex, tau: str) -> DualLoop:
     """The alternating cycle of the cells strictly containing a
-    codimension-2 cell, when its link is a single cycle."""
+    codimension-2 cell, when its link is a single cycle.
+
+    The cycle starts at the first top cell of the star in the cell order
+    and leaves it by its smallest codimension-1 cell; the walk is linear in
+    the size of the star. Raises PreconditionError when ``tau`` is not of
+    codimension 2 or its link is not a single cycle."""
     n = complex.dim
     if tau not in complex:
         raise InvalidSubcomplexError(f"unknown cell {tau!r}")
@@ -507,33 +528,9 @@ def star_cycle(complex: CellComplex, tau: str) -> DualLoop:
             f"{tau} has dimension {complex.dim_of(tau)}; expected {n - 2}"
         )
     star = complex.cofaces_all(tau)
-    mids = sorted((c for c in star if complex.dim_of(c) == n - 1), key=complex.sort_key)
     tops = sorted((c for c in star if complex.dim_of(c) == n), key=complex.sort_key)
-    if len(star) != len(mids) + len(tops) or not mids:
+    mids = {c: complex.cofaces(c) for c in star if complex.dim_of(c) == n - 1}
+    loop = _alternating_cycle(tops, mids)
+    if loop is None:
         raise PreconditionError(f"link of {tau} is not a single cycle")
-    around: dict[str, list[str]] = {}
-    for m in mids:
-        cofs = sorted(complex.cofaces(m))
-        if len(cofs) != 2:
-            raise PreconditionError(
-                f"link of {tau} is not a single cycle: {m} has {len(cofs)} cofaces"
-            )
-        around[m] = cofs
-    start = tops[0]
-    first_mid = min(m for m in mids if start in around[m])
-    seq = [start, first_mid]
-    prev_mid = first_mid
-    node = next(c for c in around[first_mid] if c != start)
-    while node != start:
-        seq.append(node)
-        nexts = sorted(m for m in mids if node in around[m] and m != prev_mid)
-        if len(nexts) != 1:
-            raise PreconditionError(f"link of {tau} is not a single cycle at {node}")
-        prev_mid = nexts[0]
-        seq.append(prev_mid)
-        node = next(c for c in around[prev_mid] if c != node)
-    if len(seq) != len(star):
-        raise PreconditionError(f"link of {tau} is not a single cycle")
-    loop = DualLoop(tuple(seq))
-    loop.validate(complex)
     return loop

@@ -42,14 +42,13 @@ class GeometricComplex:
     simplex must bound at most two top simplices.
     """
 
-    def __init__(self, complex: CellComplex, coordinates=None, embedded: bool = True):
+    def __init__(self, complex: CellComplex, coordinates=None):
         if complex.kind != SIMPLICIAL:
             raise InvalidComplexError("geometric complexes must be simplicial")
         coords = coordinates if coordinates is not None else complex.coordinates
         if coords is None:
             raise InvalidComplexError("geometric complexes require coordinates")
         self.complex = complex
-        self.embedded = embedded
         self.n = complex.dim
         tokens = complex.vertex_tokens()
         missing = [t for t in tokens if t not in coords]

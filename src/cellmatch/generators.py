@@ -18,7 +18,6 @@ class FamilySpec:
 
     name: str
     params: tuple[int, ...] = ()
-    seed: int | None = None
 
 
 def circle(k: int) -> CellComplex:

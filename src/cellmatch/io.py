@@ -53,8 +53,19 @@ def _parse_fraction(value) -> Fraction:
         raise FileFormatError("floating-point numbers are rejected; use 'p/q' text")
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise FileFormatError(f"bad rational {value!r}") from exc
+
+
+def _is(value, types) -> bool:
+    """``isinstance``, except that a JSON boolean is never an integer."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _is_list_of(value, types) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(x, types) and not isinstance(x, bool) for x in value
+    )
 
 
 def _parse_token(text: str):
@@ -124,18 +135,25 @@ def decode_complex(obj) -> CellComplex:
     kind = obj.get("kind")
     coordinates = None
     if "coordinates" in obj:
+        points = obj["coordinates"]
+        if not isinstance(points, dict) or not all(
+            isinstance(point, list) for point in points.values()
+        ):
+            raise FileFormatError("'coordinates' must map vertex tokens to lists")
         coordinates = {
             _parse_token(key): tuple(_parse_fraction(x) for x in point)
-            for key, point in obj["coordinates"].items()
+            for key, point in points.items()
         }
     if kind == SIMPLICIAL:
         simplices = obj.get("simplices")
         if not isinstance(simplices, list):
             raise FileFormatError("simplicial complex file needs a 'simplices' list")
         for simplex in simplices:
-            for t in simplex:
-                if isinstance(t, float) or not isinstance(t, (int, str)):
-                    raise FileFormatError("vertex tokens must be integers or strings")
+            if not _is_list_of(simplex, (int, str)):
+                raise FileFormatError(
+                    f"bad simplex {simplex!r}: expected a list of integer or "
+                    "string vertex tokens"
+                )
         return from_simplices(simplices, coordinates=coordinates)
     if kind == CW:
         cells = obj.get("cells")
@@ -143,10 +161,17 @@ def decode_complex(obj) -> CellComplex:
             raise FileFormatError("cw complex file needs a 'cells' list")
         records = []
         for record in cells:
-            try:
-                records.append((record["id"], record["dim"], record["faces"]))
-            except (TypeError, KeyError) as exc:
-                raise FileFormatError(f"bad cell record {record!r}") from exc
+            if not (
+                isinstance(record, dict)
+                and _is(record.get("id"), str)
+                and _is(record.get("dim"), int)
+                and _is_list_of(record.get("faces"), str)
+            ):
+                raise FileFormatError(
+                    f"bad cell record {record!r}: expected a str 'id', an int "
+                    "'dim' and a list of str 'faces'"
+                )
+            records.append((record["id"], record["dim"], record["faces"]))
         return build_cw(records, coordinates=coordinates)
     raise FileFormatError(f"unknown complex kind {kind!r}")
 
@@ -169,8 +194,8 @@ def encode_subcomplex(cells, closure: bool = False) -> dict:
 def decode_subcomplex(obj) -> tuple[list[str], bool]:
     _require_format(obj, SUB_FORMAT)
     cells = obj.get("cells")
-    if not isinstance(cells, list):
-        raise FileFormatError("subcomplex file needs a 'cells' list")
+    if not _is_list_of(cells, str):
+        raise FileFormatError("subcomplex file needs a 'cells' list of ids")
     return list(cells), bool(obj.get("closure", False))
 
 
@@ -222,11 +247,13 @@ def decode_matching(obj) -> Matching:
     if not isinstance(pairs, list):
         raise FileFormatError("matching file needs a 'pairs' list")
     for p in pairs:
-        if not isinstance(p, list) or len(p) != 2:
-            raise FileFormatError(f"bad matching pair {p!r}")
-    return Matching(
-        [tuple(p) for p in pairs], relative_to=obj.get("relative_to", ())
-    )
+        if not (isinstance(p, list) and len(p) == 2
+                and isinstance(p[0], str) and isinstance(p[1], str)):
+            raise FileFormatError(f"bad matching pair {p!r}: expected two ids")
+    relative_to = obj.get("relative_to", [])
+    if not _is_list_of(relative_to, str):
+        raise FileFormatError("matching 'relative_to' must be a list of ids")
+    return Matching([tuple(p) for p in pairs], relative_to=relative_to)
 
 
 def save_matching(matching: Matching, path: str) -> None:

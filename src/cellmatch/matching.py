@@ -14,7 +14,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from .complexes import CellComplex, DualLoop, SubcomplexPair
+from .complexes import CellComplex, DualLoop, SubcomplexPair, complement_of_dual_loop
 from .errors import BruteForceBoundError, InvalidMatchingError
 
 _UNREACHED = -1
@@ -318,10 +318,12 @@ def enumerate_matchings(
 
 def match_dual_cycle(complex: CellComplex, loop: DualLoop, orientation: int) -> Matching:
     """One of the two complete matchings of the cells on a dual loop,
-    relative to the complement subcomplex."""
+    relative to the complement subcomplex: orientation 0 matches each link
+    cell ``f_i`` with ``c_i``, orientation 1 with ``c_(i+1)``. The loop is
+    validated, and the complement taken, by :func:`complement_of_dual_loop`."""
     if orientation not in (0, 1):
         raise ValueError("orientation must be 0 or 1")
-    loop.validate(complex)
+    rest = complement_of_dual_loop(complex, loop).sub
     tops = loop.top_cells
     links = loop.link_cells
     k = loop.k
@@ -329,7 +331,6 @@ def match_dual_cycle(complex: CellComplex, loop: DualLoop, orientation: int) -> 
         (links[i], tops[(i + orientation) % k])
         for i in range(k)
     ]
-    rest = frozenset(c for c in complex.cells() if c not in set(loop.cells))
     return Matching(pairs, relative_to=rest)
 
 

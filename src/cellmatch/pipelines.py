@@ -14,6 +14,7 @@ from .complexes import (
 )
 from .errors import (
     HomologyNonzeroError,
+    InvalidLoopError,
     PreconditionError,
     SearchBudgetExceededError,
 )
@@ -52,10 +53,9 @@ def match_sphere_pipeline(complex: CellComplex) -> Matching:
     sigma = complex.cells_of_dim(n - 1)[0]
     tau = min(complex.hyperfaces(sigma), key=complex.sort_key)
     loop = star_cycle(complex, tau)
-    around_pair = complement_of_dual_loop(complex, loop)
     cycle_part = match_dual_cycle(complex, loop, 0)
 
-    rest = complex.restrict(around_pair.sub)
+    rest = complex.restrict(cycle_part.relative_to)
     rim = complex.faces(sigma)
     middle_part = match_acyclic_pair(SubcomplexPair(rest, rim))
 
@@ -69,23 +69,21 @@ def match_sphere_pipeline(complex: CellComplex) -> Matching:
     return result
 
 
-def _validate_circle_subcomplex(complex: CellComplex, cells: frozenset[str]) -> None:
+def _circle_cycle_matching(complex: CellComplex, cells: frozenset[str]) -> Matching:
+    """The cycle matching of a circle subcomplex, after checking that the
+    cells are vertices and edges forming one closed cycle."""
     if not complex.is_closed(cells):
         raise PreconditionError("circle subcomplex is not closed under hyperfaces")
     edges = [c for c in cells if complex.dim_of(c) == 1]
     vertices = [c for c in cells if complex.dim_of(c) == 0]
     if not edges or len(cells) != len(edges) + len(vertices):
         raise PreconditionError("circle subcomplex must consist of vertices and edges")
-    if len(edges) != len(vertices):
-        raise PreconditionError("circle subcomplex must close up (equal cell counts)")
-    degree = {v: 0 for v in vertices}
-    for e in edges:
-        for v in complex.hyperfaces(e):
-            if v not in degree:
-                raise PreconditionError("circle subcomplex is not closed")
-            degree[v] += 1
-    if any(d != 2 for d in degree.values()):
-        raise PreconditionError("circle subcomplex must be a single cycle")
+    circle = complex.restrict(cells)
+    try:
+        loop = spanning_dual_loop(circle)
+    except InvalidLoopError as err:
+        raise PreconditionError(f"circle subcomplex must be a single cycle: {err}") from err
+    return match_dual_cycle(circle, loop, 0)
 
 
 def match_loop_pipeline(
@@ -101,7 +99,7 @@ def match_loop_pipeline(
     Betti vector travels with the error when not); the circle, when given,
     gets its own cycle matching.
     """
-    pair = complement_of_dual_loop(complex, loop)
+    cycle_part = match_dual_cycle(complex, loop, 0)
     loop_cells = set(loop.cells)
     base_set = frozenset(base)
     if not complex.is_closed(base_set):
@@ -110,16 +108,14 @@ def match_loop_pipeline(
         raise PreconditionError("base must be disjoint from the loop cells")
     circle_set = frozenset(circle_cells) if circle_cells is not None else None
     if circle_set is not None:
-        _validate_circle_subcomplex(complex, circle_set)
+        circle_part = _circle_cycle_matching(complex, circle_set)
         if circle_set & loop_cells:
             raise PreconditionError("circle must be disjoint from the loop cells")
         if circle_set & base_set:
             raise PreconditionError("circle must be disjoint from the base")
 
-    cycle_part = match_dual_cycle(complex, loop, 0)
-
     inner_base = base_set | circle_set if circle_set is not None else base_set
-    rest = complex.restrict(pair.sub)
+    rest = complex.restrict(cycle_part.relative_to)
     inner_pair = SubcomplexPair(rest, inner_base)
     try:
         middle_part = match_acyclic_pair(inner_pair)
@@ -132,9 +128,7 @@ def match_loop_pipeline(
 
     parts = [cycle_part, middle_part]
     if circle_set is not None:
-        circle_complex = complex.restrict(circle_set)
-        circle_loop = spanning_dual_loop(circle_complex)
-        parts.append(match_dual_cycle(circle_complex, circle_loop, 0))
+        parts.append(circle_part)
 
     result = compose_matchings(parts, relative_to=base_set)
     report = validate_matching(SubcomplexPair(complex, base_set), result)

@@ -1,19 +1,30 @@
 """Shared oracles for the test suite.
 
 These helpers stay independent of the library code paths they check: the
-matching counter enumerates permutations directly, the collapse replay and
-the greedy collapse order rebuild coface data from the raw hyperface
-tables, and the linear algebra works on dense lists of rows with plain
-``Fraction``/mod-2 arithmetic.
+matching counter enumerates permutations directly, the collapse replay,
+the greedy collapse order and the alternating-cycle scan rebuild coface
+data from the raw hyperface tables, and the linear algebra works on dense
+lists of rows with plain ``Fraction``/mod-2 arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+import os
 import random
 from itertools import permutations
+from pathlib import Path
 
+import cellmatch
 from cellmatch import SubcomplexPair, from_simplices, incidence_graph
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment with the tested package's source directory first on
+    ``PYTHONPATH``, for running scripts in a child interpreter."""
+    src = str(Path(cellmatch.__file__).resolve().parents[1])
+    path = [p for p in (src, os.environ.get("PYTHONPATH")) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
 def count_matchings_by_permutations(pair: SubcomplexPair) -> int:
@@ -83,6 +94,42 @@ def greedy_collapse_order(pair: SubcomplexPair, matching) -> list[tuple[str, str
         remaining -= set(pick)
         order.append(pick)
     return order
+
+
+def alternating_cycle_by_scan(complex, tau=None):
+    """The alternating cycle of top cells and shared hyperfaces, walked by
+    rescans of the hyperface table: all top cells, or with ``tau`` the top
+    cells having ``tau`` as a face of a hyperface and their hyperfaces that
+    contain ``tau``. The walk starts at the first such top cell in
+    ``cells()`` order, leaves by its smallest link id and never turns back.
+    None unless every link lies on exactly two of the top cells, every top
+    cell on exactly two links, and the walk visits every top cell."""
+    cells = complex.cells()
+    n = max(complex.dim_of(c) for c in cells)
+
+    def in_link(f):
+        return tau is None or tau in complex.hyperfaces(f)
+
+    tops = [
+        c for c in cells
+        if complex.dim_of(c) == n and any(in_link(f) for f in complex.hyperfaces(c))
+    ]
+    links = sorted({f for c in tops for f in complex.hyperfaces(c) if in_link(f)})
+    ends = {f: [c for c in tops if f in complex.hyperfaces(c)] for f in links}
+    if not tops or any(len(ends[f]) != 2 for f in links):
+        return None
+    seq: list[str] = []
+    node, came_by = tops[0], None
+    for _ in links:
+        out = [f for f in links if node in ends[f] and f != came_by]
+        if len(out) != (2 if came_by is None else 1):
+            return None
+        came_by = out[0]
+        seq += [node, came_by]
+        node = next(c for c in ends[came_by] if c != node)
+        if node == tops[0]:
+            break
+    return tuple(seq) if len(seq) == 2 * len(tops) else None
 
 
 def relabeled(complex, seed: int):

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
 from cellmatch import io
 from cellmatch.cli import main
 
-from conftest import shuffled_path_rel_end
+from conftest import shuffled_path_rel_end, subprocess_env
 
 
 def run(*argv) -> int:
@@ -134,6 +136,59 @@ def test_subdivide_and_propagate(tmp_path):
     assert carrier_data["format"] == io.SUBDIV_FORMAT
     pm_data = io.read_json(str(pm))
     assert len(pm_data["pairs"]) == 6
+
+
+def test_subdivide_propagate_without_matching_out_does_no_work(tmp_path):
+    c = tmp_path / "c.json"
+    m = tmp_path / "m.json"
+    sd = tmp_path / "sd.json"
+    assert run("generate", "circle", "--params", "3", "-o", str(c)) == 0
+    assert run("match", str(c), "-o", str(m)) == 0
+    assert run("subdivide", str(c), "-o", str(sd), "--propagate", str(m)) == 1
+    assert not sd.exists()
+
+
+_CIRCLE = {"format": io.COMPLEX_FORMAT, "kind": "simplicial",
+           "simplices": [[0, 1], [0, 2], [1, 2]]}
+_MATCHING = {"format": io.MATCHING_FORMAT, "relative_to": [],
+             "pairs": [["0", "0.1"], ["0.2", "2"], ["1", "1.2"]]}
+_MALFORMED = {
+    "simplex_not_a_list": ("chi", {**_CIRCLE, "simplices": [5]}),
+    "simplex_a_string": ("chi", {**_CIRCLE, "simplices": ["abc"]}),
+    "cw_faces_not_a_list": ("chi", {
+        "format": io.COMPLEX_FORMAT, "kind": "cw",
+        "cells": [{"id": "a", "dim": 0, "faces": 5}],
+    }),
+    "pair_member_not_an_id": ("validate", {**_MATCHING, "pairs": [[1, "a"]]}),
+    "relative_to_not_a_list": ("validate", {**_MATCHING, "relative_to": 5}),
+    "coordinate_not_a_rational": ("chi", {**_CIRCLE, "coordinates": {
+        "0": [[1]], "1": ["1"], "2": ["2"],
+    }}),
+    "subcomplex_cell_not_an_id": ("rel", {
+        "format": io.SUB_FORMAT, "cells": [[1]], "closure": False,
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_artifact_is_exit_1_without_traceback(tmp_path, case):
+    role, obj = _MALFORMED[case]
+    circle_file = tmp_path / "circle.json"
+    bad = tmp_path / "bad.json"
+    circle_file.write_text(json.dumps(_CIRCLE), encoding="utf-8")
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    argv = {
+        "chi": ["chi", str(bad)],
+        "validate": ["validate", str(circle_file), "--matching", str(bad)],
+        "rel": ["chi", str(circle_file), "--rel", str(bad)],
+    }[role]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cellmatch.cli", *argv],
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cellmatch: ")
 
 
 def test_pipeline_sphere(tmp_path):

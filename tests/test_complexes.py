@@ -19,7 +19,18 @@ from cellmatch import (
     spanning_dual_loop,
     star_cycle,
 )
-from cellmatch.generators import circle, simplex, sphere_boundary, torus7, wedge
+from cellmatch.generators import (
+    apex_of,
+    circle,
+    cone,
+    simplex,
+    sphere_boundary,
+    torus7,
+    wedge,
+)
+from cellmatch.subdivision import barycentric
+
+from conftest import alternating_cycle_by_scan
 
 
 def test_from_simplices_circle():
@@ -199,6 +210,33 @@ def test_spanning_dual_loop_long_circle():
     loop = spanning_dual_loop(X)
     assert loop.k == 3000
     assert set(loop.cells) == set(X.cells())
+
+
+@pytest.mark.parametrize("k", [3, 4, 7, 50])
+def test_spanning_dual_loop_equals_scan_oracle(k):
+    X = circle(k)
+    assert spanning_dual_loop(X).cells == alternating_cycle_by_scan(X)
+
+
+def test_star_cycle_equals_scan_oracle():
+    cases = [
+        (X, tau)
+        for X in (sphere_boundary(m) for m in range(3, 7))
+        for tau in X.cells_of_dim(X.dim - 2)
+    ]
+    sd_torus = barycentric(torus7()).subdivided
+    cases += [(sd_torus, v) for v in sd_torus.cells_of_dim(0)]
+    for X, tau in cases:
+        expected = alternating_cycle_by_scan(X, tau)
+        assert expected is not None
+        assert star_cycle(X, tau).cells == expected, (X, tau)
+
+
+def test_star_cycle_long_cone_apex():
+    X = cone(circle(1500))
+    loop = star_cycle(X, apex_of(X))
+    assert loop.k == 1500
+    assert set(loop.link_cells) == set(X.cofaces(apex_of(X)))
 
 
 def test_complement_of_full_circle_loop_is_empty():

@@ -195,6 +195,25 @@ def test_match_dual_cycle_torus():
         assert validate_matching(pair, m).ok
 
 
+def test_match_dual_cycle_long_circle():
+    X = circle(3000)
+    loop = spanning_dual_loop(X)
+    m = match_dual_cycle(X, loop, 1)
+    assert len(m) == 3000
+    assert m.relative_to == frozenset()
+    assert validate_matching(SubcomplexPair(X), m).ok
+
+
+def test_match_dual_cycle_relative_to_complement():
+    from cellmatch import complement_of_dual_loop, find_dual_loop
+
+    X = torus7()
+    loop = find_dual_loop(X, lambda pair: True, budget=10)
+    rest = set(X.cells()) - set(loop.cells)
+    assert match_dual_cycle(X, loop, 0).relative_to == rest
+    assert complement_of_dual_loop(X, loop).sub == rest
+
+
 def test_two_matchings_share_no_pair_property():
     for k in (3, 5, 8):
         X = circle(k)

@@ -18,7 +18,9 @@ from cellmatch import (
     match_sphere_pipeline,
     validate_matching,
 )
-from cellmatch.generators import circle, product, sphere_boundary, torus7
+from cellmatch import homology, io
+from cellmatch.cli import main
+from cellmatch.generators import circle, product, simplex, sphere_boundary, torus7
 
 
 def _annulus_complement(pair) -> bool:
@@ -163,6 +165,43 @@ def test_loop_pipeline_reduces_once(monkeypatch):
         "loop complement is not acyclic relative to the base: betti "
     )
     assert not err.value.betti.is_zero()
+
+
+def _cylinder_rims(X):
+    """The two boundary circles of product(circle(3), simplex(1))."""
+    return [
+        X.closure([cell_id([2 * a + s, 2 * ((a + 1) % 3) + s]) for a in range(3)])
+        for s in (0, 1)
+    ]
+
+
+def test_loop_pipeline_rejects_two_circles_before_reducing(monkeypatch):
+    X = product(circle(3), simplex(1))
+    bottom, top = _cylinder_rims(X)
+    loop = find_dual_loop(X, lambda pair: True, budget=100)
+    built = []
+    real_init = homology.ChainComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(homology.ChainComplex, "__init__", counting_init)
+    with pytest.raises(PreconditionError, match="single cycle"):
+        match_loop_pipeline(X, loop, base=(), circle_cells=bottom | top)
+    assert built == []
+
+
+def test_cli_loop_pipeline_two_circles_is_exit_3(tmp_path):
+    X = product(circle(3), simplex(1))
+    bottom, top = _cylinder_rims(X)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("x", "loop", "circle")}
+    io.save_complex(X, paths["x"])
+    io.save_loop(find_dual_loop(X, lambda pair: True, budget=100), paths["loop"])
+    io.save_subcomplex(bottom | top, paths["circle"])
+    argv = ["pipeline", "loop", paths["x"], "--loop", paths["loop"],
+            "--circle", paths["circle"], "-o", str(tmp_path / "m.json")]
+    assert main(argv) == 3
 
 
 def _product_sphere_loop():
