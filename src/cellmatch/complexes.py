@@ -7,6 +7,11 @@ their vertex tokens in ascending order ("0.2.4"); general regular-CW cells
 ("cw" kind) carry caller-chosen ids and explicit hyperface lists. Optional
 exact rational coordinates may ride along for geometric use.
 
+Tables are checked once, where they enter from outside the program:
+``from_simplices`` checks the vertex tokens and that no two vertex sets
+share an id, and ``build_cw`` checks every raw record. Everything derived
+from a built complex (``restrict``, the builders' own faces) is trusted.
+
 Complexes and pairs are immutable after construction and safe to share.
 """
 
@@ -39,7 +44,13 @@ def _token_key(token: Token):
 
 def cell_id(tokens: Iterable[Token]) -> str:
     """Canonical simplicial id: distinct vertex tokens, ascending, dot-joined."""
-    return ".".join(str(t) for t in sorted(set(tokens), key=_token_key))
+    return _simplex_id(sorted(set(tokens), key=_token_key))
+
+
+def _simplex_id(sorted_tokens) -> str:
+    """The id of a simplex whose vertex tokens are already distinct and
+    ascending; the one place the id format is written."""
+    return ".".join(map(str, sorted_tokens))
 
 
 def _coerce_coordinates(coordinates) -> dict[Token, tuple[Fraction, ...]] | None:
@@ -61,8 +72,10 @@ def _coerce_coordinates(coordinates) -> dict[Token, tuple[Fraction, ...]] | None
 class CellComplex:
     """Immutable face-poset model of a finite polyhedral complex.
 
-    Use :func:`from_simplices` or :func:`build_cw` to construct one; the
-    constructor validates the raw tables and is mostly internal.
+    Build one with :func:`from_simplices` or :func:`build_cw`, or take a
+    piece of one with :meth:`restrict`. The constructor trusts its tables:
+    it checks only the kind, non-emptiness and the coordinates, so the
+    tables must come from one of those builders, which own them.
     """
 
     def __init__(self, kind, dims, hyperfaces, verts=None, coordinates=None):
@@ -71,11 +84,10 @@ class CellComplex:
         if not dims:
             raise InvalidComplexError("empty complex")
         self.kind = kind
-        self._dim = dict(dims)
-        self._hyperfaces = {c: frozenset(fs) for c, fs in hyperfaces.items()}
-        self._verts = None if verts is None else {c: tuple(v) for c, v in verts.items()}
+        self._dim = dims
+        self._hyperfaces = hyperfaces
+        self._verts = verts
         self.coordinates = _coerce_coordinates(coordinates)
-        self._validate()
         cofaces: dict[str, set[str]] = {c: set() for c in self._dim}
         for c, fs in self._hyperfaces.items():
             for f in fs:
@@ -85,47 +97,6 @@ class CellComplex:
         self._faces_cache: dict[str, frozenset[str]] = {}
         self._cofaces_cache: dict[str, frozenset[str]] = {}
         self._sorted_cells = tuple(sorted(self._dim, key=self.sort_key))
-
-    def _validate(self):
-        for c, d in self._dim.items():
-            if not isinstance(c, str) or not c:
-                raise InvalidComplexError(f"bad cell id {c!r}")
-            if not isinstance(d, int) or d < 0:
-                raise InvalidComplexError(f"cell {c}: bad dimension {d!r}")
-            faces = self._hyperfaces.get(c)
-            if faces is None:
-                raise InvalidComplexError(f"cell {c}: missing hyperface record")
-            for f in faces:
-                if f not in self._dim:
-                    raise InvalidComplexError(f"cell {c}: dangling hyperface {f!r}")
-                if self._dim[f] != d - 1:
-                    raise InvalidComplexError(
-                        f"cell {c}: hyperface {f} has dimension {self._dim[f]}, "
-                        f"expected {d - 1}"
-                    )
-            if d == 0 and faces:
-                raise InvalidComplexError(f"vertex {c} must not have hyperfaces")
-            if d == 1 and len(faces) != 2:
-                raise InvalidComplexError(
-                    f"1-cell {c} must have exactly 2 hyperfaces (regularity)"
-                )
-        if self.kind == SIMPLICIAL:
-            if self._verts is None:
-                raise InvalidComplexError("simplicial complex requires vertex data")
-            for c, d in self._dim.items():
-                verts = self._verts.get(c)
-                if verts is None:
-                    raise InvalidComplexError(f"cell {c}: missing vertex tuple")
-                if len(set(verts)) != d + 1:
-                    raise InvalidComplexError(f"cell {c}: needs {d + 1} distinct vertices")
-                if cell_id(verts) != c:
-                    raise InvalidComplexError(f"cell {c}: id not canonical for {verts}")
-                if d >= 1:
-                    expected = {cell_id(set(verts) - {v}) for v in verts}
-                    if self._hyperfaces[c] != expected:
-                        raise InvalidComplexError(
-                            f"cell {c}: hyperfaces are not its codim-1 vertex subsets"
-                        )
 
     # -- queries ---------------------------------------------------------
 
@@ -161,8 +132,7 @@ class CellComplex:
 
     def sort_key(self, cid: str):
         if self._verts is not None:
-            return (self._dim[cid], tuple(_token_key(t) for t in sorted(
-                self._verts[cid], key=_token_key)))
+            return (self._dim[cid], tuple(_token_key(t) for t in self._verts[cid]))
         return (self._dim[cid], cid)
 
     def cells_of_dim(self, d: int) -> tuple[str, ...]:
@@ -233,9 +203,6 @@ class CellComplex:
         idset = set(ids)
         if not idset:
             raise InvalidSubcomplexError("cannot restrict to an empty cell set")
-        for cid in idset:
-            if cid not in self._dim:
-                raise InvalidSubcomplexError(f"unknown cell {cid!r}")
         if not self.is_closed(idset):
             raise InvalidSubcomplexError("cell set is not closed under hyperfaces")
         dims = {c: self._dim[c] for c in idset}
@@ -261,42 +228,50 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
     """Build the simplicial complex spanned by the given simplices.
 
     Every face of every listed simplex is added, with canonical ids;
-    duplicate input simplices are harmless.
+    duplicate input simplices are harmless. The tokens are checked and
+    sorted once per input simplex; each facet drops one position of its
+    sorted tuple, so it stays sorted. Raises InvalidComplexError when two
+    distinct vertex sets would share an id (vertex ``"1.2"`` and edge
+    ``{1, 2}``, or int ``1`` and str ``"1"``).
     """
-    simplices = [frozenset(s) for s in maximal_simplices]
-    if not simplices:
-        raise InvalidComplexError("empty complex")
-    for s in simplices:
-        if not s:
+    stack = []
+    for s in maximal_simplices:
+        v = tuple(sorted(set(s), key=_token_key))  # ints first, smallest first
+        if not v:
             raise InvalidComplexError("empty complex")
-        for t in s:
-            _token_key(t)
-            if isinstance(t, int) and t < 0:
-                raise InvalidComplexError(f"negative vertex index {t}")
+        if isinstance(v[0], int) and v[0] < 0:
+            raise InvalidComplexError(f"negative vertex index {v[0]}")
+        stack.append((_simplex_id(v), v))
+    if not stack:
+        raise InvalidComplexError("empty complex")
     dims: dict[str, int] = {}
     hyper: dict[str, frozenset[str]] = {}
     verts: dict[str, tuple[Token, ...]] = {}
-    seen: set[frozenset] = set()
-    stack = list(simplices)
     while stack:
-        s = stack.pop()
-        if s in seen:
+        cid, v = stack.pop()
+        known = verts.get(cid)
+        if known is not None:
+            if known != v:
+                raise InvalidComplexError(
+                    f"vertex sets {known} and {v} share the cell id {cid!r}"
+                )
             continue
-        seen.add(s)
-        cid = cell_id(s)
-        dims[cid] = len(s) - 1
-        verts[cid] = tuple(sorted(s, key=_token_key))
-        if len(s) == 1:
-            hyper[cid] = frozenset()
-        else:
-            facets = [s - {v} for v in s]
-            hyper[cid] = frozenset(cell_id(f) for f in facets)
-            stack.extend(facets)
+        verts[cid] = v
+        dims[cid] = len(v) - 1
+        facets = [v[:i] + v[i + 1:] for i in range(len(v))] if len(v) > 1 else []
+        ids = [_simplex_id(f) for f in facets]
+        hyper[cid] = frozenset(ids)
+        stack.extend(zip(ids, facets))
     return CellComplex(SIMPLICIAL, dims, hyper, verts=verts, coordinates=coordinates)
 
 
 def build_cw(cell_records, coordinates=None) -> CellComplex:
-    """Build a regular-CW-kind complex from (id, dim, hyperfaces) records."""
+    """Build a regular-CW-kind complex from (id, dim, hyperfaces) records.
+
+    This is where raw cw tables enter, so every record is checked here:
+    str ids, nonnegative int dimensions, hyperfaces that exist one
+    dimension down, no hyperfaces on a vertex and exactly two on a 1-cell.
+    """
     records = list(cell_records)
     if not records:
         raise InvalidComplexError("empty complex")
@@ -307,6 +282,26 @@ def build_cw(cell_records, coordinates=None) -> CellComplex:
             raise InvalidComplexError(f"duplicate cell id {cid!r}")
         dims[cid] = d
         hyper[cid] = frozenset(faces)
+    for c, d in dims.items():
+        if not isinstance(c, str) or not c:
+            raise InvalidComplexError(f"bad cell id {c!r}")
+        if not isinstance(d, int) or d < 0:
+            raise InvalidComplexError(f"cell {c}: bad dimension {d!r}")
+        faces = hyper[c]
+        for f in faces:
+            if f not in dims:
+                raise InvalidComplexError(f"cell {c}: dangling hyperface {f!r}")
+            if dims[f] != d - 1:
+                raise InvalidComplexError(
+                    f"cell {c}: hyperface {f} has dimension {dims[f]}, "
+                    f"expected {d - 1}"
+                )
+        if d == 0 and faces:
+            raise InvalidComplexError(f"vertex {c} must not have hyperfaces")
+        if d == 1 and len(faces) != 2:
+            raise InvalidComplexError(
+                f"1-cell {c} must have exactly 2 hyperfaces (regularity)"
+            )
     return CellComplex(CW, dims, hyper, coordinates=coordinates)
 
 
@@ -383,9 +378,14 @@ class DualLoop:
 
     def validate(self, complex: CellComplex) -> None:
         n = complex.dim
-        if len(set(self.cells)) != len(self.cells):
-            dup = sorted({c for c in self.cells if self.cells.count(c) > 1})
-            raise InvalidLoopError(f"not simple: repeated cell {dup[0]}")
+        seen: set[str] = set()
+        repeats: set[str] = set()
+        for c in self.cells:
+            if c in seen:
+                repeats.add(c)
+            seen.add(c)
+        if repeats:
+            raise InvalidLoopError(f"not simple: repeated cell {min(repeats)}")
         for cid in self.cells:
             if cid not in complex:
                 raise InvalidLoopError(f"unknown cell {cid!r}")
@@ -407,15 +407,13 @@ class DualLoop:
 
 
 def complement_of_dual_loop(complex: CellComplex, loop: DualLoop) -> SubcomplexPair:
-    """The pair whose subcomplex holds every cell not on the loop."""
+    """The pair whose subcomplex holds every cell not on the loop.
+
+    A valid loop's complement is closed: its tops have no cofaces, and each
+    link's only cofaces are two of its tops."""
     loop.validate(complex)
     loop_cells = set(loop.cells)
-    rest = [c for c in complex.cells() if c not in loop_cells]
-    if not complex.is_closed(rest):
-        raise InvalidLoopError(
-            "complement of the loop is not a subcomplex; loop data is corrupt"
-        )
-    return SubcomplexPair(complex, rest)
+    return SubcomplexPair(complex, [c for c in complex.cells() if c not in loop_cells])
 
 
 @dataclass(frozen=True)

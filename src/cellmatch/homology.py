@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .complexes import CW, SIMPLICIAL, CellComplex, SubcomplexPair, cell_id
+from .complexes import CW, SIMPLICIAL, CellComplex, SubcomplexPair, _simplex_id
 from .errors import HomologyNonzeroError, PreconditionError
 from .matching import HallCertificate, Matching, complete_matching, compose_matchings, validate_matching
 
@@ -75,7 +75,8 @@ class ChainComplex:
             if complex.kind == SIMPLICIAL:
                 verts = complex.vertices(cid)
                 faces = [
-                    (cell_id(set(verts) - {v}), i) for i, v in enumerate(verts)
+                    (_simplex_id(verts[:i] + verts[i + 1:]), i)
+                    for i in range(len(verts))
                 ] if d >= 1 else []
             else:
                 faces = [(f, 0) for f in sorted(complex.hyperfaces(cid))]

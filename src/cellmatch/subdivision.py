@@ -10,6 +10,7 @@ smallest original cell containing it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .complexes import CellComplex, SubcomplexPair, cell_id, from_simplices
 from .errors import InvalidMatchingError, InvalidSubdivisionError
@@ -23,10 +24,18 @@ class SubdivisionMap:
     subdivided: CellComplex
     carrier: dict[str, str]
 
+    @cached_property
+    def _carried(self) -> dict[str, list[str]]:
+        """Source cell -> the subdivided cells it carries; built once."""
+        out: dict[str, list[str]] = {}
+        for c, s in self.carrier.items():
+            out.setdefault(s, []).append(c)
+        return out
+
     def cells_over(self, source_cells) -> frozenset[str]:
         """Subdivided cells whose carrier lies in ``source_cells``."""
-        wanted = set(source_cells)
-        return frozenset(c for c, s in self.carrier.items() if s in wanted)
+        carried = self._carried
+        return frozenset(c for s in set(source_cells) for c in carried.get(s, ()))
 
     def validate(self) -> None:
         source, sub = self.source, self.subdivided

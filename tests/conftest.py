@@ -3,8 +3,10 @@
 These helpers stay independent of the library code paths they check: the
 matching counter enumerates permutations directly, the collapse replay,
 the greedy collapse order and the alternating-cycle scan rebuild coface
-data from the raw hyperface tables, and the linear algebra works on dense
-lists of rows with plain ``Fraction``/mod-2 arithmetic.
+data from the raw hyperface tables, the simplicial tables come from
+``itertools.combinations`` of the maximal simplices, and the linear
+algebra works on dense lists of rows with plain ``Fraction``/mod-2
+arithmetic.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 import os
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import cellmatch
@@ -40,6 +42,42 @@ def count_matchings_by_permutations(pair: SubcomplexPair) -> int:
         if all(v in adj[u] for u, v in zip(left, perm)):
             count += 1
     return count
+
+
+def _token_order(token):
+    return (0, token, "") if isinstance(token, int) else (1, 0, token)
+
+
+def simplicial_tables_by_combinations(maximal_simplices) -> dict:
+    """The tables of the simplicial complex spanned by ``maximal_simplices``,
+    from ``itertools.combinations`` of each simplex's sorted tokens alone:
+    ``verts`` (id -> ascending vertex tuple), ``dims``, ``hyperfaces``,
+    ``cofaces`` and ``order``, the cells sorted by dimension and then by
+    vertex tuple, int tokens before str tokens."""
+    verts: dict[str, tuple] = {}
+    for s in maximal_simplices:
+        ordered = sorted(set(s), key=_token_order)
+        for k in range(1, len(ordered) + 1):
+            for face in combinations(ordered, k):
+                verts[".".join(str(t) for t in face)] = face
+    hyperfaces = {
+        c: {".".join(str(t) for t in f) for f in combinations(v, len(v) - 1) if f}
+        for c, v in verts.items()
+    }
+    cofaces: dict[str, set[str]] = {c: set() for c in verts}
+    for c, fs in hyperfaces.items():
+        for f in fs:
+            cofaces[f].add(c)
+    order = sorted(
+        verts, key=lambda c: (len(verts[c]), [_token_order(t) for t in verts[c]])
+    )
+    return {
+        "verts": verts,
+        "dims": {c: len(v) - 1 for c, v in verts.items()},
+        "hyperfaces": hyperfaces,
+        "cofaces": cofaces,
+        "order": order,
+    }
 
 
 def transitive_cofaces(complex, cid: str) -> set[str]:

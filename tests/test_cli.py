@@ -164,6 +164,13 @@ _MALFORMED = {
     "coordinate_not_a_rational": ("chi", {**_CIRCLE, "coordinates": {
         "0": [[1]], "1": ["1"], "2": ["2"],
     }}),
+    "cw_record_dangling_face": ("chi", {
+        "format": io.COMPLEX_FORMAT, "kind": "cw",
+        "cells": [{"id": "a", "dim": 0, "faces": []},
+                  {"id": "e", "dim": 1, "faces": ["a", "zz"]}],
+    }),
+    "simplex_ids_collide_dotted_token": ("chi", {**_CIRCLE, "simplices": [["1.2"], [1, 2]]}),
+    "simplex_ids_collide_int_and_str": ("chi", {**_CIRCLE, "simplices": [[1, 2], ["1", 3]]}),
     "subcomplex_cell_not_an_id": ("rel", {
         "format": io.SUB_FORMAT, "cells": [[1]], "closure": False,
     }),

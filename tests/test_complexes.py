@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -19,10 +20,14 @@ from cellmatch import (
     spanning_dual_loop,
     star_cycle,
 )
+from cellmatch import generators, subdivision
 from cellmatch.generators import (
     apex_of,
     circle,
     cone,
+    grid_square,
+    interval,
+    product,
     simplex,
     sphere_boundary,
     torus7,
@@ -30,7 +35,7 @@ from cellmatch.generators import (
 )
 from cellmatch.subdivision import barycentric
 
-from conftest import alternating_cycle_by_scan
+from conftest import alternating_cycle_by_scan, simplicial_tables_by_combinations
 
 
 def test_from_simplices_circle():
@@ -58,6 +63,17 @@ def test_from_simplices_empty_rejected():
         from_simplices([])
     with pytest.raises(InvalidComplexError, match="empty complex"):
         from_simplices([[]])
+
+
+@pytest.mark.parametrize(
+    "simplices, first, second",
+    [([["1.2"], [1, 2]], "('1.2',)", "(1, 2)"), ([[1, 2], ["1", 3]], "('1',)", "(1,)")],
+    ids=["dotted_token_and_edge", "int_and_str_token"],
+)
+def test_from_simplices_rejects_colliding_ids(simplices, first, second):
+    with pytest.raises(InvalidComplexError, match="share the cell id") as info:
+        from_simplices(simplices)
+    assert first in str(info.value) and second in str(info.value)
 
 
 def test_face_closure_property():
@@ -109,6 +125,47 @@ def test_build_cw_dangling_face():
 def test_build_cw_irregular_edge():
     with pytest.raises(InvalidComplexError, match="exactly 2"):
         build_cw([("a", 0, []), ("e", 1, ["a"])])
+
+
+_CW_GOOD = [
+    ("a", 0, []), ("b", 0, []),
+    ("e", 1, ["a", "b"]), ("f", 1, ["a", "b"]),
+    ("d", 2, ["e", "f"]),
+]
+_CW_MALFORMED = {
+    "id_not_str": ([(5, 0, [])] + _CW_GOOD, "bad cell id 5"),
+    "id_empty": ([("", 0, [])] + _CW_GOOD, "bad cell id ''"),
+    "dim_negative": ([("x", -1, [])] + _CW_GOOD, "cell x: bad dimension -1"),
+    "dim_not_int": ([("x", "0", [])] + _CW_GOOD, "cell x: bad dimension '0'"),
+    "duplicate_id": (_CW_GOOD + [("a", 0, [])], "duplicate cell id 'a'"),
+    "dangling_face": (
+        _CW_GOOD + [("g", 1, ["a", "zz"])], "cell g: dangling hyperface 'zz'"
+    ),
+    "wrong_dimension_face": (
+        _CW_GOOD + [("g", 2, ["a", "e"])],
+        "cell g: hyperface a has dimension 0, expected 1",
+    ),
+    # a vertex's face can only be a cell of the wrong dimension
+    "vertex_with_face": (
+        _CW_GOOD + [("v", 0, ["a"])],
+        "cell v: hyperface a has dimension 0, expected -1",
+    ),
+    "edge_with_one_face": (
+        _CW_GOOD + [("g", 1, ["a"])],
+        "1-cell g must have exactly 2 hyperfaces (regularity)",
+    ),
+    "edge_with_three_faces": (
+        _CW_GOOD + [("c", 0, []), ("g", 1, ["a", "b", "c"])],
+        "1-cell g must have exactly 2 hyperfaces (regularity)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CW_MALFORMED))
+def test_build_cw_rejects_malformed_record(case):
+    records, message = _CW_MALFORMED[case]
+    with pytest.raises(InvalidComplexError, match=f"^{re.escape(message)}$"):
+        build_cw(records)
 
 
 def test_euler_characteristic_examples():
@@ -265,6 +322,17 @@ def test_loop_rejects_repeats():
         DualLoop(("0.1", "0", "0.1", "1")).validate(X)
 
 
+def test_long_loop_with_a_repeat_is_rejected_in_one_pass():
+    X = circle(10000)
+    cells = spanning_dual_loop(X).cells
+    repeated = cells[:2] + cells[:2] + cells[4:]
+    assert len(repeated) == 20000
+    with pytest.raises(
+        InvalidLoopError, match=f"^not simple: repeated cell {re.escape(min(cells[:2]))}$"
+    ):
+        DualLoop(repeated).validate(X)
+
+
 def test_star_cycle_tetrahedron_boundary_vertex():
     X = sphere_boundary(3)
     loop = star_cycle(X, "0")
@@ -304,3 +372,71 @@ def test_restrict_roundtrip():
     assert all(Y.dim_of(c) == X.dim_of(c) for c in Y.cells())
     with pytest.raises(InvalidSubcomplexError):
         X.restrict(["0.1"])  # not closed
+
+
+def _assert_tables_equal(X, oracle):
+    assert X.cells() == tuple(oracle["order"])
+    for c in X.cells():
+        assert X.dim_of(c) == oracle["dims"][c], c
+        assert X.vertices(c) == oracle["verts"][c], c
+        assert X.hyperfaces(c) == oracle["hyperfaces"][c], c
+        assert X.cofaces(c) == oracle["cofaces"][c], c
+
+
+def _built_with_inputs(monkeypatch, make):
+    """The complex ``make()`` returns, with the maximal simplices its last
+    ``from_simplices`` call was given."""
+    inputs = []
+
+    def recording(simplices, coordinates=None):
+        inputs.append([list(s) for s in simplices])
+        return from_simplices(inputs[-1], coordinates=coordinates)
+
+    monkeypatch.setattr(generators, "from_simplices", recording)
+    monkeypatch.setattr(subdivision, "from_simplices", recording)
+    X = make()
+    monkeypatch.undo()
+    return X, inputs[-1]
+
+
+def _mixed_shuffled_torus7(seed):
+    rng = random.Random(seed)
+    X = torus7()
+    fresh = rng.sample(range(100), 7)
+    label = {
+        t: (n if i % 2 else f"v{n}")
+        for i, (t, n) in enumerate(zip(X.vertex_tokens(), fresh))
+    }
+    tops = [[label[t] for t in X.vertices(c)] for c in X.top_cells()]
+    for s in tops:
+        rng.shuffle(s)
+    rng.shuffle(tops)
+    return tops
+
+
+_TABLE_CASES = {
+    "circle5": lambda: circle(5),
+    "simplex3": lambda: simplex(3),
+    "sphere_boundary4": lambda: sphere_boundary(4),
+    "torus7": torus7,
+    "wedge": wedge,
+    "interval6": lambda: interval(6),
+    "grid_square3": lambda: grid_square(3),
+    "product": lambda: product(circle(3), sphere_boundary(2)),
+    "cone": lambda: cone(circle(5)),
+    "barycentric_torus7": lambda: barycentric(torus7()).subdivided,
+    # through the module attribute, so the recording hook sees the input
+    "mixed_shuffled_torus7": lambda: generators.from_simplices(_mixed_shuffled_torus7(4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+def test_from_simplices_and_restrict_equal_combinations_oracle(monkeypatch, case):
+    X, maximal = _built_with_inputs(monkeypatch, _TABLE_CASES[case])
+    oracle = simplicial_tables_by_combinations(maximal)
+    _assert_tables_equal(X, oracle)
+    rng = random.Random(case)
+    for _ in range(6):
+        seeds = rng.sample(oracle["order"], rng.randint(1, 8))
+        closed = simplicial_tables_by_combinations(oracle["verts"][c] for c in seeds)
+        _assert_tables_equal(X.restrict(closed["order"]), closed)

@@ -1,0 +1,28 @@
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import cellmatch
+
+
+def test_package_imports_only_the_standard_library():
+    package = Path(cellmatch.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert not outside, outside

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from cellmatch import (
@@ -16,7 +18,7 @@ from cellmatch import (
     spanning_dual_loop,
     validate_matching,
 )
-from cellmatch.generators import circle, simplex, wedge
+from cellmatch.generators import circle, interval, simplex, torus7, wedge
 from cellmatch.subdivision import barycentric, propagate_matching
 
 
@@ -62,6 +64,32 @@ def test_carrier_validation_catches_corruption():
     bad["b0"] = "0.1"
     with pytest.raises(InvalidSubdivisionError):
         SubdivisionMap(smap.source, smap.subdivided, bad).validate()
+
+
+def test_cells_over_equals_carrier_scan():
+    rng = random.Random(2)
+    for X in (circle(4), simplex(3), torus7()):
+        smap = barycentric(X)
+        cells = list(X.cells())
+        for wanted in [[], cells, ["absent"]] + [
+            rng.sample(cells, rng.randint(1, 6)) for _ in range(10)
+        ]:
+            scan = {c for c, s in smap.carrier.items() if s in set(wanted)}
+            assert smap.cells_over(wanted) == scan
+
+
+def test_propagate_long_interval():
+    k = 2000
+    X = interval(k)
+    pair = SubcomplexPair(X, ["0"])
+    m = Matching(
+        [(str(i), f"{i - 1}.{i}") for i in range(1, k + 1)], relative_to=pair.sub
+    )
+    smap = barycentric(X)
+    pm = propagate_matching(smap, pair, m)
+    assert len(pm) == 2 * k
+    target = SubcomplexPair(smap.subdivided, smap.cells_over(pair.sub))
+    assert validate_matching(target, pm).ok
 
 
 def test_chi_invariance_under_subdivision():
