@@ -243,6 +243,8 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_dualloop(args) -> int:
+    if args.budget < 0:
+        raise _UsageError(f"--budget must be nonnegative, got {args.budget}")
     complex = io.load_complex(args.complex)
     if args.complement_empty:
         def predicate(pair):
@@ -376,9 +378,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dualloop", help="search the dual graph for a loop")
     p.add_argument("operation", choices=("find",))
     p.add_argument("complex")
-    p.add_argument("--complement-betti", help="required Betti numbers of the complement")
-    p.add_argument("--complement-empty", action="store_true")
-    p.add_argument("--budget", type=int, default=2000)
+    wanted = p.add_mutually_exclusive_group()
+    wanted.add_argument("--complement-betti", help="required Betti numbers of the complement")
+    wanted.add_argument("--complement-empty", action="store_true")
+    p.add_argument("--budget", type=int, default=2000,
+                   help="most candidate loops to test (default 2000)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_dualloop)
 

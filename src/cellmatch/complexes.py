@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .errors import (
@@ -97,6 +98,11 @@ class CellComplex:
         self._faces_cache: dict[str, frozenset[str]] = {}
         self._cofaces_cache: dict[str, frozenset[str]] = {}
         self._sorted_cells = tuple(sorted(self._dim, key=self.sort_key))
+
+    @cached_property
+    def _rank(self) -> dict[str, int]:
+        """Each cell's place in :meth:`cells`; built on first use."""
+        return dict(zip(self._sorted_cells, range(len(self._sorted_cells))))
 
     # -- queries ---------------------------------------------------------
 
@@ -308,19 +314,37 @@ def build_cw(cell_records, coordinates=None) -> CellComplex:
 class SubcomplexPair:
     """A complex together with a distinguished subcomplex.
 
-    The cells outside the subcomplex (``rel_cells``) are the ones a
-    matching must cover; they split into even- and odd-dimensional parts.
+    The cells outside the subcomplex (``rel_cells``, in the complex's cell
+    order) are the ones a matching must cover; they split into even- and
+    odd-dimensional parts.
+
+    The constructor checks that every cell of ``sub`` is in the complex
+    and, unless ``close`` asks for the closure, that ``sub`` is closed. It
+    tests closedness on the smaller side: when ``sub`` is smaller, every
+    sub cell's hyperfaces lie in ``sub``; otherwise no rel cell has a
+    coface in ``sub``, which is the same condition. Past a few set
+    operations over the cell ids, the work grows with the smaller side.
     """
 
     def __init__(self, complex: CellComplex, sub: Iterable[str] = (), close: bool = False):
         self.complex = complex
-        subset = set(sub)
-        for cid in subset:
-            if cid not in complex:
-                raise InvalidSubcomplexError(f"unknown cell {cid!r}")
+        subset = frozenset(sub)
+        known = complex._dim.keys()
+        if not known >= subset:
+            cid = next(c for c in subset if c not in known)
+            raise InvalidSubcomplexError(f"unknown cell {cid!r}")
         if close:
-            subset = set(complex.closure(subset))
-        elif not complex.is_closed(subset):
+            subset = complex.closure(subset)
+        if len(known) - len(subset) < len(subset):
+            rel_set = known - subset
+            closed = close or all(
+                complex._cofaces[c].isdisjoint(subset) for c in rel_set
+            )
+            rel = sorted(rel_set, key=complex._rank.__getitem__)
+        else:
+            closed = close or all(complex._hyperfaces[c] <= subset for c in subset)
+            rel = [c for c in complex.cells() if c not in subset]
+        if not closed:
             missing = sorted(
                 f
                 for c in subset
@@ -330,11 +354,11 @@ class SubcomplexPair:
             raise InvalidSubcomplexError(
                 f"subcomplex not closed under hyperfaces; missing {missing[:5]}"
             )
-        self.sub = frozenset(subset)
-        rel = [c for c in complex.cells() if c not in self.sub]
+        self.sub = subset
+        dim = complex._dim
         self.rel_cells = tuple(rel)
-        self.rel_even = tuple(c for c in rel if complex.dim_of(c) % 2 == 0)
-        self.rel_odd = tuple(c for c in rel if complex.dim_of(c) % 2 == 1)
+        self.rel_even = tuple(c for c in rel if dim[c] % 2 == 0)
+        self.rel_odd = tuple(c for c in rel if dim[c] % 2 == 1)
 
     def rel_cells_of_dim(self, d: int) -> tuple[str, ...]:
         return tuple(c for c in self.rel_cells if self.complex.dim_of(c) == d)
@@ -412,8 +436,7 @@ def complement_of_dual_loop(complex: CellComplex, loop: DualLoop) -> SubcomplexP
     A valid loop's complement is closed: its tops have no cofaces, and each
     link's only cofaces are two of its tops."""
     loop.validate(complex)
-    loop_cells = set(loop.cells)
-    return SubcomplexPair(complex, [c for c in complex.cells() if c not in loop_cells])
+    return SubcomplexPair(complex, complex._dim.keys() - set(loop.cells))
 
 
 @dataclass(frozen=True)

@@ -140,8 +140,24 @@ def match_loop_pipeline(
 def find_dual_loop(
     complex: CellComplex, predicate, budget: int = 2000
 ) -> DualLoop | None:
-    """First simple dual-graph cycle (shortest first, deterministic order)
-    whose complement pair satisfies ``predicate``.
+    """First simple dual-graph cycle whose complement pair satisfies
+    ``predicate``.
+
+    Candidates come shortest first. Within a length, they go by start
+    node, in the order of the complex's top cells; a cycle is found only
+    from its smallest node by id, so each is tried once. Length 2 takes
+    each pair of parallel links, the other node ascending, then the two
+    links ascending. Longer cycles are walked depth first, each node's
+    (link, node) neighbours in ascending order, and each is taken in one
+    direction only, the one whose second node has the smaller id.
+
+    For each length L and start, a breadth-first search over the nodes
+    not below the start gives their distances to it, out to radius L//2.
+    A path is not extended to a node farther from the start than the
+    steps it has left (Johnson 1975): such a path cannot close in time.
+    A start with fewer than L nodes in reach has no cycle of length L.
+    Neither cut skips a candidate. The walk keeps one path, with push and
+    pop, and uses no recursion.
 
     Returns None when the enumeration finishes with no hit; raises
     SearchBudgetExceededError when ``budget`` candidates were tested
@@ -179,27 +195,48 @@ def find_dual_loop(
                             if hit is not None:
                                 return hit
                 continue
-            stack = [(start, [start], [], {start})]
-            while stack:
-                node, path, edges, seen = stack.pop()
-                if len(path) == length:
-                    for closing_edge, other in neighbors[node]:
-                        if other == start and closing_edge not in edges:
-                            if path[1] < path[-1]:  # one direction per cycle
+            # distances to start among the nodes not below it; a node
+            # missing from dist (below start, or beyond radius length // 2)
+            # lies on no cycle of this length through start
+            dist = {start: 0}
+            frontier = [start]
+            for d in range(1, length // 2 + 1):
+                reached = []
+                for node in frontier:
+                    for _, other in neighbors[node]:
+                        if other not in dist and other > start:
+                            dist[other] = d
+                            reached.append(other)
+                frontier = reached
+            if len(dist) < length:  # too few nodes in reach for the cycle
+                continue
+            path, edges, seen = [start], [], {start}
+            pending = [iter(neighbors[start])]
+            while pending:
+                steps_left = length - len(path)
+                for edge, other in pending[-1]:
+                    if other in seen or dist.get(other, length) > steps_left:
+                        continue
+                    if steps_left > 1:
+                        path.append(other)
+                        edges.append(edge)
+                        seen.add(other)
+                        pending.append(iter(neighbors[other]))
+                        break
+                    # a closing link is never on the path, which has >= 3 nodes
+                    if path[1] < other:  # one direction per cycle
+                        for closing, back in neighbors[other]:
+                            if back == start:
+                                links = edges + [edge, closing]
                                 sequence = []
-                                for i, p in enumerate(path):
-                                    sequence.append(p)
-                                    sequence.append(
-                                        (edges + [closing_edge])[i]
-                                    )
+                                for node, link in zip(path + [other], links):
+                                    sequence += (node, link)
                                 hit = test(sequence)
                                 if hit is not None:
                                     return hit
-                    continue
-                for edge, other in reversed(neighbors[node]):
-                    if other in seen or other < start:
-                        continue
-                    stack.append(
-                        (other, path + [other], edges + [edge], seen | {other})
-                    )
+                else:
+                    pending.pop()
+                    seen.discard(path.pop())
+                    if edges:
+                        edges.pop()
     return None

@@ -3,7 +3,8 @@
 These helpers stay independent of the library code paths they check: the
 matching counter enumerates permutations directly, the collapse replay,
 the greedy collapse order and the alternating-cycle scan rebuild coface
-data from the raw hyperface tables, the simplicial tables come from
+data from the raw hyperface tables, the dual-loop enumerator re-walks
+every path without pruning, the simplicial tables come from
 ``itertools.combinations`` of the maximal simplices, and the linear
 algebra works on dense lists of rows with plain ``Fraction``/mod-2
 arithmetic.
@@ -168,6 +169,51 @@ def alternating_cycle_by_scan(complex, tau=None):
         if node == tops[0]:
             break
     return tuple(seq) if len(seq) == 2 * len(tops) else None
+
+
+def dual_loops_by_rewalk(complex):
+    """Every simple cycle of the dual graph, as alternating sequences of top
+    cells and links, in the order ``find_dual_loop`` documents: shortest
+    first; then by start, the smallest node by id, in ``cells()`` order;
+    length 2 as pairs of parallel links; longer cycles depth first over
+    the sorted (link, node) neighbours, one direction each. Each length
+    walks every path again from its start, copying it at every step, with no
+    pruning. A link is a codimension-1 cell with exactly two cofaces in
+    the coface table."""
+    cells = complex.cells()
+    n = max(complex.dim_of(c) for c in cells)
+    nodes = [c for c in cells if complex.dim_of(c) == n]
+    neighbors = {node: [] for node in nodes}
+    for f in cells:
+        if complex.dim_of(f) == n - 1 and len(complex.cofaces(f)) == 2:
+            a, b = complex.cofaces(f)
+            neighbors[a].append((f, b))
+            neighbors[b].append((f, a))
+    for out in neighbors.values():
+        out.sort()
+    for length in range(2, len(nodes) + 1):
+        for start in nodes:
+            if length == 2:
+                by_other: dict[str, list[str]] = {}
+                for edge, other in neighbors[start]:
+                    by_other.setdefault(other, []).append(edge)
+                for other in sorted(by_other):
+                    if other > start:
+                        for edge_a, edge_b in combinations(sorted(by_other[other]), 2):
+                            yield (start, edge_a, other, edge_b)
+                continue
+            stack = [(start, [start], [], {start})]
+            while stack:
+                node, path, edges, seen = stack.pop()
+                if len(path) == length:
+                    for closing, other in neighbors[node]:
+                        if other == start and closing not in edges and path[1] < path[-1]:
+                            links = edges + [closing]
+                            yield tuple(x for i, p in enumerate(path) for x in (p, links[i]))
+                    continue
+                for edge, other in reversed(neighbors[node]):
+                    if other not in seen and other >= start:
+                        stack.append((other, path + [other], edges + [edge], seen | {other}))
 
 
 def relabeled(complex, seed: int):

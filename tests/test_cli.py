@@ -242,6 +242,25 @@ def test_dualloop_find_and_loop_pipeline(tmp_path):
                "--budget", "10000") == 2
 
 
+def test_dualloop_usage_errors_are_exit_1(tmp_path, capsys):
+    t = tmp_path / "t.json"
+    loop = tmp_path / "loop.json"
+    assert run("generate", "torus7", "-o", str(t)) == 0
+    capsys.readouterr()
+    assert run("dualloop", "find", str(t), "--complement-betti", "1,1,0",
+               "--complement-empty", "-o", str(loop)) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert run("dualloop", "find", str(t), "--complement-empty",
+               "--budget", "-1", "-o", str(loop)) == 1
+    assert "--budget must be nonnegative, got -1" in capsys.readouterr().err
+    assert not loop.exists()
+    # a zero budget is a search that tests nothing: exit 2, no loop
+    assert run("dualloop", "find", str(t), "--complement-empty",
+               "--budget", "0", "-o", str(loop)) == 2
+    assert "within budget 0" in capsys.readouterr().err
+    assert not loop.exists()
+
+
 def test_usage_errors_are_exit_1(tmp_path, capsys):
     assert run("generate", "circle", "--params", "two") == 1
     assert run("match", str(tmp_path / "missing.json")) == 1

@@ -206,6 +206,68 @@ def test_pair_parity_split():
     assert set(pair.rel_odd) == {"0.1", "0.2", "1.2"}
 
 
+def _everything_but(X, *cells):
+    return [c for c in X.cells() if c not in cells]
+
+
+@pytest.mark.parametrize(
+    "sub, message",
+    [
+        # fewer sub cells than rel cells: the sub cells' hyperfaces are read
+        (["1.2", "0"], "subcomplex not closed under hyperfaces; missing ['1', '2']"),
+        (["0", "nope"], "unknown cell 'nope'"),
+        # fewer rel cells: the rel cells' cofaces are read
+        (
+            _everything_but(grid_square(3), "5"),
+            "subcomplex not closed under hyperfaces; missing ['5', '5', '5', '5', '5']",
+        ),
+        (
+            _everything_but(grid_square(3), "0", "8"),
+            "subcomplex not closed under hyperfaces; missing ['0', '0', '0', '8', '8']",
+        ),
+        (list(grid_square(3).cells()) + ["9.9.9"], "unknown cell '9.9.9'"),
+    ],
+    ids=["sub_open", "sub_unknown", "rel_open", "rel_open_twice", "rel_unknown"],
+)
+def test_subcomplex_pair_rejects_on_either_side(sub, message):
+    with pytest.raises(InvalidSubcomplexError) as err:
+        SubcomplexPair(grid_square(3), sub)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "X", [grid_square(3), barycentric(torus7()).subdivided], ids=["grid3", "bary_torus7"]
+)
+def test_subcomplex_pair_rel_cells_equal_filter_on_either_side(X):
+    rng = random.Random(11)
+    cells = list(X.cells())
+    sides = set()
+    for share in (0.0, 0.05, 0.2, 0.5, 0.8, 0.95, 1.0):
+        for _ in range(4):
+            sub = X.closure(c for c in cells if rng.random() < share)
+            pair = SubcomplexPair(X, sub)
+            rel = [c for c in cells if c not in sub]
+            assert pair.sub == sub
+            assert pair.rel_cells == tuple(rel)
+            assert pair.rel_even == tuple(c for c in rel if X.dim_of(c) % 2 == 0)
+            assert pair.rel_odd == tuple(c for c in rel if X.dim_of(c) % 2 == 1)
+            assert SubcomplexPair(X, sub, close=True).rel_cells == pair.rel_cells
+            sides.add(len(rel) < len(sub))
+            # dropping a sub cell that has a coface in sub opens it
+            face = next((c for c in cells if X.cofaces(c) & sub and c in sub), None)
+            if face is not None:
+                opened = sub - {face}
+                missing = sorted(
+                    f for c in opened for f in X.hyperfaces(c) if f not in opened
+                )
+                with pytest.raises(InvalidSubcomplexError) as err:
+                    SubcomplexPair(X, opened)
+                assert str(err.value) == (
+                    f"subcomplex not closed under hyperfaces; missing {missing[:5]}"
+                )
+    assert sides == {True, False}
+
+
 def test_dual_graph_tetrahedron_boundary():
     g = dual_graph(sphere_boundary(3))
     assert len(g.nodes) == 4

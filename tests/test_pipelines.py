@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -11,6 +11,7 @@ from cellmatch import (
     SearchBudgetExceededError,
     SubcomplexPair,
     betti_numbers,
+    build_cw,
     cell_id,
     complement_of_dual_loop,
     find_dual_loop,
@@ -18,9 +19,12 @@ from cellmatch import (
     match_sphere_pipeline,
     validate_matching,
 )
-from cellmatch import homology, io
+from cellmatch import homology, io, pipelines
 from cellmatch.cli import main
 from cellmatch.generators import circle, product, simplex, sphere_boundary, torus7
+from cellmatch.subdivision import barycentric
+
+from conftest import dual_loops_by_rewalk, relabeled
 
 
 def _annulus_complement(pair) -> bool:
@@ -112,8 +116,117 @@ def test_find_dual_loop_full_circle():
 
 def test_find_dual_loop_budget_exhaustion():
     X = torus7()
+    calls = []
+    with pytest.raises(SearchBudgetExceededError, match="within budget 5"):
+        find_dual_loop(X, lambda pair: calls.append(pair) and False, budget=5)
+    assert len(calls) == 5  # the predicate runs exactly budget times
+
+
+def _pillow():
+    """A 2-sphere of a bigon and two triangles; the triangles share two
+    edges, so two dual links join them."""
+    return build_cw([
+        ("a", 0, []), ("b", 0, []), ("c", 0, []),
+        ("ab1", 1, ["a", "b"]), ("ab2", 1, ["a", "b"]),
+        ("bc", 1, ["b", "c"]), ("ca", 1, ["c", "a"]),
+        ("F1", 2, ["ab1", "ab2"]),
+        ("F2", 2, ["ab1", "bc", "ca"]),
+        ("F3", 2, ["ab2", "bc", "ca"]),
+    ])
+
+
+def _bary_torus7(seed=None):
+    X = barycentric(torus7()).subdivided
+    return X if seed is None else relabeled(X, seed)[0]
+
+
+def _search(monkeypatch, X, predicate, budget):
+    """find_dual_loop's result, or "over budget", and the loops it tried,
+    in the order it tried them."""
+    tried = []
+    complement = pipelines.complement_of_dual_loop
+
+    def recording(complex, loop):
+        tried.append(loop.cells)
+        return complement(complex, loop)
+
+    monkeypatch.setattr(pipelines, "complement_of_dual_loop", recording)
+    try:
+        return pipelines.find_dual_loop(X, predicate, budget=budget), tried
+    except SearchBudgetExceededError:
+        return "over budget", tried
+
+
+@pytest.mark.parametrize(
+    "make, budget",
+    [
+        (torus7, None),
+        (lambda: sphere_boundary(3), None),
+        (lambda: circle(5), None),
+        (lambda: circle(12), None),
+        (_pillow, None),
+        (_bary_torus7, 2000),
+        (lambda: _bary_torus7(1), 2000),
+        (lambda: _bary_torus7(2), 2000),
+        (lambda: _bary_torus7(3), 2000),
+    ],
+    ids=[
+        "torus7", "sphere3", "circle5", "circle12", "pillow", "bary_torus7",
+        "bary_torus7_seed1", "bary_torus7_seed2", "bary_torus7_seed3",
+    ],
+)
+def test_find_dual_loop_candidates_equal_rewalk_oracle(monkeypatch, make, budget):
+    X = make()
+    expected = list(islice(dual_loops_by_rewalk(X), budget))
+    # a full enumeration gets a budget of exactly its length and ends first
+    outcome, tried = _search(
+        monkeypatch, X, lambda pair: False, budget or len(expected)
+    )
+    assert tried == expected
+    assert outcome == ("over budget" if budget else None)
+
+
+def test_pillow_tries_its_parallel_links_first(monkeypatch):
+    _, tried = _search(monkeypatch, _pillow(), lambda pair: False, 10)
+    assert tried[0] == ("F2", "bc", "F3", "ca")
+    assert len(tried) == 3
+
+
+def test_find_dual_loop_hit_on_last_allowed_candidate():
+    X = torus7()
+    fifth = list(islice(dual_loops_by_rewalk(X), 5))[-1]
+    calls = []
+
+    def on_fifth(pair):
+        calls.append(pair)
+        return len(calls) == 5
+
+    loop = find_dual_loop(X, on_fifth, budget=5)
+    assert loop is not None and loop.cells == fifth
+
+
+def test_find_dual_loop_ends_before_budget():
+    X = torus7()
+    total = sum(1 for _ in dual_loops_by_rewalk(X))
+    for budget in (total, 10 * total):
+        calls = []
+        assert find_dual_loop(X, lambda pair: calls.append(pair) and False, budget) is None
+        assert len(calls) == total
+
+
+def test_find_dual_loop_long_circle():
+    X = circle(150)
+    loop = find_dual_loop(X, lambda pair: not pair.sub)
+    assert loop is not None and loop.k == 150
+    assert set(loop.cells) == set(X.cells())
+
+
+def test_find_dual_loop_second_subdivision_runs_to_budget():
+    X = barycentric(_bary_torus7()).subdivided
+    calls = []
     with pytest.raises(SearchBudgetExceededError):
-        find_dual_loop(X, lambda pair: False, budget=5)
+        find_dual_loop(X, lambda pair: calls.append(pair) or not pair.sub, budget=2000)
+    assert len(calls) == 2000
 
 
 def test_loop_pipeline_torus():
