@@ -22,12 +22,7 @@ from .complexes import SubcomplexPair, euler_characteristic
 from .errors import (
     BruteForceBoundError,
     CellmatchError,
-    FileFormatError,
-    InvalidComplexError,
-    InvalidLoopError,
     InvalidMatchingError,
-    InvalidSubcomplexError,
-    InvalidSubdivisionError,
     PreconditionError,
     SearchBudgetExceededError,
 )
@@ -49,15 +44,6 @@ EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 EXIT_PRECONDITION = 3
 
-_USAGE_ERRORS = (
-    FileFormatError,
-    InvalidComplexError,
-    InvalidSubcomplexError,
-    InvalidLoopError,
-    InvalidSubdivisionError,
-    ValueError,
-    OSError,
-)
 _PRECONDITION_ERRORS = (
     PreconditionError,
     InvalidMatchingError,
@@ -82,12 +68,16 @@ def _emit(obj, path: str | None) -> None:
         io.write_json(path, obj)
 
 
-def _load_pair(args) -> SubcomplexPair:
-    complex = io.load_complex(args.complex)
-    if getattr(args, "rel", None):
-        cells, closure = io.load_subcomplex(args.rel)
+def _rel_pair(complex, rel: str | None) -> SubcomplexPair:
+    """``complex`` relative to the subcomplex file ``rel``, if one is given."""
+    if rel:
+        cells, closure = io.load_subcomplex(rel)
         return SubcomplexPair(complex, cells, close=closure)
     return SubcomplexPair(complex)
+
+
+def _load_pair(args) -> SubcomplexPair:
+    return _rel_pair(io.load_complex(args.complex), args.rel)
 
 
 def _parse_params(text: str | None) -> tuple[int, ...]:
@@ -175,12 +165,7 @@ def _cmd_subdivide(args) -> int:
         io.write_json(args.map_out, io.encode_subdivision(smap))
     if args.propagate:
         matching = io.load_matching(args.propagate)
-        if args.rel:
-            cells, closure = io.load_subcomplex(args.rel)
-            pair = SubcomplexPair(complex, cells, close=closure)
-        else:
-            pair = SubcomplexPair(complex)
-        propagated = propagate_matching(smap, pair, matching)
+        propagated = propagate_matching(smap, _rel_pair(complex, args.rel), matching)
         io.write_json(args.matching_out, io.encode_matching(propagated))
     return EXIT_OK
 
@@ -399,19 +384,13 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         return args.func(args)
-    except _UsageError as exc:
-        print(f"cellmatch: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except _PRECONDITION_ERRORS as exc:
         print(f"cellmatch: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except SearchBudgetExceededError as exc:
         print(f"cellmatch: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except _USAGE_ERRORS as exc:
-        print(f"cellmatch: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CellmatchError as exc:
+    except (_UsageError, CellmatchError, ValueError, OSError) as exc:
         print(f"cellmatch: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

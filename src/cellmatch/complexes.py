@@ -11,6 +11,7 @@ Tables are checked once, where they enter from outside the program:
 ``from_simplices`` checks the vertex tokens and that no two vertex sets
 share an id, and ``build_cw`` checks every raw record. Everything derived
 from a built complex (``restrict``, the builders' own faces) is trusted.
+The builders also fix each complex's cell order, and ``restrict`` keeps it.
 
 Complexes and pairs are immutable after construction and safe to share.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable
 
 from .errors import (
@@ -76,10 +76,12 @@ class CellComplex:
     Build one with :func:`from_simplices` or :func:`build_cw`, or take a
     piece of one with :meth:`restrict`. The constructor trusts its tables:
     it checks only the kind, non-emptiness and the coordinates, so the
-    tables must come from one of those builders, which own them.
+    tables must come from one of those builders, which own them. The
+    builders own the cell order too: ``order`` lists every cell once, and
+    :meth:`cells` returns it as given.
     """
 
-    def __init__(self, kind, dims, hyperfaces, verts=None, coordinates=None):
+    def __init__(self, kind, dims, hyperfaces, order, verts=None, coordinates=None):
         if kind not in (SIMPLICIAL, CW):
             raise InvalidComplexError(f"unknown complex kind {kind!r}")
         if not dims:
@@ -97,12 +99,8 @@ class CellComplex:
         self.dim = max(self._dim.values())
         self._faces_cache: dict[str, frozenset[str]] = {}
         self._cofaces_cache: dict[str, frozenset[str]] = {}
-        self._sorted_cells = tuple(sorted(self._dim, key=self.sort_key))
-
-    @cached_property
-    def _rank(self) -> dict[str, int]:
-        """Each cell's place in :meth:`cells`; built on first use."""
-        return dict(zip(self._sorted_cells, range(len(self._sorted_cells))))
+        self._sorted_cells = order
+        self._rank = dict(zip(order, range(len(order))))
 
     # -- queries ---------------------------------------------------------
 
@@ -136,10 +134,9 @@ class CellComplex:
             return tuple(self._verts[c][0] for c in zero_cells)
         return tuple(zero_cells)
 
-    def sort_key(self, cid: str):
-        if self._verts is not None:
-            return (self._dim[cid], tuple(_token_key(t) for t in self._verts[cid]))
-        return (self._dim[cid], cid)
+    def sort_key(self, cid: str) -> int:
+        """An int rank; the order is fixed by the builder."""
+        return self._rank[cid]
 
     def cells_of_dim(self, d: int) -> tuple[str, ...]:
         return tuple(c for c in self._sorted_cells if self._dim[c] == d)
@@ -205,7 +202,8 @@ class CellComplex:
         return frozenset(c for c in self._dim if self._dim[c] <= d)
 
     def restrict(self, ids: Iterable[str]) -> "CellComplex":
-        """The subcomplex on ``ids``, which must be nonempty and closed."""
+        """The subcomplex on ``ids``, which must be nonempty and closed. It
+        lists its cells in this complex's order, so both rank them alike."""
         idset = set(ids)
         if not idset:
             raise InvalidSubcomplexError("cannot restrict to an empty cell set")
@@ -220,7 +218,8 @@ class CellComplex:
             if self.coordinates is not None:
                 tokens = {verts[c][0] for c in idset if dims[c] == 0}
                 coords = {t: self.coordinates[t] for t in tokens if t in self.coordinates}
-        return CellComplex(self.kind, dims, hyper, verts=verts, coordinates=coords)
+        order = tuple(sorted(idset, key=self._rank.__getitem__))
+        return CellComplex(self.kind, dims, hyper, order, verts=verts, coordinates=coords)
 
     def __repr__(self):
         counts = {}
@@ -236,9 +235,11 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
     Every face of every listed simplex is added, with canonical ids;
     duplicate input simplices are harmless. The tokens are checked and
     sorted once per input simplex; each facet drops one position of its
-    sorted tuple, so it stays sorted. Raises InvalidComplexError when two
-    distinct vertex sets would share an id (vertex ``"1.2"`` and edge
-    ``{1, 2}``, or int ``1`` and str ``"1"``).
+    sorted tuple, so it stays sorted. Cells are ordered by dimension, then
+    by vertex tuple, each token standing for its place among all the
+    tokens sorted once (ints first, smallest first). Raises
+    InvalidComplexError when two distinct vertex sets would share an id
+    (vertex ``"1.2"`` and edge ``{1, 2}``, or int ``1`` and str ``"1"``).
     """
     stack = []
     for s in maximal_simplices:
@@ -250,6 +251,8 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
         stack.append((_simplex_id(v), v))
     if not stack:
         raise InvalidComplexError("empty complex")
+    tokens = sorted({t for _, v in stack for t in v}, key=_token_key)
+    index = dict(zip(tokens, range(len(tokens))))
     dims: dict[str, int] = {}
     hyper: dict[str, frozenset[str]] = {}
     verts: dict[str, tuple[Token, ...]] = {}
@@ -268,7 +271,8 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
         ids = [_simplex_id(f) for f in facets]
         hyper[cid] = frozenset(ids)
         stack.extend(zip(ids, facets))
-    return CellComplex(SIMPLICIAL, dims, hyper, verts=verts, coordinates=coordinates)
+    order = tuple(sorted(verts, key=lambda c: (dims[c], [index[t] for t in verts[c]])))
+    return CellComplex(SIMPLICIAL, dims, hyper, order, verts=verts, coordinates=coordinates)
 
 
 def build_cw(cell_records, coordinates=None) -> CellComplex:
@@ -277,6 +281,7 @@ def build_cw(cell_records, coordinates=None) -> CellComplex:
     This is where raw cw tables enter, so every record is checked here:
     str ids, nonnegative int dimensions, hyperfaces that exist one
     dimension down, no hyperfaces on a vertex and exactly two on a 1-cell.
+    Cells are ordered by dimension, then by id.
     """
     records = list(cell_records)
     if not records:
@@ -308,7 +313,8 @@ def build_cw(cell_records, coordinates=None) -> CellComplex:
             raise InvalidComplexError(
                 f"1-cell {c} must have exactly 2 hyperfaces (regularity)"
             )
-    return CellComplex(CW, dims, hyper, coordinates=coordinates)
+    order = tuple(sorted(dims, key=lambda c: (dims[c], c)))
+    return CellComplex(CW, dims, hyper, order, coordinates=coordinates)
 
 
 class SubcomplexPair:
@@ -340,7 +346,7 @@ class SubcomplexPair:
             closed = close or all(
                 complex._cofaces[c].isdisjoint(subset) for c in rel_set
             )
-            rel = sorted(rel_set, key=complex._rank.__getitem__)
+            rel = sorted(rel_set, key=complex.sort_key)
         else:
             closed = close or all(complex._hyperfaces[c] <= subset for c in subset)
             rel = [c for c in complex.cells() if c not in subset]

@@ -28,7 +28,10 @@ def direction(*components) -> tuple[Fraction, ...]:
     for value in components:
         if isinstance(value, float):
             raise InvalidComplexError("exact rational components required; got a float")
-        out.append(Fraction(value))
+        try:
+            out.append(Fraction(value))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise InvalidComplexError(f"bad direction component {value!r}") from None
     vec = tuple(out)
     if not vec or all(x == 0 for x in vec):
         raise InvalidComplexError("direction must be nonzero")

@@ -196,7 +196,10 @@ def decode_subcomplex(obj) -> tuple[list[str], bool]:
     cells = obj.get("cells")
     if not _is_list_of(cells, str):
         raise FileFormatError("subcomplex file needs a 'cells' list of ids")
-    return list(cells), bool(obj.get("closure", False))
+    closure = obj.get("closure", False)
+    if not isinstance(closure, bool):
+        raise FileFormatError("subcomplex 'closure' must be true or false")
+    return list(cells), closure
 
 
 def save_subcomplex(cells, path: str, closure: bool = False) -> None:

@@ -38,11 +38,9 @@ class IncidenceGraph:
 
 def incidence_graph(pair: SubcomplexPair) -> IncidenceGraph:
     complex = pair.complex
-    rel = set(pair.rel_cells)
     adjacency = {}
     for c in pair.rel_cells:
-        nbrs = [f for f in complex.hyperfaces(c) if f in rel]
-        nbrs.extend(f for f in complex.cofaces(c) if f in rel)
+        nbrs = (complex.hyperfaces(c) | complex.cofaces(c)) - pair.sub
         adjacency[c] = tuple(sorted(nbrs, key=complex.sort_key))
     return IncidenceGraph(pair.rel_even, pair.rel_odd, adjacency)
 
@@ -250,14 +248,13 @@ def complete_matching(pair: SubcomplexPair, use_parity_shortcut: bool = True):
 def validate_matching(pair: SubcomplexPair, matching: Matching) -> MatchingReport:
     """Check incidence, disjointness, and exact coverage; list every violation."""
     complex = pair.complex
-    rel = set(pair.rel_cells)
     violations: list[str] = []
     seen: set[str] = set()
     for a, b in sorted(matching.pairs):
         for c in (a, b):
             if c not in complex:
                 violations.append(f"unknown cell: {c}")
-            elif c not in rel:
+            elif c in pair.sub:
                 violations.append(f"cell in relative base: {c}")
             if c in seen:
                 violations.append(f"duplicated: {c}")

@@ -45,6 +45,18 @@ def test_flow_degenerate_field_is_exit_3(tmp_path, capsys):
     assert "span" in err
 
 
+def test_flow_zero_denominator_is_exit_1_without_traceback(tmp_path):
+    g = tmp_path / "g.json"
+    assert run("generate", "grid_square", "--params", "2", "-o", str(g)) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "cellmatch.cli", "flow", str(g), "--field", "1/0,1"],
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cellmatch: ") and "'1/0'" in proc.stderr
+
+
 def test_flow_matching_written(tmp_path):
     g = tmp_path / "g.json"
     m = tmp_path / "m.json"
@@ -173,6 +185,9 @@ _MALFORMED = {
     "simplex_ids_collide_int_and_str": ("chi", {**_CIRCLE, "simplices": [[1, 2], ["1", 3]]}),
     "subcomplex_cell_not_an_id": ("rel", {
         "format": io.SUB_FORMAT, "cells": [[1]], "closure": False,
+    }),
+    "subcomplex_closure_not_a_boolean": ("rel", {
+        "format": io.SUB_FORMAT, "cells": ["0"], "closure": "false",
     }),
 }
 

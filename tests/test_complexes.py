@@ -92,9 +92,11 @@ def test_build_cw_square():
         ("cd", 1, ["c", "d"]), ("da", 1, ["d", "a"]),
         ("f", 2, ["ab", "bc", "cd", "da"]),
     ]
-    X = build_cw(records)
+    X = build_cw(records[::-1])
     assert len(X) == 9
     assert euler_characteristic(SubcomplexPair(X)) == 1
+    assert X.cells() == tuple(c for c, _, _ in records)  # by (dim, id)
+    assert sorted(X.cells(), key=X.sort_key) == list(X.cells())
 
 
 def test_build_cw_digon():
@@ -438,6 +440,7 @@ def test_restrict_roundtrip():
 
 def _assert_tables_equal(X, oracle):
     assert X.cells() == tuple(oracle["order"])
+    assert sorted(X.cells(), key=X.sort_key) == list(X.cells())
     for c in X.cells():
         assert X.dim_of(c) == oracle["dims"][c], c
         assert X.vertices(c) == oracle["verts"][c], c
@@ -489,6 +492,10 @@ _TABLE_CASES = {
     "barycentric_torus7": lambda: barycentric(torus7()).subdivided,
     # through the module attribute, so the recording hook sees the input
     "mixed_shuffled_torus7": lambda: generators.from_simplices(_mixed_shuffled_torus7(4)),
+    # id-string order ("10" < "100" < "11" < "9") differs from token order
+    "mixed_9_10_a": lambda: generators.from_simplices(
+        [[9, 10, "a"], ["a", 10, 11], ["b", 9], [100, 11, "b"], [100, "a"]]
+    ),
 }
 
 
@@ -501,4 +508,9 @@ def test_from_simplices_and_restrict_equal_combinations_oracle(monkeypatch, case
     for _ in range(6):
         seeds = rng.sample(oracle["order"], rng.randint(1, 8))
         closed = simplicial_tables_by_combinations(oracle["verts"][c] for c in seeds)
-        _assert_tables_equal(X.restrict(closed["order"]), closed)
+        Y = X.restrict(closed["order"])
+        _assert_tables_equal(Y, closed)
+        inner = simplicial_tables_by_combinations(
+            closed["verts"][c] for c in closed["order"][-2:]
+        )
+        _assert_tables_equal(Y.restrict(inner["order"]), inner)
