@@ -158,6 +158,8 @@ def _cmd_homology(args) -> int:
 def _cmd_subdivide(args) -> int:
     if args.propagate and not args.matching_out:
         raise _UsageError("--propagate requires --matching-out")
+    if not args.propagate and (args.rel or args.matching_out):
+        raise _UsageError("--rel and --matching-out require --propagate")
     complex = io.load_complex(args.complex)
     smap = barycentric(complex)
     _emit(io.encode_complex(smap.subdivided), args.output)

@@ -13,7 +13,10 @@ once, left to right by lowest row (``linalg.reduce_columns``), and ranks,
 pivot columns, Betti numbers, the acyclic filtration and its layer checks
 all read that one reduction. Its pivot columns are the leftmost-lowest
 pivots of dense elimination, so filtrations and matchings depend only on
-the id order of the cells.
+the id order of the cells. One walk over the reduction lists each layer
+of an acyclic pair; the filtration stacks the layers into stages, and the
+matching pairs each layer's cells on the parent complex, with no
+subcomplex built per layer.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from . import linalg
 from .complexes import CW, SIMPLICIAL, CellComplex, SubcomplexPair, _simplex_id
 from .errors import HomologyNonzeroError, PreconditionError
-from .matching import HallCertificate, Matching, complete_matching, compose_matchings, validate_matching
+from .matching import Matching, _hopcroft_karp, validate_matching
 
 
 def _default_field(complex: CellComplex) -> str:
@@ -175,13 +178,15 @@ class Filtration:
             yield self.stages[k - 1], self.stages[k]
 
 
-def acyclic_filtration(pair: SubcomplexPair, field: str | None = None, signs=None) -> Filtration:
-    """Filtration realizing the acyclic-pair construction.
+def _acyclic_layers(pair: SubcomplexPair, field, signs):
+    """Walk the layers of an acyclic pair from the bottom up; yield each
+    nonempty one as ``(d, upper, lower)`` cell lists in the complex order.
 
-    Per dimension, elimination with leftmost-lowest pivoting selects cells
-    whose boundary columns are independent; each stage adds the selected
-    n-cells together with the (n-1)-cells left over from the stage below,
-    and those two groups always have equal size when the pair is acyclic.
+    Layer d holds the d-cells the reduction selects (``pivot_columns(d)``)
+    and the (d-1)-cells left over below them (the non-pivot columns of
+    d-1), both picked by index into ``basis``. Its boundary map must be
+    square and injective, the one-to-one hypothesis the layer matching
+    relies on; both are checked here.
     """
     cc = chain_complex(pair, field=field, signs=signs)
     bv = cc.betti()
@@ -189,69 +194,61 @@ def acyclic_filtration(pair: SubcomplexPair, field: str | None = None, signs=Non
         raise HomologyNonzeroError(
             f"pair has nonzero homology {bv.betti}", betti=bv
         )
-    complex = pair.complex
-    top = complex.dim
-    selected: dict[int, frozenset[str]] = {}
-    for d in range(top + 1):
-        basis = cc.basis(d)
-        selected[d] = frozenset(basis[j] for j in cc.pivot_columns(d))
-    stages = [pair.sub]
-    current = pair.sub
-    for d in range(1, top + 2):
-        new_upper = selected.get(d, frozenset())
-        lower_basis = cc.basis(d - 1)
-        new_lower = frozenset(lower_basis) - selected.get(d - 1, frozenset())
-        if not new_upper and not new_lower:
+    for d in range(1, pair.complex.dim + 2):
+        upper = cc.pivot_columns(d)
+        selected = set(cc.pivot_columns(d - 1))
+        lower = [i for i in range(len(cc.basis(d - 1))) if i not in selected]
+        if not upper and not lower:
             continue
-        if len(new_upper) != len(new_lower):
+        if len(upper) != len(lower):
             raise AssertionError(
-                f"stage {d}: selected {len(new_upper)} cells of dimension {d} "
-                f"against {len(new_lower)} of dimension {d - 1}"
+                f"stage {d}: selected {len(upper)} cells of dimension {d} "
+                f"against {len(lower)} of dimension {d - 1}"
             )
-        stage = frozenset(current | complex.skeleton(d - 1) | new_upper)
-        _check_layer_injective(cc, d, new_upper, new_lower)
-        stages.append(stage)
-        current = stage
-    if current != frozenset(complex.cells()):
-        stages.append(frozenset(complex.cells()))
+        columns = [cc._columns[d][j] for j in upper]
+        restricted = linalg.restrict_rows(columns, lower, cc.field_name)
+        rank = len(linalg.reduce_columns(restricted, cc.field_name))
+        if rank != len(columns):
+            raise AssertionError(
+                f"layer {d} boundary is not injective (rank {rank} of {len(columns)})"
+            )
+        yield d, [cc.basis(d)[j] for j in upper], [cc.basis(d - 1)[i] for i in lower]
+
+
+def acyclic_filtration(pair: SubcomplexPair, field: str | None = None, signs=None) -> Filtration:
+    """Filtration realizing the acyclic-pair construction.
+
+    Per dimension, elimination with leftmost-lowest pivoting selects cells
+    whose boundary columns are independent; each stage adds the selected
+    n-cells together with the (n-1)-cells left over from the stage below,
+    and those two groups always have equal size when the pair is acyclic.
+    The top stage holds every cell.
+    """
+    stages = [pair.sub]
+    for _, upper, lower in _acyclic_layers(pair, field, signs):
+        stages.append(stages[-1].union(upper, lower))
     return Filtration(tuple(stages))
-
-
-def _check_layer_injective(cc: ChainComplex, d: int, upper, lower):
-    """The layer boundary (selected d-cells into leftover (d-1)-cells) must
-    have full column rank; this is the one-to-one hypothesis the layer
-    matching relies on."""
-    if not upper:
-        return
-    rows = [i for i, c in enumerate(cc.basis(d - 1)) if c in lower]
-    columns = [col for c, col in zip(cc.basis(d), cc._columns[d]) if c in upper]
-    restricted = linalg.restrict_rows(columns, rows, cc.field_name)
-    rank = len(linalg.reduce_columns(restricted, cc.field_name))
-    if rank != len(columns):
-        raise AssertionError(
-            f"layer {d} boundary is not injective (rank {rank} of {len(columns)})"
-        )
 
 
 def match_acyclic_pair(pair: SubcomplexPair, field: str | None = None, signs=None) -> Matching:
     """Complete matching of an acyclic pair, layer by layer through the
-    filtration; every layer is matchable, so a certificate from the layer
-    matcher signals corrupt input and aborts."""
-    filtration = acyclic_filtration(pair, field=field, signs=signs)
+    filtration. Each layer is matched by Hopcroft-Karp on the parent
+    complex, even-dimensional cells on the left; its boundary is square and
+    injective, so Hall's condition holds and the matching is complete."""
     complex = pair.complex
-    parts = []
-    for below, stage in filtration.layers():
-        sub_complex = complex.restrict(stage)
-        layer_pair = SubcomplexPair(sub_complex, below)
-        outcome = complete_matching(layer_pair)
-        if isinstance(outcome, HallCertificate):
-            raise AssertionError(
-                "layer matching returned a deficiency certificate "
-                f"(side={outcome.side}, deficiency={outcome.deficiency}); "
-                "this contradicts the acyclic-pair guarantee"
-            )
-        parts.append(outcome)
-    result = compose_matchings(parts, relative_to=pair.sub)
+    pairs = []
+    for d, upper, lower in _acyclic_layers(pair, field, signs):
+        left, right = (upper, lower) if d % 2 == 0 else (lower, upper)
+        right_set = frozenset(right)
+        adjacency = {
+            c: tuple(sorted(
+                (complex.hyperfaces(c) | complex.cofaces(c)) & right_set,
+                key=complex.sort_key,
+            ))
+            for c in left
+        }
+        pairs.extend(_hopcroft_karp(left, right, adjacency)[0].items())
+    result = Matching(pairs, relative_to=pair.sub)
     report = validate_matching(pair, result)
     if not report.ok:
         raise AssertionError(

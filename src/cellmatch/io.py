@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 
@@ -68,8 +69,20 @@ def _is_list_of(value, types) -> bool:
     )
 
 
-def _parse_token(text: str):
-    return int(text) if text.lstrip("-").isdigit() else text
+def _decode_coordinates(points, tokens):
+    """Coordinates keyed by vertex token. A key names the complex's own
+    token written as that text; a key that names no token is an int when
+    it is ASCII digits after an optional minus sign, else the text."""
+    if points is None:
+        return None
+    by_text = {str(t): t for t in tokens}
+    out = {}
+    for key, point in points.items():
+        token = by_text.get(key)
+        if token is None:
+            token = int(key) if re.fullmatch(r"-?[0-9]+", key) else key
+        out[token] = tuple(_parse_fraction(x) for x in point)
+    return out
 
 
 def write_json(path: str, obj) -> None:
@@ -133,17 +146,12 @@ def _token_text(token):
 def decode_complex(obj) -> CellComplex:
     _require_format(obj, COMPLEX_FORMAT)
     kind = obj.get("kind")
-    coordinates = None
-    if "coordinates" in obj:
-        points = obj["coordinates"]
-        if not isinstance(points, dict) or not all(
-            isinstance(point, list) for point in points.values()
-        ):
-            raise FileFormatError("'coordinates' must map vertex tokens to lists")
-        coordinates = {
-            _parse_token(key): tuple(_parse_fraction(x) for x in point)
-            for key, point in points.items()
-        }
+    points = obj.get("coordinates")
+    if "coordinates" in obj and not (
+        isinstance(points, dict)
+        and all(isinstance(point, list) for point in points.values())
+    ):
+        raise FileFormatError("'coordinates' must map vertex tokens to lists")
     if kind == SIMPLICIAL:
         simplices = obj.get("simplices")
         if not isinstance(simplices, list):
@@ -154,7 +162,8 @@ def decode_complex(obj) -> CellComplex:
                     f"bad simplex {simplex!r}: expected a list of integer or "
                     "string vertex tokens"
                 )
-        return from_simplices(simplices, coordinates=coordinates)
+        tokens = {t for simplex in simplices for t in simplex}
+        return from_simplices(simplices, coordinates=_decode_coordinates(points, tokens))
     if kind == CW:
         cells = obj.get("cells")
         if not isinstance(cells, list):
@@ -172,7 +181,8 @@ def decode_complex(obj) -> CellComplex:
                     "'dim' and a list of str 'faces'"
                 )
             records.append((record["id"], record["dim"], record["faces"]))
-        return build_cw(records, coordinates=coordinates)
+        tokens = [cid for cid, _, _ in records]
+        return build_cw(records, coordinates=_decode_coordinates(points, tokens))
     raise FileFormatError(f"unknown complex kind {kind!r}")
 
 

@@ -279,38 +279,49 @@ def enumerate_matchings(
         raise BruteForceBoundError(
             f"{len(cells)} cells exceed the brute-force bound {bound}"
         )
-    graph = incidence_graph(pair)
-    order = list(cells)  # already sorted by the complex order
     count = 0
     found: list[Matching] = []
-    covered: set[str] = set()
-    chosen: list[tuple[str, str]] = []
-
-    def backtrack(start: int):
-        nonlocal count
-        idx = start
-        while idx < len(order) and order[idx] in covered:
-            idx += 1
-        if idx == len(order):
+    if len(cells) % 2:
+        return count, found
+    graph = incidence_graph(pair)
+    place = {c: i for i, c in enumerate(cells)}
+    neighbours = [[place[v] for v in graph.adjacency[c]] for c in cells]
+    covered = [False] * len(cells)
+    # Depth first with an explicit stack, on cell indices. The first
+    # uncovered cell (in the complex order, as ``cells`` is) is matched with
+    # each free neighbour in adjacency order; stack[k] holds the k-th such
+    # cell and the neighbours left to try, and chosen[k] is the one taken.
+    stack: list[tuple[int, object]] = []
+    chosen: list[int] = []
+    i = 0
+    while True:
+        while i < len(cells) and covered[i]:
+            i += 1
+        if i == len(cells):
             count += 1
             if len(found) < limit:
-                found.append(Matching(list(chosen), relative_to=pair.sub))
-            return
-        cell = order[idx]
-        covered.add(cell)
-        for nbr in graph.adjacency[cell]:
-            if nbr in covered:
+                pairs = [(cells[a], cells[b]) for (a, _), b in zip(stack, chosen)]
+                found.append(Matching(pairs, relative_to=pair.sub))
+        else:
+            covered[i] = True
+            stack.append((i, iter(neighbours[i])))
+        while stack:
+            i, nbrs = stack[-1]
+            if len(chosen) == len(stack):
+                covered[chosen.pop()] = False
+            for j in nbrs:
+                if not covered[j]:
+                    covered[j] = True
+                    chosen.append(j)
+                    break
+            else:
+                covered[i] = False
+                stack.pop()
                 continue
-            covered.add(nbr)
-            chosen.append((cell, nbr))
-            backtrack(idx + 1)
-            chosen.pop()
-            covered.discard(nbr)
-        covered.discard(cell)
-
-    if len(cells) % 2 == 0:
-        backtrack(0)
-    return count, found
+            i += 1
+            break
+        else:
+            return count, found
 
 
 def match_dual_cycle(complex: CellComplex, loop: DualLoop, orientation: int) -> Matching:

@@ -7,7 +7,16 @@ data from the raw hyperface tables, the dual-loop enumerator re-walks
 every path without pruning, the simplicial tables come from
 ``itertools.combinations`` of the maximal simplices, and the linear
 algebra works on dense lists of rows with plain ``Fraction``/mod-2
-arithmetic.
+arithmetic. The backtracking enumerator recurses over the same choices
+as ``enumerate_matchings``, in the same order, on the library's
+incidence graph.
+
+The layer-by-layer acyclic matching builds every layer as a complex of
+its own (a restricted stage paired with the stage below) and matches it
+with ``complete_matching``. It shares the pivot selection with the
+library, through ``acyclic_filtration``; that selection is checked
+independently, against dense elimination, by
+``test_sparse_reduction_matches_dense_elimination``.
 """
 
 from __future__ import annotations
@@ -19,7 +28,14 @@ from itertools import combinations, permutations
 from pathlib import Path
 
 import cellmatch
-from cellmatch import SubcomplexPair, from_simplices, incidence_graph
+from cellmatch import (
+    Matching,
+    SubcomplexPair,
+    acyclic_filtration,
+    complete_matching,
+    from_simplices,
+    incidence_graph,
+)
 
 
 def subprocess_env() -> dict[str, str]:
@@ -43,6 +59,58 @@ def count_matchings_by_permutations(pair: SubcomplexPair) -> int:
         if all(v in adj[u] for u, v in zip(left, perm)):
             count += 1
     return count
+
+
+def matchings_by_backtracking(pair: SubcomplexPair, limit: int):
+    """The number of complete matchings and the first ``limit`` of them, by
+    recursion: match the first uncovered cell in ``rel_cells`` order with
+    each free neighbour, in adjacency order. Recursion depth is the number
+    of matched pairs, so only for small instances."""
+    adjacency = incidence_graph(pair).adjacency
+    order = pair.rel_cells
+    covered: set[str] = set()
+    chosen: list[tuple[str, str]] = []
+    found: list[Matching] = []
+    count = 0
+
+    def backtrack(start: int):
+        nonlocal count
+        idx = start
+        while idx < len(order) and order[idx] in covered:
+            idx += 1
+        if idx == len(order):
+            count += 1
+            if len(found) < limit:
+                found.append(Matching(list(chosen), relative_to=pair.sub))
+            return
+        cell = order[idx]
+        covered.add(cell)
+        for nbr in adjacency[cell]:
+            if nbr not in covered:
+                covered.add(nbr)
+                chosen.append((cell, nbr))
+                backtrack(idx + 1)
+                chosen.pop()
+                covered.discard(nbr)
+        covered.discard(cell)
+
+    if len(order) % 2 == 0:
+        backtrack(0)
+    return count, found
+
+
+def match_acyclic_pair_by_layer_complexes(pair: SubcomplexPair, field=None, signs=None):
+    """The acyclic-pair matching with one complex per layer: each stage of
+    ``acyclic_filtration`` is restricted to a complex of its own, paired
+    with the stage below and matched by ``complete_matching``, which must
+    find a complete matching; the layers' pairs are joined."""
+    X = pair.complex
+    pairs = []
+    for below, stage in acyclic_filtration(pair, field=field, signs=signs).layers():
+        outcome = complete_matching(SubcomplexPair(X.restrict(stage), below))
+        assert isinstance(outcome, Matching), outcome
+        pairs.extend(outcome.pairs)
+    return Matching(pairs, relative_to=pair.sub)
 
 
 def _token_order(token):

@@ -153,11 +153,20 @@ def test_subdivide_and_propagate(tmp_path):
 def test_subdivide_propagate_without_matching_out_does_no_work(tmp_path):
     c = tmp_path / "c.json"
     m = tmp_path / "m.json"
+    r = tmp_path / "r.json"
     sd = tmp_path / "sd.json"
+    pm = tmp_path / "pm.json"
     assert run("generate", "circle", "--params", "3", "-o", str(c)) == 0
     assert run("match", str(c), "-o", str(m)) == 0
+    io.save_subcomplex(["0"], str(r))
     assert run("subdivide", str(c), "-o", str(sd), "--propagate", str(m)) == 1
-    assert not sd.exists()
+    # --rel and --matching-out act only with --propagate
+    assert run("subdivide", str(c), "-o", str(sd), "--matching-out", str(pm)) == 1
+    assert run("subdivide", str(c), "-o", str(sd), "--rel", str(r)) == 1
+    assert run(
+        "subdivide", str(c), "-o", str(sd), "--matching-out", str(pm), "--rel", str(r)
+    ) == 1
+    assert not sd.exists() and not pm.exists()
 
 
 _CIRCLE = {"format": io.COMPLEX_FORMAT, "kind": "simplicial",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -16,12 +17,14 @@ from cellmatch import (
     betti_numbers,
     build_cw,
     chain_complex,
+    complete_matching,
     enumerate_matchings,
     euler_characteristic,
     from_simplices,
     match_acyclic_pair,
     validate_matching,
 )
+from cellmatch import io, subdivision
 from cellmatch.generators import (
     apex_of,
     circle,
@@ -33,8 +36,15 @@ from cellmatch.generators import (
     torus7,
     wedge,
 )
+from cellmatch.subdivision import barycentric
 
-from conftest import dense_boundary, dense_pivot_columns, is_zero_matrix, mat_mul
+from conftest import (
+    dense_boundary,
+    dense_pivot_columns,
+    is_zero_matrix,
+    mat_mul,
+    match_acyclic_pair_by_layer_complexes,
+)
 
 
 def test_circle_boundary_rank():
@@ -249,6 +259,73 @@ def test_sparse_reduction_matches_dense_elimination():
                 pivots = dense_pivot_columns(dense, field)
                 assert list(cc.pivot_columns(d)) == pivots, (pair, field, d)
                 assert cc.rank(d) == len(pivots)
+
+
+def _cw_square_grid(m: int):
+    """An m-by-m grid of squares as a cw complex, with incidence signs:
+    edges run from their smaller coordinate to their larger, and each
+    square's boundary runs counterclockwise."""
+    def v(i, j):
+        return f"v{i}_{j}"
+
+    def h(i, j):
+        return f"h{i}_{j}"  # from (i, j) to (i + 1, j)
+
+    def u(i, j):
+        return f"u{i}_{j}"  # from (i, j) to (i, j + 1)
+
+    records, signs = [], {}
+    for i in range(m + 1):
+        for j in range(m + 1):
+            records.append((v(i, j), 0, []))
+            if i < m:
+                records.append((h(i, j), 1, [v(i, j), v(i + 1, j)]))
+                signs.update({(h(i, j), v(i, j)): -1, (h(i, j), v(i + 1, j)): 1})
+            if j < m:
+                records.append((u(i, j), 1, [v(i, j), v(i, j + 1)]))
+                signs.update({(u(i, j), v(i, j)): -1, (u(i, j), v(i, j + 1)): 1})
+            if i < m and j < m:
+                s = f"s{i}_{j}"
+                records.append((s, 2, [h(i, j), u(i + 1, j), h(i, j + 1), u(i, j)]))
+                signs.update({
+                    (s, h(i, j)): 1, (s, u(i + 1, j)): 1,
+                    (s, h(i, j + 1)): -1, (s, u(i, j)): -1,
+                })
+    return build_cw(records), signs
+
+
+def test_match_acyclic_pair_equals_layer_complex_oracle(monkeypatch):
+    cases = [(_shuffled_grid_rel_vertex(m, seed=m), None) for m in (3, 4, 5)]
+    for base in (circle(4), circle(7)):
+        X = cone(base)
+        cases += [(SubcomplexPair(X, [apex_of(X)]), None), (SubcomplexPair(X, ["0"]), None)]
+    grid, signs = _cw_square_grid(3)
+    cases.append((SubcomplexPair(grid, ["v0_0"]), signs))
+    # One of its layers has two complete matchings, so which side is on
+    # the left and the order of the neighbours decide the result.
+    X = from_simplices([
+        [1, 0, 8], [3, 8, 6, 0], [4, 8, 9, 0], [3, 5, 4], [5, 4, 2, 8],
+        [6, 2, 3, 5], [4, 3, 0, 8], [1, 5, 8, 9], [5, 2, 3], [4, 8, 0],
+    ])
+    cases.append((SubcomplexPair(X, ["1.8.9"], close=True), None))
+    blocks = []
+    real = subdivision.match_acyclic_pair
+    monkeypatch.setattr(
+        subdivision, "match_acyclic_pair", lambda pair: blocks.append(pair) or real(pair)
+    )
+    B = barycentric(torus7()).subdivided
+    subdivision.propagate_matching(
+        barycentric(B), SubcomplexPair(B), complete_matching(SubcomplexPair(B))
+    )
+    assert len(blocks) == len(B) // 2
+    cases += [(block, None) for block in blocks]
+    for pair, signs in cases:
+        for field in ("q", "f2"):
+            got = match_acyclic_pair(pair, field=field, signs=signs)
+            want = match_acyclic_pair_by_layer_complexes(pair, field=field, signs=signs)
+            assert json.dumps(io.encode_matching(got)) == json.dumps(
+                io.encode_matching(want)
+            ), (pair, field)
 
 
 def test_inconsistent_cw_signs_fail_boundary_squared():

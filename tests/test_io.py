@@ -6,11 +6,17 @@ import pytest
 
 from cellmatch import (
     FileFormatError,
+    GeometricComplex,
     HallCertificate,
     SubcomplexPair,
     betti_numbers,
     build_cw,
     complete_matching,
+    direction,
+    flow_matching,
+    flow_structure,
+    from_simplices,
+    validate_matching,
 )
 from cellmatch import io
 from cellmatch.generators import circle, grid_square, torus7
@@ -55,6 +61,30 @@ def test_complex_roundtrip_subdivided(tmp_path):
     io.save_complex(X2, str(path))
     Y = io.load_complex(str(path))
     assert Y.cells() == X2.cells()
+
+
+@pytest.mark.parametrize("token", ["7", "\u00b2"])
+def test_coordinates_keep_str_tokens_that_read_as_digits(tmp_path, token):
+    X = from_simplices(
+        [[token, "x", "y"]], coordinates={token: (0, 0), "x": (1, 0), "y": (0, 1)}
+    )
+    path = tmp_path / "t.json"
+    io.save_complex(X, str(path))
+    Y = io.load_complex(str(path))
+    assert Y.coordinates == X.coordinates
+    assert set(Y.coordinates) == {token, "x", "y"}
+    matching = flow_matching(flow_structure(GeometricComplex(Y), direction(1, 3)))
+    assert validate_matching(SubcomplexPair(Y, matching.relative_to), matching).ok
+
+
+def test_coordinate_keys_naming_no_token():
+    Y = io.decode_complex({
+        "format": io.COMPLEX_FORMAT,
+        "kind": "simplicial",
+        "simplices": [[0, 1]],
+        "coordinates": {"0": ["0"], "1": ["1"], "-2": ["2"], "\u00b2": ["3"], "x": ["4"]},
+    })
+    assert set(Y.coordinates) == {0, 1, -2, "\u00b2", "x"}
 
 
 def test_complex_rejects_floats():

@@ -41,6 +41,7 @@ from cellmatch.generators import (
 from conftest import (
     count_matchings_by_permutations,
     greedy_collapse_order,
+    matchings_by_backtracking,
     relabeled,
     replay_collapse,
     shuffled_path_rel_end,
@@ -162,6 +163,31 @@ def test_enumerate_agrees_with_permutation_oracle():
         expected = count_matchings_by_permutations(pair)
         count, _ = enumerate_matchings(pair)
         assert count == expected
+
+
+def test_enumerate_lists_in_backtracking_order():
+    cases = [
+        SubcomplexPair(circle(6)),
+        SubcomplexPair(simplex(3), ["0"]),
+        SubcomplexPair(sphere_boundary(3)),
+        SubcomplexPair(grid_square(2), ["0"]),
+        SubcomplexPair(cone(circle(4)), ["0"]),
+        SubcomplexPair(simplex(1)),
+        SubcomplexPair(circle(3), circle(3).cells()),
+    ]
+    for pair in cases:
+        count, found = enumerate_matchings(pair, limit=200)
+        expected_count, expected = matchings_by_backtracking(pair, limit=200)
+        assert count == expected_count, pair
+        assert [m.sorted_pairs() for m in found] == [m.sorted_pairs() for m in expected]
+
+
+def test_enumerate_depth_does_not_grow_with_the_input():
+    # 1500 pairs deep: past the interpreter's default recursion limit
+    pair = SubcomplexPair(interval(1500), ["0"])
+    count, found = enumerate_matchings(pair, limit=1, bound=10**6)
+    assert count == 1
+    assert validate_matching(pair, found[0]).ok
 
 
 def test_enumerate_bound():

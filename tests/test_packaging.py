@@ -40,3 +40,48 @@ def test_cell_complex_is_constructed_only_in_complexes():
         and "CellComplex" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     }
     assert callers == {"complexes.py"}, callers
+
+
+# Functions that may call themselves, each with the bound on its depth.
+_BOUNDED_RECURSION = {
+    "generators._lattice_paths": "p + q, the summed dimensions of two simplex factors",
+    "subdivision.barycentric.chains_ending": "the complex dimension plus 1",
+    "pipelines.match_sphere_pipeline": "(dim + 1) / 2: each call is two dimensions down",
+}
+
+
+def _calls_itself(function: ast.FunctionDef) -> bool:
+    for node in ast.walk(function):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == function.name:
+            return True
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == function.name
+            and isinstance(func.value, ast.Name)
+            and func.value.id in ("self", "cls")
+        ):
+            return True
+    return False
+
+
+def test_no_recursion_whose_depth_grows_with_the_input():
+    """No package function calls itself by name (directly, or as
+    ``self.name``), apart from the few whose depth the dimension bounds."""
+    package = Path(cellmatch.__file__).resolve().parent
+    recursive = set()
+    for path in package.glob("*.py"):
+        stack = [(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+        while stack:
+            node, prefix = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    qualname = f"{prefix}.{child.name}"
+                    if not isinstance(child, ast.ClassDef) and _calls_itself(child):
+                        recursive.add(qualname)
+                    stack.append((child, qualname))
+                else:
+                    stack.append((child, prefix))
+    assert recursive == set(_BOUNDED_RECURSION), recursive
