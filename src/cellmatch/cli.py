@@ -162,13 +162,13 @@ def _cmd_subdivide(args) -> int:
         raise _UsageError("--rel and --matching-out require --propagate")
     complex = io.load_complex(args.complex)
     smap = barycentric(complex)
-    _emit(io.encode_complex(smap.subdivided), args.output)
-    if args.map_out:
-        io.write_json(args.map_out, io.encode_subdivision(smap))
     if args.propagate:
         matching = io.load_matching(args.propagate)
         propagated = propagate_matching(smap, _rel_pair(complex, args.rel), matching)
         io.write_json(args.matching_out, io.encode_matching(propagated))
+    _emit(io.encode_complex(smap.subdivided), args.output)
+    if args.map_out:
+        io.write_json(args.map_out, io.encode_subdivision(smap))
     return EXIT_OK
 
 

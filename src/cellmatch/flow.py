@@ -4,9 +4,12 @@ triangulation.
 
 All geometric tests are exact. For a top simplex with vertices p_0..p_n,
 the directional derivatives of its barycentric coordinates along the field
-v solve sum(c_i) = 0, sum(c_i p_i) = v; signs of the c_i decide
-transversality, the boundary split, and the downstream/upstream simplex of
-every face.
+v solve sum(c_i) = 0, sum(c_i p_i) = v. Their signs split its vertices
+into rising (c_i > 0) and falling (c_i < 0) ones, and that split decides
+the rest: a boundary facet exits when its opposite vertex falls, and the
+simplex is downstream of each face holding all its falling vertices and
+upstream of each face holding all its rising ones. A zero c_i makes the
+facet opposite p_i degenerate.
 """
 
 from __future__ import annotations
@@ -45,10 +48,10 @@ class GeometricComplex:
     simplex must bound at most two top simplices.
     """
 
-    def __init__(self, complex: CellComplex, coordinates=None):
+    def __init__(self, complex: CellComplex):
         if complex.kind != SIMPLICIAL:
             raise InvalidComplexError("geometric complexes must be simplicial")
-        coords = coordinates if coordinates is not None else complex.coordinates
+        coords = complex.coordinates
         if coords is None:
             raise InvalidComplexError("geometric complexes require coordinates")
         self.complex = complex
@@ -130,35 +133,32 @@ def _derivatives(geom: GeometricComplex, field_vec) -> dict[str, dict[Token, Fra
 def check_transverse(geom: GeometricComplex, field_vec) -> BoundarySplit:
     """Exact transversality test; returns the boundary split or raises a
     degeneracy report naming every offending codimension-1 simplex."""
-    split, _ = _split_and_derivatives(geom, field_vec)
+    split, _ = _sign_split(geom, field_vec)
     return split
 
 
-def _split_and_derivatives(geom: GeometricComplex, field_vec):
+def _sign_split(geom: GeometricComplex, field_vec):
+    """The boundary split, and per top simplex its rising and falling
+    vertices."""
     if geom.n < 1:
         raise PreconditionError("flow structures need dimension at least 1")
-    derivs = _derivatives(geom, field_vec)
     complex = geom.complex
-    n = geom.n
-    degenerate = []
+    degenerate = set()
     exiting = set()
     entering = set()
-    for f in complex.cells_of_dim(n - 1) if n >= 1 else ():
-        face_verts = set(complex.vertices(f))
-        cofs = sorted(complex.cofaces(f))
-        opposite = {
-            top: next(u for u in complex.vertices(top) if u not in face_verts)
-            for top in cofs
-        }
-        if any(derivs[top][opposite[top]] == 0 for top in cofs):
-            degenerate.append(f)
-            continue
-        if len(cofs) == 1:
-            top = cofs[0]
-            if derivs[top][opposite[top]] < 0:
-                exiting.add(f)
-            else:
-                entering.add(f)
+    signs: dict[str, tuple[frozenset[Token], frozenset[Token]]] = {}
+    for top, values in _derivatives(geom, field_vec).items():
+        verts = complex.vertices(top)
+        for u, value in values.items():
+            facet = cell_id(w for w in verts if w != u)
+            if value == 0:
+                degenerate.add(facet)
+            elif len(complex.cofaces(facet)) == 1:
+                (exiting if value < 0 else entering).add(facet)
+        signs[top] = (
+            frozenset(u for u, value in values.items() if value > 0),
+            frozenset(u for u, value in values.items() if value < 0),
+        )
     if degenerate:
         raise NotTransverseError(
             "field lies in the span of codimension-1 simplices: "
@@ -171,7 +171,7 @@ def _split_and_derivatives(geom: GeometricComplex, field_vec):
         complex.closure(exiting),
         complex.closure(entering),
     )
-    return split, derivs
+    return split, signs
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ class FlowStructure:
     interior of s (defined off the exiting boundary closure); ``upstream``
     is the time-reversed counterpart. Per top simplex, ``stable`` and
     ``unstable`` list the faces it is downstream/upstream for,
-    ``unstable_core`` is the common face of the unstable hyperfaces, and
+    ``unstable_core`` is the face spanned by its rising vertices, and
     ``base_vertex`` the chosen vertex in it.
     """
 
@@ -201,6 +201,15 @@ class FlowStructure:
         return self.split.exiting
 
 
+def _only(cell: str, candidates: list[str]) -> str:
+    if len(candidates) != 1:
+        raise PreconditionError(
+            f"degenerate configuration at {cell}: "
+            f"{len(candidates)} candidate top simplices"
+        )
+    return candidates[0]
+
+
 def flow_structure(
     geom: GeometricComplex, field_vec, base_rule: str = "lowest", seed: int | None = None
 ) -> FlowStructure:
@@ -210,79 +219,41 @@ def flow_structure(
         raise ValueError("base_rule must be 'lowest' or 'random'")
     if base_rule == "random" and seed is None:
         raise ValueError("base_rule 'random' requires a seed")
-    split, derivs = _split_and_derivatives(geom, field_vec)
+    split, signs = _sign_split(geom, field_vec)
     complex = geom.complex
-    n = geom.n
 
-    top_cofaces: dict[str, tuple[str, ...]] = {}
-    for c in complex.cells():
-        if complex.dim_of(c) == n:
-            top_cofaces[c] = (c,)
-        else:
-            top_cofaces[c] = tuple(
-                sorted(t for t in complex.cofaces_all(c) if complex.dim_of(t) == n)
-            )
-
-    def resolve(cell: str, want_positive: bool) -> str:
-        candidates = []
-        cell_verts = set(complex.vertices(cell))
-        for top in top_cofaces[cell]:
-            values = derivs[top]
-            others = (u for u in complex.vertices(top) if u not in cell_verts)
-            if want_positive:
-                ok = all(values[u] > 0 for u in others)
-            else:
-                ok = all(values[u] < 0 for u in others)
-            if ok:
-                candidates.append(top)
-        if len(candidates) != 1:
-            raise PreconditionError(
-                f"degenerate configuration at {cell}: "
-                f"{len(candidates)} candidate top simplices"
-            )
-        return candidates[0]
+    down_tops: dict[str, list[str]] = {c: [] for c in complex.cells()}
+    up_tops: dict[str, list[str]] = {c: [] for c in complex.cells()}
+    for t, (rising, falling) in signs.items():
+        for c in (t, *complex.faces(t)):
+            verts = complex.vertices(c)
+            if falling.issubset(verts):
+                down_tops[c].append(t)
+            if rising.issubset(verts):
+                up_tops[c].append(t)
 
     downstream: dict[str, str] = {}
     upstream: dict[str, str] = {}
     for c in complex.cells():
-        if complex.dim_of(c) == n:
-            downstream[c] = c
-            upstream[c] = c
-            continue
         if c not in split.exiting:
-            downstream[c] = resolve(c, want_positive=True)
+            downstream[c] = _only(c, down_tops[c])
         if c not in split.entering:
-            upstream[c] = resolve(c, want_positive=False)
+            upstream[c] = _only(c, up_tops[c])
 
-    stable: dict[str, set[str]] = {t: set() for t in complex.top_cells()}
-    unstable: dict[str, set[str]] = {t: set() for t in complex.top_cells()}
+    stable: dict[str, set[str]] = {t: set() for t in signs}
+    unstable: dict[str, set[str]] = {t: set() for t in signs}
     for c, t in downstream.items():
         stable[t].add(c)
     for c, t in upstream.items():
         unstable[t].add(c)
 
-    unstable_core: dict[str, str] = {}
-    for t in complex.top_cells():
-        hyper = complex.hyperfaces(t)
-        unstable_hyper = [f for f in hyper if f in unstable[t]]
-        stable_hyper = [f for f in hyper if f in stable[t]]
-        both = set(unstable_hyper) & set(stable_hyper)
-        if both:
-            raise AssertionError(f"hyperface of {t} classified both ways: {sorted(both)}")
-        if len(stable_hyper) + len(unstable_hyper) != len(hyper):
-            raise AssertionError(f"unclassified hyperface of {t}")
-        if not stable_hyper or not unstable_hyper:
-            raise AssertionError(f"{t} lacks a stable or an unstable hyperface")
-        common = set(complex.vertices(unstable_hyper[0]))
-        for f in unstable_hyper[1:]:
-            common &= set(complex.vertices(f))
-        if not common:
-            raise AssertionError(f"unstable hyperfaces of {t} share no vertex")
-        unstable_core[t] = cell_id(common)
-
     rng = random.Random(seed) if base_rule == "random" else None
+    unstable_core: dict[str, str] = {}
     base_vertex: dict[str, Token] = {}
-    for t in complex.top_cells():
+    for t, (rising, falling) in signs.items():
+        if not rising or not falling:
+            raise AssertionError(f"{t} lacks a rising or a falling vertex")
+        unstable_core[t] = cell_id(rising)
         choices = complex.vertices(unstable_core[t])  # ascending token order
         base_vertex[t] = choices[0] if rng is None else rng.choice(choices)
 

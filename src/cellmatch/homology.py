@@ -247,7 +247,7 @@ def match_acyclic_pair(pair: SubcomplexPair, field: str | None = None, signs=Non
             ))
             for c in left
         }
-        pairs.extend(_hopcroft_karp(left, right, adjacency)[0].items())
+        pairs.extend(_hopcroft_karp(left, adjacency)[0].items())
     result = Matching(pairs, relative_to=pair.sub)
     report = validate_matching(pair, result)
     if not report.ok:

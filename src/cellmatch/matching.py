@@ -127,7 +127,7 @@ class OrbitReport:
     collapse_order: tuple[tuple[str, str], ...] | None = None
 
 
-def _hopcroft_karp(left, right, adjacency):
+def _hopcroft_karp(left, adjacency):
     """Maximum matching; returns (mate_left, mate_right) dicts."""
     mate_left: dict[str, str] = {}
     mate_right: dict[str, str] = {}
@@ -227,7 +227,7 @@ def complete_matching(pair: SubcomplexPair, use_parity_shortcut: bool = True):
         cells = frozenset(graph.even if side == "even" else graph.odd)
         nbhd = graph.neighborhood(cells)
         return HallCertificate(side, cells, nbhd, len(cells) - len(nbhd))
-    mate_even, mate_odd = _hopcroft_karp(graph.even, graph.odd, graph.adjacency)
+    mate_even, mate_odd = _hopcroft_karp(graph.even, graph.adjacency)
     if len(mate_even) == n_even and len(mate_odd) == n_odd:
         return Matching(mate_even.items(), relative_to=pair.sub)
     if n_even > n_odd:

@@ -17,6 +17,12 @@ with ``complete_matching``. It shares the pivot selection with the
 library, through ``acyclic_filtration``; that selection is checked
 independently, against dense elimination, by
 ``test_sparse_reduction_matches_dense_elimination``.
+
+The flow structure by resolve searches, for every cell, through all of
+its top cofaces for the ones the field enters or leaves through it, finds
+each facet's opposite vertex by search, and takes the unstable core as
+the common vertices of the unstable hyperfaces. It shares only the
+derivative solve, ``flow._derivatives``, with the library.
 """
 
 from __future__ import annotations
@@ -34,8 +40,11 @@ from cellmatch import (
     acyclic_filtration,
     complete_matching,
     from_simplices,
+    cell_id,
     incidence_graph,
 )
+from cellmatch.errors import NotTransverseError, PreconditionError
+from cellmatch.flow import BoundarySplit, FlowStructure, _derivatives, direction
 
 
 def subprocess_env() -> dict[str, str]:
@@ -111,6 +120,85 @@ def match_acyclic_pair_by_layer_complexes(pair: SubcomplexPair, field=None, sign
         assert isinstance(outcome, Matching), outcome
         pairs.extend(outcome.pairs)
     return Matching(pairs, relative_to=pair.sub)
+
+
+def flow_structure_by_resolve(geom, field_vec, base_rule="lowest", seed=None):
+    """``flow_structure`` by a per-cell search: a top coface t of a cell c
+    is downstream of c when every vertex of t outside c has a positive
+    derivative, upstream when every one has a negative derivative, and
+    exactly one must qualify. Raises the same errors, in the same order."""
+    if base_rule not in ("lowest", "random"):
+        raise ValueError("base_rule must be 'lowest' or 'random'")
+    if base_rule == "random" and seed is None:
+        raise ValueError("base_rule 'random' requires a seed")
+    if geom.n < 1:
+        raise PreconditionError("flow structures need dimension at least 1")
+    derivs = _derivatives(geom, field_vec)
+    X = geom.complex
+    n = geom.n
+    degenerate, exiting, entering = [], set(), set()
+    for f in X.cells_of_dim(n - 1):
+        face_verts = set(X.vertices(f))
+        cofs = sorted(X.cofaces(f))
+        opposite = {
+            top: next(u for u in X.vertices(top) if u not in face_verts) for top in cofs
+        }
+        if any(derivs[top][opposite[top]] == 0 for top in cofs):
+            degenerate.append(f)
+        elif len(cofs) == 1:
+            (exiting if derivs[cofs[0]][opposite[cofs[0]]] < 0 else entering).add(f)
+    if degenerate:
+        raise NotTransverseError(
+            "field lies in the span of codimension-1 simplices: "
+            + ", ".join(sorted(degenerate)),
+            simplices=sorted(degenerate),
+        )
+    split = BoundarySplit(
+        frozenset(exiting), frozenset(entering), X.closure(exiting), X.closure(entering)
+    )
+
+    def resolve(cell, want_positive):
+        cell_verts = set(X.vertices(cell))
+        candidates = []
+        for top in sorted(t for t in X.cofaces_all(cell) if X.dim_of(t) == n):
+            others = [derivs[top][u] for u in X.vertices(top) if u not in cell_verts]
+            if all(v > 0 if want_positive else v < 0 for v in others):
+                candidates.append(top)
+        if len(candidates) != 1:
+            raise PreconditionError(
+                f"degenerate configuration at {cell}: "
+                f"{len(candidates)} candidate top simplices"
+            )
+        return candidates[0]
+
+    downstream, upstream = {}, {}
+    for c in X.cells():
+        if X.dim_of(c) == n:
+            downstream[c] = upstream[c] = c
+            continue
+        if c not in split.exiting:
+            downstream[c] = resolve(c, want_positive=True)
+        if c not in split.entering:
+            upstream[c] = resolve(c, want_positive=False)
+    stable = {t: frozenset(c for c, d in downstream.items() if d == t) for t in X.top_cells()}
+    unstable = {t: frozenset(c for c, u in upstream.items() if u == t) for t in X.top_cells()}
+
+    unstable_core = {}
+    for t in X.top_cells():
+        hyper = [f for f in X.hyperfaces(t) if f in unstable[t]]
+        common = set(X.vertices(hyper[0]))
+        for f in hyper[1:]:
+            common &= set(X.vertices(f))
+        unstable_core[t] = cell_id(common)
+    rng = random.Random(seed) if base_rule == "random" else None
+    base_vertex = {}
+    for t in X.top_cells():
+        choices = X.vertices(unstable_core[t])
+        base_vertex[t] = choices[0] if rng is None else rng.choice(choices)
+    return FlowStructure(
+        geom, direction(*field_vec), split, downstream, upstream, stable, unstable,
+        unstable_core, base_vertex, base_rule,
+    )
 
 
 def _token_order(token):

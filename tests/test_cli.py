@@ -169,6 +169,22 @@ def test_subdivide_propagate_without_matching_out_does_no_work(tmp_path):
     assert not sd.exists() and not pm.exists()
 
 
+def test_subdivide_writes_nothing_when_propagation_fails(tmp_path, capsys):
+    c = tmp_path / "c.json"
+    bad = tmp_path / "bad.json"
+    sd = tmp_path / "sd.json"
+    carrier = tmp_path / "map.json"
+    pm = tmp_path / "pm.json"
+    io.write_json(str(c), _CIRCLE)
+    io.write_json(str(bad), {**_MATCHING, "pairs": _MATCHING["pairs"][:-1]})
+    assert run(
+        "subdivide", str(c), "-o", str(sd), "--map-out", str(carrier),
+        "--propagate", str(bad), "--matching-out", str(pm),
+    ) == 3
+    assert "uncovered" in capsys.readouterr().err
+    assert not sd.exists() and not carrier.exists() and not pm.exists()
+
+
 _CIRCLE = {"format": io.COMPLEX_FORMAT, "kind": "simplicial",
            "simplices": [[0, 1], [0, 2], [1, 2]]}
 _MATCHING = {"format": io.MATCHING_FORMAT, "relative_to": [],
@@ -199,6 +215,27 @@ _MALFORMED = {
         "format": io.SUB_FORMAT, "cells": ["0"], "closure": "false",
     }),
 }
+
+_VIOLATIONS = {
+    "unknown_cell": ([*_MATCHING["pairs"], ["9", "0.9"]], None, "unknown cell: 9"),
+    "cell_in_relative_base": (_MATCHING["pairs"], ["0"], "cell in relative base: 0"),
+    "duplicated_cell": ([*_MATCHING["pairs"], ["0", "0.2"]], None, "duplicated: 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VIOLATIONS))
+def test_validate_prints_each_violation_with_exit_3(tmp_path, capsys, case):
+    pairs, rel, violation = _VIOLATIONS[case]
+    c = tmp_path / "c.json"
+    m = tmp_path / "m.json"
+    io.write_json(str(c), _CIRCLE)
+    io.write_json(str(m), {**_MATCHING, "pairs": pairs})
+    argv = ["validate", str(c), "--matching", str(m)]
+    if rel is not None:
+        io.save_subcomplex(rel, str(tmp_path / "r.json"))
+        argv += ["--rel", str(tmp_path / "r.json")]
+    assert run(*argv) == 3
+    assert violation in capsys.readouterr().err.splitlines()
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))

@@ -9,6 +9,7 @@ from cellmatch import (
     GeometricComplex,
     InvalidComplexError,
     NotTransverseError,
+    PreconditionError,
     SubcomplexPair,
     check_transverse,
     direction,
@@ -19,7 +20,9 @@ from cellmatch import (
     orbit_analysis,
     validate_matching,
 )
-from cellmatch.generators import grid_square, interval
+from cellmatch.generators import grid_square, interval, product
+
+from conftest import flow_structure_by_resolve
 
 
 def _triangle() -> GeometricComplex:
@@ -225,4 +228,67 @@ def test_non_simplicial_rejected():
         ("e", 1, ["u", "v"]), ("f", 1, ["u", "v"]),
     ])
     with pytest.raises(InvalidComplexError, match="simplicial"):
-        GeometricComplex(X, coordinates={"u": (Fraction(0),), "v": (Fraction(1),)})
+        GeometricComplex(X)
+
+
+def _folded() -> GeometricComplex:
+    """Two triangles on one side of their common edge 0.1."""
+    coords = {
+        0: (Fraction(0), Fraction(0)),
+        1: (Fraction(1), Fraction(0)),
+        2: (Fraction(0), Fraction(1)),
+        3: (Fraction(2), Fraction(1)),
+    }
+    return GeometricComplex(from_simplices([[0, 1, 2], [0, 1, 3]], coordinates=coords))
+
+
+@pytest.mark.parametrize("field, message", [
+    ((1, 3), "degenerate configuration at 0.1: 2 candidate top simplices"),
+    ((1, -3), "degenerate configuration at 0: 0 candidate top simplices"),
+])
+def test_folded_triangles_have_no_unique_downstream_simplex(field, message):
+    with pytest.raises(PreconditionError) as err:
+        flow_structure(_folded(), field)
+    assert str(err.value) == message
+
+
+def _segment_in_plane() -> GeometricComplex:
+    coords = {0: (Fraction(0), Fraction(0)), 1: (Fraction(1), Fraction(0))}
+    return GeometricComplex(from_simplices([[0, 1]], coordinates=coords))
+
+
+_ORACLE_CASES = [
+    (grid_square(3), [(1, -3), (3, 1), (-2, 5), (2, -1), (1, 1), (0, -1), (1, 2, 3)]),
+    (interval(4), [(1,), (-1,), ("1/2",)]),
+    (product(interval(2), grid_square(2)), [(1, -3, 5), (-1, 2, 7), (2, 3, -1), (1, 1, 1)]),
+    (_folded().complex, [(1, 3), (1, -3), (3, 1), (-1, -2), (1, 0)]),
+    (_segment_in_plane().complex, [(0, 1), (1, 1)]),
+]
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (PreconditionError, InvalidComplexError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("base_rule, seed", [("lowest", None), ("random", 0), ("random", 5)])
+def test_flow_structure_equals_per_cell_resolve_oracle(base_rule, seed):
+    """Every field of the structure, the boundary split, the matching and
+    every error type and message agree with the per-cell search."""
+    for complex, fields in _ORACLE_CASES:
+        geom = GeometricComplex(complex)
+        for field in fields:
+            got = _outcome(flow_structure, geom, field, base_rule=base_rule, seed=seed)
+            want = _outcome(flow_structure_by_resolve, geom, field, base_rule, seed)
+            split = _outcome(check_transverse, geom, field)
+            if isinstance(want, tuple):
+                assert got == want, field
+                if want[0] is not PreconditionError or "candidate" not in want[1]:
+                    assert split == want, field
+                continue
+            for f in dataclasses.fields(want):
+                assert getattr(got, f.name) == getattr(want, f.name), (field, f.name)
+            assert split == want.split
+            assert flow_matching(got) == flow_matching(want)

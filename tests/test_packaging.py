@@ -42,6 +42,19 @@ def test_cell_complex_is_constructed_only_in_complexes():
     assert callers == {"complexes.py"}, callers
 
 
+def test_package_has_no_assert_statements():
+    """Post-conditions raise explicitly, so they still run under
+    ``python -O``, which strips ``assert`` statements."""
+    package = Path(cellmatch.__file__).resolve().parent
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not asserts, asserts
+
+
 # Functions that may call themselves, each with the bound on its depth.
 _BOUNDED_RECURSION = {
     "generators._lattice_paths": "p + q, the summed dimensions of two simplex factors",
