@@ -133,6 +133,9 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    for flag, value in (("--bound", args.bound), ("--limit", args.limit)):
+        if value < 0:
+            raise _UsageError(f"{flag} must be nonnegative, got {value}")
     pair = _load_pair(args)
     count, matchings = enumerate_matchings(pair, limit=args.limit, bound=args.bound)
     print(count)

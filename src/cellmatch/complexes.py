@@ -12,6 +12,9 @@ Tables are checked once, where they enter from outside the program:
 share an id, and ``build_cw`` checks every raw record. Everything derived
 from a built complex (``restrict``, the builders' own faces) is trusted.
 The builders also fix each complex's cell order, and ``restrict`` keeps it.
+``facets`` lists a cell's hyperfaces by descending rank. Simplices rank by
+dimension, then vertex tuple, and dropping a later vertex gives an earlier
+tuple, so a simplex's i-th facet omits its i-th vertex.
 
 Complexes and pairs are immutable after construction and safe to share.
 """
@@ -118,6 +121,11 @@ class CellComplex:
 
     def hyperfaces(self, cid: str) -> frozenset[str]:
         return self._hyperfaces[cid]
+
+    def facets(self, cid: str) -> tuple[str, ...]:
+        """Hyperfaces of ``cid`` by descending rank; for a simplex, the
+        i-th omits the i-th of its ``vertices``."""
+        return tuple(sorted(self._hyperfaces[cid], key=self._rank.__getitem__, reverse=True))
 
     def cofaces(self, cid: str) -> frozenset[str]:
         """Cells having ``cid`` as a hyperface."""

@@ -148,9 +148,7 @@ def _sign_split(geom: GeometricComplex, field_vec):
     entering = set()
     signs: dict[str, tuple[frozenset[Token], frozenset[Token]]] = {}
     for top, values in _derivatives(geom, field_vec).items():
-        verts = complex.vertices(top)
-        for u, value in values.items():
-            facet = cell_id(w for w in verts if w != u)
+        for value, facet in zip(values.values(), complex.facets(top)):
             if value == 0:
                 degenerate.add(facet)
             elif len(complex.cofaces(facet)) == 1:

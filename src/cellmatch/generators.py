@@ -132,17 +132,17 @@ def product(a: CellComplex, b: CellComplex) -> CellComplex:
 
 
 def _lattice_paths(p: int, q: int):
-    """Monotone paths from (0,0) to (p,q) stepping +1 in one coordinate."""
-    # Each call lowers p + q by one: the recursion depth is p + q, the sum
-    # of the factor simplex dimensions, at most that of the factors.
-    if p == 0 and q == 0:
-        return [[(0, 0)]]
-    out = []
-    if p > 0:
-        out.extend(path + [(p, q)] for path in _lattice_paths(p - 1, q))
-    if q > 0:
-        out.extend(path + [(p, q)] for path in _lattice_paths(p, q - 1))
-    return out
+    """Monotone paths from (0,0) to (p,q), all grown one step per round."""
+    paths = [[(0, 0)]]
+    for _ in range(p + q):
+        paths = [
+            path + [step]
+            for path in paths
+            for i, j in path[-1:]
+            for step in ((i + 1, j), (i, j + 1))
+            if step[0] <= p and step[1] <= q
+        ]
+    return paths
 
 
 def cone(base: CellComplex) -> CellComplex:

@@ -2,10 +2,11 @@
 constructive matching of acyclic pairs.
 
 Coefficients are exact: arbitrary-precision rationals, or the two-element
-field. Simplicial boundary signs come from the ascending-vertex
-orientation (the i-th hyperface carries sign (-1)^i); cw-kind complexes
-need caller-supplied signs for rational coefficients but work out of the
-box over the two-element field.
+field. Each boundary column reads the cell's ``facets``; a simplex's
+i-th facet omits its i-th vertex and carries the sign (-1)^i of the
+ascending-vertex orientation. Cw-kind complexes need caller-supplied
+signs for rational coefficients but work out of the box over the
+two-element field.
 
 Boundary maps are sparse columns: int bitsets over the two-element field,
 ``{row: Fraction}`` dicts over the rationals. Each dimension is reduced
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .complexes import CW, SIMPLICIAL, CellComplex, SubcomplexPair, _simplex_id
+from .complexes import CW, SIMPLICIAL, CellComplex, SubcomplexPair
 from .errors import HomologyNonzeroError, PreconditionError
 from .matching import Matching, _hopcroft_karp, validate_matching
 
@@ -75,16 +76,8 @@ class ChainComplex:
         row_index = {c: i for i, c in enumerate(self._bases.get(d - 1, ()))}
         columns = []
         for cid in self._bases[d]:
-            if complex.kind == SIMPLICIAL:
-                verts = complex.vertices(cid)
-                faces = [
-                    (_simplex_id(verts[:i] + verts[i + 1:]), i)
-                    for i in range(len(verts))
-                ] if d >= 1 else []
-            else:
-                faces = [(f, 0) for f in sorted(complex.hyperfaces(cid))]
             entries = {}
-            for fid, position in faces:
+            for position, fid in enumerate(complex.facets(cid)):
                 i = row_index.get(fid)
                 if i is None:
                     continue  # face lies in the subcomplex

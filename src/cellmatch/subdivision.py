@@ -2,9 +2,10 @@
 matching to the subdivided pair.
 
 The subdivision is the order complex of the face poset: one new vertex
-"b<cellid>" per cell, one simplex per chain of nested cells. The carrier
-of a subdivided cell is the largest original cell in its chain, i.e. the
-smallest original cell containing it.
+"b<cellid>" per cell, one simplex per chain of nested cells, spanned by
+the maximal flags. The carrier of a subdivided cell is the largest
+original cell in its chain, i.e. the smallest original cell containing
+it, read off its vertex tuple as the vertex of highest source dimension.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import CellComplex, SubcomplexPair, cell_id, from_simplices
+from .complexes import CellComplex, SubcomplexPair, from_simplices
 from .errors import InvalidMatchingError, InvalidSubdivisionError
 from .homology import match_acyclic_pair
 from .matching import Matching, compose_matchings, validate_matching
@@ -69,29 +70,23 @@ class SubdivisionMap:
 
 
 def barycentric(complex: CellComplex) -> SubdivisionMap:
-    """First barycentric subdivision with its carrier map."""
-    chains_by_cell: dict[str, list[tuple[str, ...]]] = {}
+    """First barycentric subdivision with its carrier map.
 
-    # Each call recurses on strictly lower-dimensional faces, so the
-    # recursion depth is at most the complex dimension plus 1.
-    def chains_ending(cid: str) -> list[tuple[str, ...]]:
-        cached = chains_by_cell.get(cid)
-        if cached is not None:
-            return cached
-        out: list[tuple[str, ...]] = [(cid,)]
-        for f in sorted(complex.faces(cid), key=complex.sort_key):
-            out.extend(ch + (cid,) for ch in chains_ending(f))
-        chains_by_cell[cid] = out
-        return out
-
-    all_chains: list[tuple[str, ...]] = []
-    for cid in complex.cells():
-        all_chains.extend(chains_ending(cid))
-    simplices = [tuple("b" + c for c in chain) for chain in all_chains]
-    subdivided = from_simplices(simplices)
-    carrier: dict[str, str] = {}
-    for chain in all_chains:
-        carrier[cell_id("b" + c for c in chain)] = chain[-1]
+    One pass in the cell order, which lists hyperfaces first, gives each
+    cell its maximal flags: those of each hyperface, extended by the cell.
+    The flags of the cells without cofaces span the subdivision."""
+    flags: dict[str, list[tuple[str, ...]]] = {}
+    for c in complex.cells():
+        tip = ("b" + c,)
+        flags[c] = [flag + tip for f in complex.facets(c) for flag in flags[f]] or [tip]
+    subdivided = from_simplices(
+        flag for c in complex.cells() if not complex.cofaces(c) for flag in flags[c]
+    )
+    depth = {"b" + c: complex.dim_of(c) for c in complex.cells()}
+    carrier = {
+        s: max(subdivided.vertices(s), key=depth.__getitem__)[1:]
+        for s in subdivided.cells()
+    }
     return SubdivisionMap(complex, subdivided, carrier)
 
 

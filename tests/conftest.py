@@ -23,6 +23,10 @@ its top cofaces for the ones the field enters or leaves through it, finds
 each facet's opposite vertex by search, and takes the unstable core as
 the common vertices of the unstable hyperfaces. It shares only the
 derivative solve, ``flow._derivatives``, with the library.
+
+The face-poset chains, the simplices of the barycentric subdivision, are
+grown one cell at a time from the transitive face sets alone, with no
+hyperface, flag or id of the library's subdivision.
 """
 
 from __future__ import annotations
@@ -235,6 +239,19 @@ def simplicial_tables_by_combinations(maximal_simplices) -> dict:
         "cofaces": cofaces,
         "order": order,
     }
+
+
+def face_poset_chains(complex) -> list[tuple[str, ...]]:
+    """Every chain of the face poset, smallest cell first, from
+    ``complex.faces`` alone: each round extends every chain of the last
+    round by each cell that has its top cell as a proper face."""
+    cells = list(complex.cells())
+    chains = [(c,) for c in cells]
+    frontier = chains
+    while frontier:
+        frontier = [ch + (c,) for ch in frontier for c in cells if ch[-1] in complex.faces(c)]
+        chains = chains + frontier
+    return chains
 
 
 def transitive_cofaces(complex, cid: str) -> set[str]:

@@ -90,6 +90,17 @@ def test_enumerate(tmp_path, capsys):
     assert run("enumerate", str(t)) == 3  # brute-force bound exceeded
 
 
+@pytest.mark.parametrize("flag, value", [("--bound", "-1"), ("--limit", "-3")])
+def test_enumerate_rejects_negative_flags_with_exit_1(tmp_path, capsys, flag, value):
+    c = tmp_path / "c.json"
+    out = tmp_path / "e.json"
+    assert run("generate", "circle", "--params", "4", "-o", str(c)) == 0
+    capsys.readouterr()
+    assert run("enumerate", str(c), flag, value, "-o", str(out)) == 1
+    assert f"{flag} must be nonnegative, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_match_methods(tmp_path, capsys):
     c = tmp_path / "cone.json"
     sub = tmp_path / "apex.json"

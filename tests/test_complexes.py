@@ -446,6 +446,9 @@ def _assert_tables_equal(X, oracle):
         assert X.vertices(c) == oracle["verts"][c], c
         assert X.hyperfaces(c) == oracle["hyperfaces"][c], c
         assert X.cofaces(c) == oracle["cofaces"][c], c
+        v = oracle["verts"][c]
+        dropped = [v[:i] + v[i + 1:] for i in range(len(v))] if len(v) > 1 else []
+        assert [X.vertices(f) for f in X.facets(c)] == dropped, c
 
 
 def _built_with_inputs(monkeypatch, make):

@@ -250,6 +250,10 @@ def test_sparse_reduction_matches_dense_elimination():
         )
     ]
     pairs.append(_shuffled_grid_rel_vertex(3, seed=11))
+    pairs.append(SubcomplexPair(barycentric(torus7()).subdivided))  # str tokens
+    S = sphere_boundary(4)
+    piece = S.restrict(S.closure(S.top_cells()[:3]))
+    pairs.append(SubcomplexPair(piece, [piece.cells_of_dim(0)[-1]]))
     for pair in pairs:
         for field in ("q", "f2"):
             cc = chain_complex(pair, field=field)

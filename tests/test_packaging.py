@@ -42,6 +42,21 @@ def test_cell_complex_is_constructed_only_in_complexes():
     assert callers == {"complexes.py"}, callers
 
 
+def test_simplex_ids_are_written_only_in_complexes():
+    """``complexes._simplex_id`` writes the id format; every other module
+    reads ids off the tables (``facets``, ``vertices``) or calls ``cell_id``."""
+    package = Path(cellmatch.__file__).resolve().parent
+    users = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if "_simplex_id" in (
+            getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+        )
+    }
+    assert users == {"complexes.py"}, users
+
+
 def test_package_has_no_assert_statements():
     """Post-conditions raise explicitly, so they still run under
     ``python -O``, which strips ``assert`` statements."""
@@ -57,8 +72,6 @@ def test_package_has_no_assert_statements():
 
 # Functions that may call themselves, each with the bound on its depth.
 _BOUNDED_RECURSION = {
-    "generators._lattice_paths": "p + q, the summed dimensions of two simplex factors",
-    "subdivision.barycentric.chains_ending": "the complex dimension plus 1",
     "pipelines.match_sphere_pipeline": "(dim + 1) / 2: each call is two dimensions down",
 }
 

@@ -12,14 +12,18 @@ from cellmatch import (
     SubcomplexPair,
     SubdivisionMap,
     betti_numbers,
+    build_cw,
     complete_matching,
     euler_characteristic,
+    from_simplices,
     match_dual_cycle,
     spanning_dual_loop,
     validate_matching,
 )
-from cellmatch.generators import circle, interval, simplex, torus7, wedge
+from cellmatch.generators import circle, interval, simplex, sphere_boundary, torus7, wedge
 from cellmatch.subdivision import barycentric, propagate_matching
+
+from conftest import face_poset_chains
 
 
 def test_barycentric_circle():
@@ -64,6 +68,43 @@ def test_carrier_validation_catches_corruption():
     bad["b0"] = "0.1"
     with pytest.raises(InvalidSubdivisionError):
         SubdivisionMap(smap.source, smap.subdivided, bad).validate()
+
+
+def _two_disc_sphere():
+    return build_cw([
+        ("u", 0, []), ("v", 0, []),
+        ("e", 1, ["u", "v"]), ("f", 1, ["u", "v"]),
+        ("D1", 2, ["e", "f"]), ("D2", 2, ["e", "f"]),
+    ])
+
+
+def _bare_2_cell():
+    """An edge and a 2-cell with no hyperfaces (allowed for cw cells)."""
+    return build_cw([("a", 0, []), ("b", 0, []), ("e", 1, ["a", "b"]), ("Z", 2, [])])
+
+
+_CHAIN_CASES = {
+    "torus7": torus7,
+    "sphere_boundary3": lambda: sphere_boundary(3),
+    "torus7_piece": lambda: torus7().restrict(torus7().closure(["0.1.3", "0.2.3", "1.2.4"])),
+    "mixed_tokens": lambda: from_simplices([[9, 10, "a"], ["a", 10, 11], ["b", 9], [100, "a"]]),
+    "cw_two_disc_sphere": _two_disc_sphere,
+    "cw_bare_2_cell": _bare_2_cell,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHAIN_CASES))
+def test_barycentric_equals_face_poset_chains(case):
+    """One subdivided cell per chain of the face poset, carried by the
+    chain's largest cell."""
+    X = _CHAIN_CASES[case]()
+    smap = barycentric(X)
+    Y = smap.subdivided
+    chains = face_poset_chains(X)
+    assert len(Y) == len(chains)
+    assert set(smap.carrier) == set(Y.cells())
+    got = {frozenset(Y.vertices(c)): smap.carrier[c] for c in Y.cells()}
+    assert got == {frozenset("b" + c for c in ch): ch[-1] for ch in chains}
 
 
 def test_cells_over_equals_carrier_scan():
