@@ -80,13 +80,13 @@ def _load_pair(args) -> SubcomplexPair:
     return _rel_pair(io.load_complex(args.complex), args.rel)
 
 
-def _parse_params(text: str | None) -> tuple[int, ...]:
+def _parse_params(text: str | None, flag: str) -> tuple[int, ...]:
     if not text:
         return ()
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise _UsageError(f"bad --params value {text!r}; expected integers") from None
+        raise _UsageError(f"bad {flag} value {text!r}; expected integers") from None
 
 
 def _parse_base_rule(text: str) -> tuple[str, int | None]:
@@ -101,7 +101,7 @@ def _parse_base_rule(text: str) -> tuple[str, int | None]:
 
 
 def _cmd_generate(args) -> int:
-    spec = FamilySpec(args.family, _parse_params(args.params))
+    spec = FamilySpec(args.family, _parse_params(args.params, "--params"))
     complex = generate(spec)
     _emit(io.encode_complex(complex), args.output)
     return EXIT_OK
@@ -240,7 +240,7 @@ def _cmd_dualloop(args) -> int:
         def predicate(pair):
             return not pair.sub
     elif args.complement_betti:
-        wanted = tuple(int(b) for b in args.complement_betti.split(","))
+        wanted = _parse_params(args.complement_betti, "--complement-betti")
 
         def predicate(pair):
             if not pair.sub:

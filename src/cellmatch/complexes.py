@@ -374,9 +374,6 @@ class SubcomplexPair:
         self.rel_even = tuple(c for c in rel if dim[c] % 2 == 0)
         self.rel_odd = tuple(c for c in rel if dim[c] % 2 == 1)
 
-    def rel_cells_of_dim(self, d: int) -> tuple[str, ...]:
-        return tuple(c for c in self.rel_cells if self.complex.dim_of(c) == d)
-
     def __repr__(self):
         return (
             f"SubcomplexPair(|X|={len(self.complex)}, |Y|={len(self.sub)}, "

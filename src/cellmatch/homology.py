@@ -8,8 +8,8 @@ ascending-vertex orientation. Cw-kind complexes need caller-supplied
 signs for rational coefficients but work out of the box over the
 two-element field.
 
-Boundary maps are sparse columns: int bitsets over the two-element field,
-``{row: Fraction}`` dicts over the rationals. Each dimension is reduced
+Boundary maps are sparse ``{row: coefficient}`` columns with int entries,
+the same type over both fields (``linalg``). Each dimension is reduced
 once, left to right by lowest row (``linalg.reduce_columns``), and ranks,
 pivot columns, Betti numbers, the acyclic filtration and its layer checks
 all read that one reduction. Its pivot columns are the leftmost-lowest
@@ -23,7 +23,6 @@ subcomplex built per layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .complexes import CW, SIMPLICIAL, CellComplex, SubcomplexPair
@@ -40,10 +39,10 @@ class ChainComplex:
 
     ``basis(n)`` lists the n-dimensional cells outside the subcomplex in id
     order. The boundary from dimension n to n-1 is stored as one sparse
-    ``linalg`` column per cell of ``basis(n)``, with rows indexed by
-    ``basis(n-1)``; ``matrix(n)`` gives it as dense rows. One column
-    reduction per dimension, run once on first use, gives the ranks and
-    pivot columns.
+    ``linalg`` column per cell of ``basis(n)``: a ``{row: coefficient}``
+    dict of ints, with rows indexed by ``basis(n-1)``. ``matrix(n)`` gives
+    it as dense rows. One column reduction per dimension, run once on first
+    use, gives the ranks and pivot columns.
     """
 
     def __init__(self, pair: SubcomplexPair, field: str | None = None, signs=None):
@@ -54,9 +53,10 @@ class ChainComplex:
             raise PreconditionError(
                 "rational coefficients on a cw-kind complex require incidence signs"
             )
-        self._bases: dict[int, tuple[str, ...]] = {
-            d: pair.rel_cells_of_dim(d) for d in range(complex.dim + 1)
-        }
+        bases: dict[int, list[str]] = {d: [] for d in range(complex.dim + 1)}
+        for c in pair.rel_cells:
+            bases[complex.dim_of(c)].append(c)
+        self._bases = {d: tuple(cells) for d, cells in bases.items()}
         self._columns = {d: self._boundary_columns(d, signs) for d in self._bases}
         self._lows: dict[int, dict[int, int]] | None = None
         self._check_boundary_squared()
@@ -65,11 +65,11 @@ class ChainComplex:
         if self.field_name == "f2":
             return 1
         if self.pair.complex.kind == SIMPLICIAL:
-            return Fraction(-1) ** position
+            return (-1) ** position
         value = signs.get((cid, fid))
         if value not in (1, -1):
             raise PreconditionError(f"missing incidence sign for ({cid}, {fid})")
-        return Fraction(value)
+        return int(value)
 
     def _boundary_columns(self, d: int, signs) -> list:
         complex = self.pair.complex
@@ -82,7 +82,7 @@ class ChainComplex:
                 if i is None:
                     continue  # face lies in the subcomplex
                 entries[i] = self._coefficient(cid, fid, position, signs)
-            columns.append(linalg.column(entries, self.field_name))
+            columns.append(entries)
         return columns
 
     def _check_boundary_squared(self):
@@ -199,7 +199,7 @@ def _acyclic_layers(pair: SubcomplexPair, field, signs):
                 f"against {len(lower)} of dimension {d - 1}"
             )
         columns = [cc._columns[d][j] for j in upper]
-        restricted = linalg.restrict_rows(columns, lower, cc.field_name)
+        restricted = linalg.restrict_rows(columns, lower)
         rank = len(linalg.reduce_columns(restricted, cc.field_name))
         if rank != len(columns):
             raise AssertionError(

@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals and the two-element field.
 
-Boundary maps are stored sparsely, one column per cell. Over the
-two-element field (``"f2"``) a column is a Python int used as a bitset: bit
-i is set when row i holds a 1. Over the rationals (``"q"``) a column is a
-``{row: Fraction}`` dict with no zero entries.
+Boundary maps are stored sparsely, one column per cell, as a
+``{row: coefficient}`` dict with no zero entries. The same column type
+and the same code serve both fields; the field only picks the modulus
+that sums are taken in: 2 over the two-element field (``"f2"``), none
+over the rationals (``"q"``). Coefficients are plain ints, and a
+rational column turns to ``Fraction`` only where reduction meets a pivot
+whose lowest entry is not a unit.
 
 ``reduce_columns`` is the left-to-right column reduction of PHAT
 (Bauer-Kerber-Reininghaus-Wagner 2014). Each column is reduced against the
@@ -29,41 +32,28 @@ def check_field(name: str) -> str:
     return name
 
 
-def column(entries: dict, field: str):
-    """Sparse column with the nonzero entries ``{row: value}``."""
-    if field == "f2":
-        return sum(1 << i for i, v in entries.items() if v % 2)
-    return dict(entries)
+def _modulus(field: str) -> int | None:
+    return 2 if field == "f2" else None
 
 
 def dense_rows(columns: list, n_rows: int, field: str) -> list[list]:
     """The columns as ``n_rows`` dense rows: ints 0/1 over f2, Fractions
     over q."""
-    if field == "f2":
-        return [[(col >> i) & 1 for col in columns] for i in range(n_rows)]
-    zero = Fraction(0)
-    return [[col.get(i, zero) for col in columns] for i in range(n_rows)]
+    entry = int if field == "f2" else Fraction
+    return [[entry(col.get(i, 0)) for col in columns] for i in range(n_rows)]
 
 
 def reduce_columns(columns: list, field: str, skip=()) -> dict[int, int]:
     """Reduce ``columns`` left to right; map each pivot column to its
     lowest row, in column order. Columns listed in ``skip`` are known to
-    depend on the columns to their left and are not reduced."""
+    depend on the columns to their left and are not reduced.
+
+    A pivot column is stored with lowest entry 1: as it is, negated, or,
+    for any other lowest entry, scaled by a ``Fraction``. Over f2 every
+    lowest entry is already 1."""
+    modulus = _modulus(field)
     lows: dict[int, int] = {}
-    pivots: dict = {}  # lowest row -> reduced pivot column
-    if field == "f2":
-        for j, col in enumerate(columns):
-            if j in skip:
-                continue
-            while col:
-                low = col.bit_length() - 1
-                other = pivots.get(low)
-                if other is None:
-                    pivots[low] = col
-                    lows[j] = low
-                    break
-                col ^= other
-        return lows
+    pivots: dict[int, dict] = {}  # lowest row -> reduced pivot column
     for j, col in enumerate(columns):
         if j in skip or not col:
             continue
@@ -72,13 +62,20 @@ def reduce_columns(columns: list, field: str, skip=()) -> dict[int, int]:
             low = max(col)
             other = pivots.get(low)
             if other is None:
-                scale = Fraction(1) / col[low]
-                pivots[low] = {r: v * scale for r, v in col.items()}
+                lead = col[low]
+                if lead == -1:
+                    col = {r: -v for r, v in col.items()}
+                elif lead != 1:
+                    scale = Fraction(1, lead)
+                    col = {r: v * scale for r, v in col.items()}
+                pivots[low] = col
                 lows[j] = low
                 break
             factor = col[low]
             for r, v in other.items():
                 value = col.get(r, 0) - factor * v
+                if modulus:
+                    value %= modulus
                 if value:
                     col[r] = value
                 else:
@@ -86,11 +83,8 @@ def reduce_columns(columns: list, field: str, skip=()) -> dict[int, int]:
     return lows
 
 
-def restrict_rows(columns: list, rows, field: str) -> list:
+def restrict_rows(columns: list, rows) -> list:
     """The columns with every entry outside ``rows`` dropped."""
-    if field == "f2":
-        mask = sum(1 << i for i in rows)
-        return [col & mask for col in columns]
     rows = set(rows)
     return [{r: v for r, v in col.items() if r in rows} for col in columns]
 
@@ -98,22 +92,14 @@ def restrict_rows(columns: list, rows, field: str) -> list:
 def composes_to_zero(lower: list, upper: list, field: str) -> bool:
     """Whether the map with columns ``lower`` kills every column of
     ``upper``, whose rows index the columns of ``lower``."""
-    if field == "f2":
-        for col in upper:
-            image = 0
-            while col:
-                bit = col & -col
-                image ^= lower[bit.bit_length() - 1]
-                col ^= bit
-            if image:
-                return False
-        return True
+    modulus = _modulus(field)
     for col in upper:
-        image: dict[int, Fraction] = {}
+        image: dict[int, int] = {}
         for i, a in col.items():
             for r, b in lower[i].items():
                 image[r] = image.get(r, 0) + a * b
-        if any(image.values()):
+        values = image.values()
+        if any(v % modulus for v in values) if modulus else any(values):
             return False
     return True
 

@@ -326,6 +326,11 @@ def test_dualloop_usage_errors_are_exit_1(tmp_path, capsys):
                "--budget", "-1", "-o", str(loop)) == 1
     assert "--budget must be nonnegative, got -1" in capsys.readouterr().err
     assert not loop.exists()
+    assert run("dualloop", "find", str(t), "--complement-betti", "1,x",
+               "-o", str(loop)) == 1
+    err = capsys.readouterr().err
+    assert "bad --complement-betti value '1,x'; expected integers" in err
+    assert not loop.exists()
     # a zero budget is a search that tests nothing: exit 2, no loop
     assert run("dualloop", "find", str(t), "--complement-empty",
                "--budget", "0", "-o", str(loop)) == 2

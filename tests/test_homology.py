@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from fractions import Fraction
 import json
 import os
 import random
@@ -45,6 +46,14 @@ from conftest import (
     mat_mul,
     match_acyclic_pair_by_layer_complexes,
 )
+
+
+def _rp2():
+    """The six-vertex real projective plane (half the icosahedron)."""
+    return from_simplices([
+        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+        (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
+    ])
 
 
 def test_circle_boundary_rank():
@@ -93,6 +102,12 @@ def test_betti_torus_and_cone():
     assert betti_numbers(SubcomplexPair(torus7())).betti == (1, 2, 1)
     pair = SubcomplexPair(simplex(2), ["0"])
     assert betti_numbers(pair).betti == (0, 0, 0)
+
+
+def test_betti_torsion_differs_between_fields():
+    pair = SubcomplexPair(_rp2())
+    assert betti_numbers(pair, field="q").betti == (1, 0, 0)
+    assert betti_numbers(pair, field="f2").betti == (1, 1, 1)
 
 
 def test_betti_alternating_sum_equals_chi():
@@ -246,7 +261,7 @@ def test_sparse_reduction_matches_dense_elimination():
         for X in (
             circle(5), simplex(3), sphere_boundary(2), sphere_boundary(3),
             sphere_boundary(4), sphere_boundary(5), torus7(), wedge(),
-            interval(4), grid_square(2), cone(circle(4)),
+            interval(4), grid_square(2), cone(circle(4)), _rp2(),
         )
     ]
     pairs.append(_shuffled_grid_rel_vertex(3, seed=11))
@@ -260,6 +275,8 @@ def test_sparse_reduction_matches_dense_elimination():
             for d in range(pair.complex.dim + 1):
                 dense = dense_boundary(pair, d, field)
                 assert cc.matrix(d) == dense, (pair, field, d)
+                entry = int if field == "f2" else Fraction
+                assert all(type(x) is entry for row in cc.matrix(d) for x in row)
                 pivots = dense_pivot_columns(dense, field)
                 assert list(cc.pivot_columns(d)) == pivots, (pair, field, d)
                 assert cc.rank(d) == len(pivots)
@@ -345,6 +362,10 @@ def test_inconsistent_cw_signs_fail_boundary_squared():
     }
     with pytest.raises(PreconditionError, match="boundary squared"):
         chain_complex(SubcomplexPair(X), field="q", signs=signs)
+    # a disk on one edge: its boundary's boundary u + v is nonzero mod 2
+    Y = build_cw([("u", 0, []), ("v", 0, []), ("e", 1, ["u", "v"]), ("disk", 2, ["e"])])
+    with pytest.raises(PreconditionError, match="boundary squared"):
+        chain_complex(SubcomplexPair(Y), field="f2")
 
 
 def test_postcondition_raises_under_optimize():
