@@ -23,7 +23,7 @@ matching = complete_matching(pair)
 print("circle(4) matching:", matching.sorted_pairs())
 print("validates:", validate_matching(pair, matching).ok)
 
-# Exact counting by brute force: every cycle has exactly two matchings.
+# Exact counting by a memoized search: every cycle has exactly two matchings.
 for n in (3, 5, 8):
     count, _ = enumerate_matchings(SubcomplexPair(circle(n)))
     print(f"circle({n}) has {count} complete matchings")

@@ -312,7 +312,7 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_match)
 
-    p = sub.add_parser("enumerate", help="count complete matchings by brute force")
+    p = sub.add_parser("enumerate", help="count complete matchings exactly, memoized")
     p.add_argument("complex")
     p.add_argument("--rel")
     p.add_argument("--limit", type=int, default=0, help="matchings to include in -o")

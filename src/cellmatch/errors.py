@@ -46,7 +46,7 @@ class NotTransverseError(PreconditionError):
 
 
 class BruteForceBoundError(CellmatchError):
-    """The instance exceeds the configured brute-force size bound."""
+    """The instance has more cells than the configured size bound."""
 
 
 class SearchBudgetExceededError(CellmatchError):

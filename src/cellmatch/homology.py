@@ -61,19 +61,11 @@ class ChainComplex:
         self._lows: dict[int, dict[int, int]] | None = None
         self._check_boundary_squared()
 
-    def _coefficient(self, cid: str, fid: str, position: int, signs):
-        if self.field_name == "f2":
-            return 1
-        if self.pair.complex.kind == SIMPLICIAL:
-            return (-1) ** position
-        value = signs.get((cid, fid))
-        if value not in (1, -1):
-            raise PreconditionError(f"missing incidence sign for ({cid}, {fid})")
-        return int(value)
-
     def _boundary_columns(self, d: int, signs) -> list:
         complex = self.pair.complex
         row_index = {c: i for i, c in enumerate(self._bases.get(d - 1, ()))}
+        f2 = self.field_name == "f2"
+        simplicial = complex.kind == SIMPLICIAL
         columns = []
         for cid in self._bases[d]:
             entries = {}
@@ -81,7 +73,17 @@ class ChainComplex:
                 i = row_index.get(fid)
                 if i is None:
                     continue  # face lies in the subcomplex
-                entries[i] = self._coefficient(cid, fid, position, signs)
+                if f2:
+                    entries[i] = 1
+                elif simplicial:
+                    entries[i] = -1 if position & 1 else 1
+                else:
+                    value = signs.get((cid, fid))
+                    if value not in (1, -1):
+                        raise PreconditionError(
+                            f"missing incidence sign for ({cid}, {fid})"
+                        )
+                    entries[i] = int(value)
             columns.append(entries)
         return columns
 

@@ -272,56 +272,114 @@ def validate_matching(pair: SubcomplexPair, matching: Matching) -> MatchingRepor
 def enumerate_matchings(
     pair: SubcomplexPair, limit: int = 0, bound: int = 40
 ) -> tuple[int, list[Matching]]:
-    """Exact number of complete matchings by backtracking, plus up to
-    ``limit`` of them. Refuses instances above ``bound`` cells."""
+    """Exact number of complete matchings, plus the first ``limit`` of them.
+    Refuses instances above ``bound`` cells.
+
+    The count is a memoized search: the number of ways to complete a
+    partial matching depends only on the set of free cells, kept as an int
+    bitmask over ``rel_cells``, and each set is counted once. A set is
+    counted by branching on a free cell with the fewest free neighbours
+    (the choice rule of Knuth's Dancing Links); a free cell with none makes
+    the count 0. Only the cells next to the two just matched can have lost
+    a neighbour, so they are looked at first, and all free cells are
+    scanned only when none of them has at most one free neighbour.
+
+    The matchings are listed in backtracking order: the first free cell in
+    ``rel_cells`` order is matched with each free neighbour in adjacency
+    order, and a choice that leaves no completion is skipped.
+    """
     cells = pair.rel_cells
     if len(cells) > bound:
         raise BruteForceBoundError(
             f"{len(cells)} cells exceed the brute-force bound {bound}"
         )
-    count = 0
-    found: list[Matching] = []
-    if len(cells) % 2:
-        return count, found
+    if len(pair.rel_even) != len(pair.rel_odd):
+        return 0, []
     graph = incidence_graph(pair)
     place = {c: i for i, c in enumerate(cells)}
     neighbours = [[place[v] for v in graph.adjacency[c]] for c in cells]
-    covered = [False] * len(cells)
-    # Depth first with an explicit stack, on cell indices. The first
-    # uncovered cell (in the complex order, as ``cells`` is) is matched with
-    # each free neighbour in adjacency order; stack[k] holds the k-th such
-    # cell and the neighbours left to try, and chosen[k] is the one taken.
+    masks = [sum(1 << j for j in nbrs) for nbrs in neighbours]
+    memo = {0: 1}
+
+    def pivot(free: int, near: int) -> int:
+        """A free cell with the fewest free neighbours: a cell of ``near``
+        with at most one if there is one, else the first with fewest in
+        a scan of all free cells."""
+        bits = near & free
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            u = low.bit_length() - 1
+            if (masks[u] & free).bit_count() <= 1:
+                return u
+        best, fewest = -1, len(cells)
+        bits = free
+        while bits and fewest > 1:
+            low = bits & -bits
+            bits ^= low
+            u = low.bit_length() - 1
+            k = (masks[u] & free).bit_count()
+            if k < fewest:
+                best, fewest = u, k
+        return best
+
+    def completions(free: int, near: int) -> int:
+        """Complete matchings of the free cells; ``near`` holds the cells
+        next to the two just matched. Depth first with an explicit stack
+        of frames [free cells, pivot, its free neighbours left to try,
+        count so far]; a pivot with no free neighbour counts 0."""
+        stack: list[list[int]] = []
+        value = memo.get(free)
+        while True:
+            if value is None:
+                v = pivot(free, near)
+                stack.append([free, v, masks[v] & free, 0])
+            elif stack:
+                stack[-1][3] += value
+            else:
+                return value
+            top = stack[-1]
+            state, v, options, total = top
+            if options:
+                low = options & -options
+                top[2] = options ^ low
+                free = state ^ (1 << v) ^ low
+                near = masks[v] | masks[low.bit_length() - 1]
+                value = memo.get(free)
+            else:
+                stack.pop()
+                value = memo[state] = total
+
+    free = (1 << len(cells)) - 1
+    count = completions(free, 0)
+    found: list[Matching] = []
+    # stack[k] holds the k-th first free cell and its neighbours left to
+    # try; chosen[k] is the one taken.
     stack: list[tuple[int, object]] = []
     chosen: list[int] = []
-    i = 0
-    while True:
-        while i < len(cells) and covered[i]:
-            i += 1
-        if i == len(cells):
-            count += 1
-            if len(found) < limit:
-                pairs = [(cells[a], cells[b]) for (a, _), b in zip(stack, chosen)]
-                found.append(Matching(pairs, relative_to=pair.sub))
-        else:
-            covered[i] = True
-            stack.append((i, iter(neighbours[i])))
+    while len(found) < min(limit, count):
+        if free:
+            v = (free & -free).bit_length() - 1
+            stack.append((v, iter(neighbours[v])))
         while stack:
-            i, nbrs = stack[-1]
+            v, nbrs = stack[-1]
             if len(chosen) == len(stack):
-                covered[chosen.pop()] = False
+                free |= 1 << chosen.pop() | 1 << v
             for j in nbrs:
-                if not covered[j]:
-                    covered[j] = True
-                    chosen.append(j)
-                    break
+                if free >> j & 1:
+                    rest = free ^ (1 << v) ^ (1 << j)
+                    if completions(rest, masks[v] | masks[j]):
+                        chosen.append(j)
+                        free = rest
+                        break
             else:
-                covered[i] = False
                 stack.pop()
                 continue
-            i += 1
             break
-        else:
-            return count, found
+        if not free:
+            pairs = [(cells[v], cells[j]) for (v, _), j in zip(stack, chosen)]
+            found.append(Matching(pairs, relative_to=pair.sub))
+    return count, found
 
 
 def match_dual_cycle(complex: CellComplex, loop: DualLoop, orientation: int) -> Matching:

@@ -7,9 +7,10 @@ data from the raw hyperface tables, the dual-loop enumerator re-walks
 every path without pruning, the simplicial tables come from
 ``itertools.combinations`` of the maximal simplices, and the linear
 algebra works on dense lists of rows with plain ``Fraction``/mod-2
-arithmetic. The backtracking enumerator recurses over the same choices
-as ``enumerate_matchings``, in the same order, on the library's
-incidence graph.
+arithmetic. The backtracking enumerator recurses over every choice, with
+no memo or pruning, on the library's incidence graph. It lists matchings
+in the order ``enumerate_matchings`` documents, but counts them by a
+different search.
 
 The layer-by-layer acyclic matching builds every layer as a complex of
 its own (a restricted stage paired with the stage below) and matches it

@@ -368,6 +368,29 @@ def test_inconsistent_cw_signs_fail_boundary_squared():
         chain_complex(SubcomplexPair(Y), field="f2")
 
 
+def test_cw_signs_are_read_only_among_the_pairs_cells():
+    X = build_cw([
+        ("u", 0, []), ("v", 0, []),
+        ("e", 1, ["u", "v"]), ("f", 1, ["u", "v"]),
+        ("disk", 2, ["e", "f"]),
+    ])
+    full = {
+        ("e", "u"): -1, ("e", "v"): 1,
+        ("f", "u"): -1, ("f", "v"): 1,
+        ("disk", "e"): 1, ("disk", "f"): -1,
+    }
+    partial = {k: s for k, s in full.items() if k[1] != "u"}
+    # relative to u, no boundary entry reaches u
+    bv = betti_numbers(SubcomplexPair(X, ["u"]), field="q", signs=partial)
+    assert bv.betti == (0, 0, 0)
+    with pytest.raises(PreconditionError, match=r"missing incidence sign for \(e, u\)"):
+        chain_complex(SubcomplexPair(X), field="q", signs=partial)
+    with pytest.raises(PreconditionError, match=r"missing incidence sign for \(disk, f\)"):
+        chain_complex(SubcomplexPair(X), field="q", signs={**full, ("disk", "f"): 2})
+    # over f2 the table is not read
+    assert chain_complex(SubcomplexPair(X), field="f2", signs={}).rank(2) == 1
+
+
 def test_postcondition_raises_under_optimize():
     script = (
         "import cellmatch.homology as homology\n"

@@ -172,14 +172,18 @@ def test_enumerate_lists_in_backtracking_order():
         SubcomplexPair(sphere_boundary(3)),
         SubcomplexPair(grid_square(2), ["0"]),
         SubcomplexPair(cone(circle(4)), ["0"]),
+        SubcomplexPair(cone(circle(4)), [apex_of(cone(circle(4)))]),
         SubcomplexPair(simplex(1)),
         SubcomplexPair(circle(3), circle(3).cells()),
     ]
     for pair in cases:
-        count, found = enumerate_matchings(pair, limit=200)
-        expected_count, expected = matchings_by_backtracking(pair, limit=200)
-        assert count == expected_count, pair
-        assert [m.sorted_pairs() for m in found] == [m.sorted_pairs() for m in expected]
+        count, expected = matchings_by_backtracking(pair, limit=10**9)
+        for limit in (1, 3, count, count + 5):
+            got_count, found = enumerate_matchings(pair, limit=limit)
+            assert got_count == count, pair
+            assert [m.sorted_pairs() for m in found] == [
+                m.sorted_pairs() for m in expected[:limit]
+            ]
 
 
 def test_enumerate_depth_does_not_grow_with_the_input():
@@ -194,7 +198,28 @@ def test_enumerate_bound():
     with pytest.raises(BruteForceBoundError):
         enumerate_matchings(SubcomplexPair(torus7()))
     count, _ = enumerate_matchings(SubcomplexPair(torus7()), bound=42)
-    assert count > 0
+    assert count == 193_548
+
+
+def test_enumerate_sphere_boundary_4_count():
+    # the count the benchmark checks its enumerate op against
+    count, _ = enumerate_matchings(SubcomplexPair(sphere_boundary(4)))
+    assert count == 82_584
+
+
+def test_enumerate_unbalanced_even_sized_pair_is_zero():
+    # a triangle and two points: eight cells, five even and three odd
+    pair = SubcomplexPair(from_simplices([[0, 1], [1, 2], [0, 2], [3], [4]]))
+    assert len(pair.rel_cells) == 8
+    assert len(pair.rel_even) != len(pair.rel_odd)
+    assert enumerate_matchings(pair, limit=3) == (0, [])
+
+
+def test_enumerate_pair_with_every_cell_in_the_base_lists_the_empty_matching():
+    X = torus7()
+    count, found = enumerate_matchings(SubcomplexPair(X, X.cells()), limit=3)
+    assert count == 1
+    assert found == [Matching([], relative_to=X.cells())]
 
 
 def test_match_dual_cycle_two_orientations():
@@ -264,6 +289,29 @@ def test_matching_soundness_and_euler_on_random_pairs():
             assert outcome.verify(pair)
         if euler_characteristic(pair) != 0:
             assert isinstance(outcome, HallCertificate)
+
+
+def test_enumerate_agrees_with_backtracking_on_shuffled_pairs():
+    rng = random.Random(271)
+    figure_eight_and_point = from_simplices(
+        [[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4], [5]]
+    )
+    bundled = [
+        circle(6), simplex(3), sphere_boundary(3), wedge(), grid_square(2),
+        cone(circle(4)), figure_eight_and_point,
+    ]
+    counts = set()
+    for _ in range(60):
+        X, _ = relabeled(rng.choice(bundled), rng.randrange(1 << 30))
+        seeds = rng.sample(list(X.cells()), rng.randint(0, 4))
+        pair = SubcomplexPair(X, X.closure(seeds))
+        limit = rng.randint(0, 9)
+        count, found = enumerate_matchings(pair, limit=limit)
+        expected_count, expected = matchings_by_backtracking(pair, limit)
+        assert count == expected_count
+        assert [m.sorted_pairs() for m in found] == [m.sorted_pairs() for m in expected]
+        counts.add(min(count, 2))
+    assert counts == {0, 1, 2}
 
 
 def test_oracle_equivalence_small_pairs():
