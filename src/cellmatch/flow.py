@@ -10,15 +10,20 @@ the rest: a boundary facet exits when its opposite vertex falls, and the
 simplex is downstream of each face holding all its falling vertices and
 upstream of each face holding all its rising ones. A zero c_i makes the
 facet opposite p_i degenerate.
+
+Only the signs of the c_i are read, and they come from one fraction-free
+integer elimination per top simplex (Bareiss 1968), the method of exact
+orientation predicates. The same elimination with a zero field is the
+test that a top simplex is not degenerate.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .complexes import SIMPLICIAL, CellComplex, SubcomplexPair, Token, cell_id
 from .errors import InvalidComplexError, NotTransverseError, PreconditionError
 from .matching import Matching, validate_matching
@@ -39,6 +44,44 @@ def direction(*components) -> tuple[Fraction, ...]:
     if not vec or all(x == 0 for x in vec):
         raise InvalidComplexError("direction must be nonzero")
     return vec
+
+
+_DEGENERATE = "degenerate"
+_NOT_TANGENT = "not tangent"
+
+
+def _vertex_signs(points, field) -> list[int] | str:
+    """The sign of each c_i in sum(c_i) = 0, sum(c_i p_i) = field, for the
+    vertices ``points`` of one simplex; ``_DEGENERATE`` when the points are
+    affinely dependent, ``_NOT_TANGENT`` when no solution exists.
+
+    Each row of the augmented system is scaled by the lcm of its own
+    denominators, which leaves the solution unchanged, and the integer
+    rows are reduced by fraction-free Gauss-Jordan elimination, in which
+    every division is exact. At the end each pivot row holds d in its own
+    column and d * c_i in the last one, with the same d in every row."""
+    m = len(points)
+    rows = [[1] * m + [0]]
+    rows.extend([p[i] for p in points] + [x] for i, x in enumerate(field))
+    for k, row in enumerate(rows):
+        scale = math.lcm(*(x.denominator for x in row))
+        rows[k] = [x.numerator * (scale // x.denominator) for x in row]
+    d = 1
+    for col in range(m):
+        hit = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if hit is None:
+            return _DEGENERATE
+        rows[col], rows[hit] = rows[hit], rows[col]
+        pivot = rows[col]
+        p = pivot[col]
+        for r, row in enumerate(rows):
+            if r != col:
+                f = row[col]
+                rows[r] = [(p * x - f * y) // d for x, y in zip(row, pivot)]
+        d = p
+    if any(row[m] for row in rows[m:]):
+        return _NOT_TANGENT
+    return [(c > 0) - (c < 0) for c in (row[m] * d for row in rows[:m])]
 
 
 class GeometricComplex:
@@ -68,19 +111,13 @@ class GeometricComplex:
             raise InvalidComplexError(
                 f"ambient dimension {self.ambient_dim} below complex dimension {self.n}"
             )
-        self.coordinates = {
-            t: tuple(Fraction(x) for x in coords[t]) for t in tokens
-        }
+        self.coordinates = {t: coords[t] for t in tokens}
         if not complex.is_pure():
             raise PreconditionError("geometric complexes must be pure-dimensional")
+        zero = (0,) * self.ambient_dim
         for top in complex.top_cells():
-            verts = complex.vertices(top)
-            base = self.coordinates[verts[0]]
-            rows = [
-                [self.coordinates[v][i] - base[i] for i in range(self.ambient_dim)]
-                for v in verts[1:]
-            ]
-            if linalg.matrix_rank(rows) != self.n:
+            points = [coords[v] for v in complex.vertices(top)]
+            if _vertex_signs(points, zero) == _DEGENERATE:
                 raise InvalidComplexError(f"degenerate top simplex {top}")
         if self.n >= 1:
             for f in complex.cells_of_dim(self.n - 1):
@@ -103,30 +140,24 @@ class BoundarySplit:
     entering: frozenset[str]
 
 
-def _derivatives(geom: GeometricComplex, field_vec) -> dict[str, dict[Token, Fraction]]:
-    """Per top simplex, the derivative of each barycentric coordinate along
-    the field."""
+def _derivative_signs(geom: GeometricComplex, field_vec) -> dict[str, dict[Token, int]]:
+    """Per top simplex, the sign (1, 0 or -1) of the derivative of each
+    barycentric coordinate along the field. The constructor has already
+    rejected every degenerate top simplex."""
     v = direction(*field_vec)
     if len(v) != geom.ambient_dim:
         raise InvalidComplexError(
             f"field has {len(v)} components, ambient dimension is {geom.ambient_dim}"
         )
-    out: dict[str, dict[Token, Fraction]] = {}
+    out: dict[str, dict[Token, int]] = {}
     for top in geom.complex.top_cells():
         verts = geom.complex.vertices(top)
-        columns = [geom.point(u) for u in verts]
-        rows = [[Fraction(1)] * len(verts)]
-        rows.extend(
-            [columns[j][i] for j in range(len(verts))]
-            for i in range(geom.ambient_dim)
-        )
-        rhs = [Fraction(0)] + list(v)
-        solution = linalg.solve_exact(rows, rhs)
-        if solution is None:
+        signs = _vertex_signs([geom.point(u) for u in verts], v)
+        if signs == _NOT_TANGENT:
             raise NotTransverseError(
                 f"field is not tangent to top simplex {top}", simplices=(top,)
             )
-        out[top] = dict(zip(verts, solution))
+        out[top] = dict(zip(verts, signs))
     return out
 
 
@@ -147,7 +178,7 @@ def _sign_split(geom: GeometricComplex, field_vec):
     exiting = set()
     entering = set()
     signs: dict[str, tuple[frozenset[Token], frozenset[Token]]] = {}
-    for top, values in _derivatives(geom, field_vec).items():
+    for top, values in _derivative_signs(geom, field_vec).items():
         for value, facet in zip(values.values(), complex.facets(top)):
             if value == 0:
                 degenerate.add(facet)

@@ -14,9 +14,6 @@ pivot columns to its left, by its lowest (largest-index) nonzero row, until
 that row is new or the column vanishes. A column keeps a pivot exactly when
 it is independent of the columns to its left, so the pivot columns are the
 ones that dense elimination with leftmost-lowest pivoting picks.
-
-``matrix_rank`` and ``solve_exact`` are small dense solvers over the
-rationals, for the geometric systems of the flow construction.
 """
 
 from __future__ import annotations
@@ -103,58 +100,3 @@ def composes_to_zero(lower: list, upper: list, field: str) -> bool:
             return False
     return True
 
-
-def _row_echelon(rows: list[list[Fraction]]) -> list[int]:
-    """Echelonize ``rows`` in place, scanning columns left to right and
-    rows top to bottom; return the pivot column indices."""
-    if not rows or not rows[0]:
-        return []
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivot_cols: list[int] = []
-    for col in range(n_cols):
-        piv_r = len(pivot_cols)
-        hit = next((r for r in range(piv_r, n_rows) if rows[r][col]), None)
-        if hit is None:
-            continue
-        rows[piv_r], rows[hit] = rows[hit], rows[piv_r]
-        src = rows[piv_r]
-        inv_p = Fraction(1) / src[col]
-        for r in range(piv_r + 1, n_rows):
-            dst = rows[r]
-            factor = dst[col] * inv_p
-            if factor:
-                for c in range(col, n_cols):
-                    dst[c] -= factor * src[c]
-        pivot_cols.append(col)
-        if len(pivot_cols) == n_rows:
-            break
-    return pivot_cols
-
-
-def matrix_rank(rows: list[list[Fraction]]) -> int:
-    return len(_row_echelon([list(r) for r in rows]))
-
-
-def solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Solve ``a x = b`` over the rationals.
-
-    Returns the unique solution, or None when the system is inconsistent.
-    Raises ValueError when the solution is not unique (rank-deficient
-    columns), which callers rule out beforehand.
-    """
-    n_rows = len(a)
-    n_cols = len(a[0]) if a else 0
-    aug = [list(a[r]) + [b[r]] for r in range(n_rows)]
-    pivots = _row_echelon(aug)
-    if n_cols in pivots:
-        return None  # pivot in the constant column: inconsistent
-    if len(pivots) < n_cols:
-        raise ValueError("underdetermined system")
-    x = [Fraction(0)] * n_cols
-    for r in range(len(pivots) - 1, -1, -1):
-        col = pivots[r]
-        acc = aug[r][n_cols]
-        for c in range(col + 1, n_cols):
-            acc -= aug[r][c] * x[c]
-        x[col] = acc / aug[r][col]
-    return x

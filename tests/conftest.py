@@ -22,8 +22,10 @@ independently, against dense elimination, by
 The flow structure by resolve searches, for every cell, through all of
 its top cofaces for the ones the field enters or leaves through it, finds
 each facet's opposite vertex by search, and takes the unstable core as
-the common vertices of the unstable hyperfaces. It shares only the
-derivative solve, ``flow._derivatives``, with the library.
+the common vertices of the unstable hyperfaces. It solves for the
+derivatives itself, with no elimination: Cramer's rule with Leibniz
+determinants on the first nonsingular square subset of the rows, then a
+check of every row for tangency.
 
 The face-poset chains, the simplices of the barycentric subdivision, are
 grown one cell at a time from the transitive face sets alone, with no
@@ -48,8 +50,8 @@ from cellmatch import (
     cell_id,
     incidence_graph,
 )
-from cellmatch.errors import NotTransverseError, PreconditionError
-from cellmatch.flow import BoundarySplit, FlowStructure, _derivatives, direction
+from cellmatch.errors import InvalidComplexError, NotTransverseError, PreconditionError
+from cellmatch.flow import BoundarySplit, FlowStructure, direction
 
 
 def subprocess_env() -> dict[str, str]:
@@ -127,6 +129,54 @@ def match_acyclic_pair_by_layer_complexes(pair: SubcomplexPair, field=None, sign
     return Matching(pairs, relative_to=pair.sub)
 
 
+def _leibniz_det(matrix) -> Fraction:
+    """The determinant as a signed sum over every permutation."""
+    total = Fraction(0)
+    for perm in permutations(range(len(matrix))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for row, col in enumerate(perm):
+            term *= matrix[row][col]
+        total += term
+    return total
+
+
+def derivatives_by_cramer(geom, field_vec) -> dict:
+    """Per top simplex, the derivative of each barycentric coordinate along
+    the field: the solution of sum(c_i) = 0, sum(c_i p_i) = v by Cramer's
+    rule on the first square subset of rows with a nonzero determinant,
+    then checked against every row. Raises the errors the library raises."""
+    v = direction(*field_vec)
+    if len(v) != geom.ambient_dim:
+        raise InvalidComplexError(
+            f"field has {len(v)} components, ambient dimension is {geom.ambient_dim}"
+        )
+    X = geom.complex
+    out = {}
+    for top in X.top_cells():
+        verts = X.vertices(top)
+        m = len(verts)
+        rows = [[Fraction(1)] * m]
+        rows += [[geom.point(u)[i] for u in verts] for i in range(geom.ambient_dim)]
+        rhs = [Fraction(0), *v]
+        square = next(
+            s for s in combinations(range(len(rows)), m)
+            if _leibniz_det([rows[r] for r in s])
+        )
+        det = _leibniz_det([rows[r] for r in square])
+        solution = [
+            _leibniz_det([[rhs[r] if j == k else rows[r][j] for j in range(m)] for r in square])
+            / det
+            for k in range(m)
+        ]
+        if any(sum(a * c for a, c in zip(row, solution)) != b for row, b in zip(rows, rhs)):
+            raise NotTransverseError(
+                f"field is not tangent to top simplex {top}", simplices=(top,)
+            )
+        out[top] = dict(zip(verts, solution))
+    return out
+
+
 def flow_structure_by_resolve(geom, field_vec, base_rule="lowest", seed=None):
     """``flow_structure`` by a per-cell search: a top coface t of a cell c
     is downstream of c when every vertex of t outside c has a positive
@@ -138,7 +188,7 @@ def flow_structure_by_resolve(geom, field_vec, base_rule="lowest", seed=None):
         raise ValueError("base_rule 'random' requires a seed")
     if geom.n < 1:
         raise PreconditionError("flow structures need dimension at least 1")
-    derivs = _derivatives(geom, field_vec)
+    derivs = derivatives_by_cramer(geom, field_vec)
     X = geom.complex
     n = geom.n
     degenerate, exiting, entering = [], set(), set()

@@ -198,13 +198,15 @@ def test_orbit_analysis_runs_on_flow_matchings():
 
 
 def test_degenerate_simplex_rejected():
-    coords = {
-        0: (Fraction(0), Fraction(0)),
-        1: (Fraction(1), Fraction(1)),
-        2: (Fraction(2), Fraction(2)),
-    }
-    with pytest.raises(InvalidComplexError, match="degenerate"):
-        GeometricComplex(from_simplices([[0, 1, 2]], coordinates=coords))
+    for simplex, coords in [
+        ([0, 1, 2], {0: (0, 0), 1: (1, 1), 2: (2, 2)}),
+        ([0, 1, 2], {0: (0, 0, 0), 1: ("1/3", -1, 2), 2: ("2/3", -2, 4)}),  # collinear in R^3
+        ([0, 1], {0: ("1/2", "-1/3"), 1: ("1/2", "-1/3")}),  # zero length in R^2
+    ]:
+        X = from_simplices([simplex], coordinates=coords)
+        with pytest.raises(InvalidComplexError) as err:
+            GeometricComplex(X)
+        assert str(err.value) == f"degenerate top simplex {X.top_cells()[0]}"
 
 
 def test_float_coordinates_rejected():
@@ -257,12 +259,25 @@ def _segment_in_plane() -> GeometricComplex:
     return GeometricComplex(from_simplices([[0, 1]], coordinates=coords))
 
 
+def _sheared_grid() -> GeometricComplex:
+    """``grid_square(2)`` under the affine map (x, y) -> (-x/3 + 2y/7 - 1,
+    -x/3 - y/7), so that coordinates are negative with mixed denominators."""
+    X = grid_square(2)
+    coords = {
+        t: (-x / 3 + 2 * y / 7 - 1, -x / 3 - y / 7) for t, (x, y) in X.coordinates.items()
+    }
+    return GeometricComplex(
+        from_simplices([X.vertices(t) for t in X.top_cells()], coordinates=coords)
+    )
+
+
 _ORACLE_CASES = [
     (grid_square(3), [(1, -3), (3, 1), (-2, 5), (2, -1), (1, 1), (0, -1), (1, 2, 3)]),
     (interval(4), [(1,), (-1,), ("1/2",)]),
     (product(interval(2), grid_square(2)), [(1, -3, 5), (-1, 2, 7), (2, 3, -1), (1, 1, 1)]),
     (_folded().complex, [(1, 3), (1, -3), (3, 1), (-1, -2), (1, 0)]),
     (_segment_in_plane().complex, [(0, 1), (1, 1)]),
+    (_sheared_grid().complex, [("1/3", "-2/7"), (5, "3/11"), (-1, -1), (2, -1), ("-7/5", 3)]),
 ]
 
 

@@ -57,6 +57,22 @@ def test_simplex_ids_are_written_only_in_complexes():
     assert users == {"complexes.py"}, users
 
 
+def test_conftest_imports_no_private_name_of_the_package():
+    """The oracles in ``conftest.py`` stay independent of the code they
+    check, so they import only the package's public names."""
+    conftest = Path(__file__).resolve().parent / "conftest.py"
+    private = []
+    for node in ast.walk(ast.parse(conftest.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cellmatch"):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if alias.name.startswith("cellmatch")]
+        else:
+            continue
+        private += [name for name in names if any(p.startswith("_") for p in name.split("."))]
+    assert not private, private
+
+
 def test_package_has_no_assert_statements():
     """Post-conditions raise explicitly, so they still run under
     ``python -O``, which strips ``assert`` statements."""
