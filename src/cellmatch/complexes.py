@@ -11,10 +11,12 @@ Tables are checked once, where they enter from outside the program:
 ``from_simplices`` checks the vertex tokens and that no two vertex sets
 share an id, and ``build_cw`` checks every raw record. Everything derived
 from a built complex (``restrict``, the builders' own faces) is trusted.
-The builders also fix each complex's cell order, and ``restrict`` keeps it.
-``facets`` lists a cell's hyperfaces by descending rank. Simplices rank by
-dimension, then vertex tuple, and dropping a later vertex gives an earlier
-tuple, so a simplex's i-th facet omits its i-th vertex.
+The builders fill every table the complex serves (dimensions, hyperfaces,
+facets, cofaces, vertex tuples) and fix its cell order; ``restrict`` keeps
+that order and slices the parent's tables. ``facets`` lists a cell's
+hyperfaces by descending rank. Simplices rank by dimension, then vertex
+tuple, and dropping a later vertex gives an earlier tuple, so a simplex's
+i-th facet omits its i-th vertex.
 
 Complexes and pairs are immutable after construction and safe to share.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations
 from typing import Iterable
 
 from .errors import (
@@ -68,7 +71,7 @@ def _coerce_coordinates(coordinates) -> dict[Token, tuple[Fraction, ...]] | None
                 raise InvalidComplexError(
                     "exact rational coordinates required; got a float"
                 )
-            coords.append(Fraction(value))
+            coords.append(value if isinstance(value, Fraction) else Fraction(value))
         out[token] = tuple(coords)
     return out
 
@@ -77,14 +80,18 @@ class CellComplex:
     """Immutable face-poset model of a finite polyhedral complex.
 
     Build one with :func:`from_simplices` or :func:`build_cw`, or take a
-    piece of one with :meth:`restrict`. The constructor trusts its tables:
-    it checks only the kind, non-emptiness and the coordinates, so the
-    tables must come from one of those builders, which own them. The
-    builders own the cell order too: ``order`` lists every cell once, and
-    :meth:`cells` returns it as given.
+    piece of one with :meth:`restrict`, which slices its parent's tables.
+    The constructor trusts its tables: it checks only the kind,
+    non-emptiness and the coordinates, stores every table it is handed
+    (cofaces and facets included) and builds only the rank, so the tables
+    must come from one of those builders, which own them. The builders own
+    the cell order too: ``order`` lists every cell once, and :meth:`cells`
+    returns it as given.
     """
 
-    def __init__(self, kind, dims, hyperfaces, order, verts=None, coordinates=None):
+    def __init__(
+        self, kind, dims, hyperfaces, facets, cofaces, order, verts=None, coordinates=None
+    ):
         if kind not in (SIMPLICIAL, CW):
             raise InvalidComplexError(f"unknown complex kind {kind!r}")
         if not dims:
@@ -92,13 +99,10 @@ class CellComplex:
         self.kind = kind
         self._dim = dims
         self._hyperfaces = hyperfaces
+        self._facets = facets
+        self._cofaces = cofaces
         self._verts = verts
         self.coordinates = _coerce_coordinates(coordinates)
-        cofaces: dict[str, set[str]] = {c: set() for c in self._dim}
-        for c, fs in self._hyperfaces.items():
-            for f in fs:
-                cofaces[f].add(c)
-        self._cofaces = {c: frozenset(s) for c, s in cofaces.items()}
         self.dim = max(self._dim.values())
         self._faces_cache: dict[str, frozenset[str]] = {}
         self._cofaces_cache: dict[str, frozenset[str]] = {}
@@ -123,9 +127,9 @@ class CellComplex:
         return self._hyperfaces[cid]
 
     def facets(self, cid: str) -> tuple[str, ...]:
-        """Hyperfaces of ``cid`` by descending rank; for a simplex, the
-        i-th omits the i-th of its ``vertices``."""
-        return tuple(sorted(self._hyperfaces[cid], key=self._rank.__getitem__, reverse=True))
+        """Hyperfaces of ``cid`` by descending rank, as the builder stored
+        them; for a simplex, the i-th omits the i-th of its ``vertices``."""
+        return self._facets[cid]
 
     def cofaces(self, cid: str) -> frozenset[str]:
         """Cells having ``cid`` as a hyperface."""
@@ -201,33 +205,43 @@ class CellComplex:
         return all(self._hyperfaces[c] <= idset for c in idset)
 
     def is_pure(self) -> bool:
-        covered = set(self.top_cells())
-        for c in self.top_cells():
-            covered.update(self.faces(c))
-        return len(covered) == len(self._dim)
+        """Whether every cell is a face of a top cell: exactly when every
+        cell without cofaces is of dimension ``dim``."""
+        dim = self._dim
+        return all(dim[c] == self.dim for c, cofs in self._cofaces.items() if not cofs)
 
     def skeleton(self, d: int) -> frozenset[str]:
         return frozenset(c for c in self._dim if self._dim[c] <= d)
 
     def restrict(self, ids: Iterable[str]) -> "CellComplex":
         """The subcomplex on ``ids``, which must be nonempty and closed. It
-        lists its cells in this complex's order, so both rank them alike."""
+        lists its cells in this complex's order, so both rank them alike,
+        and slices this complex's tables: a closed piece keeps every cell's
+        hyperfaces and facets, and its cofaces are this complex's cofaces
+        that lie in the piece."""
         idset = set(ids)
         if not idset:
             raise InvalidSubcomplexError("cannot restrict to an empty cell set")
         if not self.is_closed(idset):
             raise InvalidSubcomplexError("cell set is not closed under hyperfaces")
-        dims = {c: self._dim[c] for c in idset}
-        hyper = {c: self._hyperfaces[c] for c in idset}
+        order = tuple(sorted(idset, key=self._rank.__getitem__))
+        dims = {c: self._dim[c] for c in order}
+        hyper = {c: self._hyperfaces[c] for c in order}
+        facets = {c: self._facets[c] for c in order}
+        cofaces = {}
+        for c in order:
+            cofs = self._cofaces[c]
+            cofaces[c] = cofs if cofs <= idset else cofs & idset
         verts = None
         coords = None
         if self._verts is not None:
-            verts = {c: self._verts[c] for c in idset}
+            verts = {c: self._verts[c] for c in order}
             if self.coordinates is not None:
-                tokens = {verts[c][0] for c in idset if dims[c] == 0}
+                tokens = {verts[c][0] for c in order if dims[c] == 0}
                 coords = {t: self.coordinates[t] for t in tokens if t in self.coordinates}
-        order = tuple(sorted(idset, key=self._rank.__getitem__))
-        return CellComplex(self.kind, dims, hyper, order, verts=verts, coordinates=coords)
+        return CellComplex(
+            self.kind, dims, hyper, facets, cofaces, order, verts=verts, coordinates=coords
+        )
 
     def __repr__(self):
         counts = {}
@@ -237,50 +251,105 @@ class CellComplex:
         return f"CellComplex(kind={self.kind!r}, f={f_vec})"
 
 
-def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
-    """Build the simplicial complex spanned by the given simplices.
-
-    Every face of every listed simplex is added, with canonical ids;
-    duplicate input simplices are harmless. The tokens are checked and
-    sorted once per input simplex; each facet drops one position of its
-    sorted tuple, so it stays sorted. Cells are ordered by dimension, then
-    by vertex tuple, each token standing for its place among all the
-    tokens sorted once (ints first, smallest first). Raises
-    InvalidComplexError when two distinct vertex sets would share an id
-    (vertex ``"1.2"`` and edge ``{1, 2}``, or int ``1`` and str ``"1"``).
-    """
-    stack = []
-    for s in maximal_simplices:
-        v = tuple(sorted(set(s), key=_token_key))  # ints first, smallest first
+def _check_simplices(vertex_sets) -> None:
+    """Raise on the first faulty vertex set in input order: a bad token, an
+    empty set, or a negative int token (the set's smallest is named)."""
+    for v in vertex_sets:
+        v = sorted(v, key=_token_key)  # ints first, smallest first
         if not v:
             raise InvalidComplexError("empty complex")
         if isinstance(v[0], int) and v[0] < 0:
             raise InvalidComplexError(f"negative vertex index {v[0]}")
-        stack.append((_simplex_id(v), v))
-    if not stack:
-        raise InvalidComplexError("empty complex")
-    tokens = sorted({t for _, v in stack for t in v}, key=_token_key)
-    index = dict(zip(tokens, range(len(tokens))))
-    dims: dict[str, int] = {}
-    hyper: dict[str, frozenset[str]] = {}
-    verts: dict[str, tuple[Token, ...]] = {}
+
+
+def _raise_shared_id(maximal) -> None:
+    """Raise for the first two distinct vertex sets under one id that a
+    depth-first walk meets, from the last of the ``maximal`` ascending
+    token tuples, each simplex's facets pushed in vertex order."""
+    seen: dict[str, tuple[Token, ...]] = {}
+    stack = list(maximal)
     while stack:
-        cid, v = stack.pop()
-        known = verts.get(cid)
-        if known is not None:
-            if known != v:
-                raise InvalidComplexError(
-                    f"vertex sets {known} and {v} share the cell id {cid!r}"
-                )
-            continue
-        verts[cid] = v
-        dims[cid] = len(v) - 1
-        facets = [v[:i] + v[i + 1:] for i in range(len(v))] if len(v) > 1 else []
-        ids = [_simplex_id(f) for f in facets]
-        hyper[cid] = frozenset(ids)
-        stack.extend(zip(ids, facets))
-    order = tuple(sorted(verts, key=lambda c: (dims[c], [index[t] for t in verts[c]])))
-    return CellComplex(SIMPLICIAL, dims, hyper, order, verts=verts, coordinates=coordinates)
+        v = stack.pop()
+        cid = _simplex_id(v)
+        known = seen.setdefault(cid, v)
+        if known != v:
+            raise InvalidComplexError(f"vertex sets {known} and {v} share the cell id {cid!r}")
+        if known is v and len(v) > 1:
+            stack.extend(v[:i] + v[i + 1:] for i in range(len(v)))
+
+
+def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
+    """Build the simplicial complex spanned by the given simplices.
+
+    Every face of every listed simplex is added, with canonical ids;
+    duplicate input simplices are harmless. The distinct tokens are checked
+    and sorted once (ints first, smallest first), and each simplex becomes
+    the ascending tuple of its tokens' places in that order. The faces are
+    generated one dimension at a time, from the top down, as sets of such
+    tuples; each dimension is sorted natively, so cells are ordered by
+    dimension, then by vertex tuple. One pass in that order writes each id
+    once and fills every table: a simplex's i-th facet omits its i-th
+    vertex, which is descending rank. Raises InvalidComplexError on the
+    first bad input simplex, and when two distinct vertex sets would share
+    an id (vertex ``"1.2"`` and edge ``{1, 2}``, or int ``1`` and str ``"1"``).
+    """
+    vertex_sets = []
+    try:
+        for s in maximal_simplices:
+            vertex_sets.append(set(s))
+    except TypeError:  # an unhashable token; a fault in an earlier simplex comes first
+        _check_simplices(vertex_sets)
+        raise
+    if not vertex_sets:
+        raise InvalidComplexError("empty complex")
+    # A bool would hide in the union behind an equal int, so the types of
+    # every token are read; anything unusual takes the per-simplex check.
+    if not all(vertex_sets) or not {int, str}.issuperset(
+        map(type, chain.from_iterable(vertex_sets))
+    ):
+        _check_simplices(vertex_sets)
+    tokens = sorted(set().union(*vertex_sets), key=_token_key)
+    if isinstance(tokens[0], int) and tokens[0] < 0:
+        _check_simplices(vertex_sets)
+    index = dict(zip(tokens, range(len(tokens))))
+    levels: list[set[tuple[int, ...]]] = [set() for _ in range(max(map(len, vertex_sets)))]
+    for v in vertex_sets:
+        levels[len(v) - 1].add(tuple(sorted(map(index.__getitem__, v))))
+    for d in range(len(levels) - 1, 0, -1):
+        for t in levels[d]:
+            levels[d - 1].update(combinations(t, d))
+    token = tokens.__getitem__
+    ids: dict[tuple[int, ...], str] = {}
+    dims: dict[str, int] = {}
+    verts: dict[str, tuple[Token, ...]] = {}
+    hyper: dict[str, frozenset[str]] = {}
+    facets: dict[str, tuple[str, ...]] = {}
+    cofaces: dict[str, frozenset[str]] = {}
+    order: list[str] = []
+    below: dict[str, list[str]] = {}  # cofaces of the last dimension's cells
+    for d, level in enumerate(levels):
+        ts = sorted(level)
+        vs = [tuple(map(token, t)) for t in ts]
+        cids = list(map(_simplex_id, vs))
+        ids.update(zip(ts, cids))
+        verts.update(zip(cids, vs))
+        dims.update(dict.fromkeys(cids, d))
+        order += cids
+        # combinations lists the facets by ascending rank
+        fs = [tuple(map(ids.__getitem__, combinations(t, d)))[::-1] if d else () for t in ts]
+        facets.update(zip(cids, fs))
+        hyper.update(zip(cids, map(frozenset, fs)))
+        for c, cf in zip(cids, fs):
+            for f in cf:
+                below[f].append(c)
+        cofaces.update(zip(below, map(frozenset, below.values())))
+        below = {c: [] for c in cids}
+    cofaces.update(dict.fromkeys(below, frozenset()))
+    if len(verts) < len(ids):  # two vertex tuples wrote one id
+        _raise_shared_id(tuple(sorted(v, key=_token_key)) for v in vertex_sets)
+    return CellComplex(
+        SIMPLICIAL, dims, hyper, facets, cofaces, tuple(order), verts, coordinates
+    )
 
 
 def build_cw(cell_records, coordinates=None) -> CellComplex:
@@ -289,7 +358,8 @@ def build_cw(cell_records, coordinates=None) -> CellComplex:
     This is where raw cw tables enter, so every record is checked here:
     str ids, nonnegative int dimensions, hyperfaces that exist one
     dimension down, no hyperfaces on a vertex and exactly two on a 1-cell.
-    Cells are ordered by dimension, then by id.
+    Cells are ordered by dimension, then by id, so a cell's facets, all of
+    one dimension, are its hyperfaces by descending id.
     """
     records = list(cell_records)
     if not records:
@@ -301,6 +371,7 @@ def build_cw(cell_records, coordinates=None) -> CellComplex:
             raise InvalidComplexError(f"duplicate cell id {cid!r}")
         dims[cid] = d
         hyper[cid] = frozenset(faces)
+    cofaces: dict[str, list[str]] = {c: [] for c in dims}
     for c, d in dims.items():
         if not isinstance(c, str) or not c:
             raise InvalidComplexError(f"bad cell id {c!r}")
@@ -315,6 +386,7 @@ def build_cw(cell_records, coordinates=None) -> CellComplex:
                     f"cell {c}: hyperface {f} has dimension {dims[f]}, "
                     f"expected {d - 1}"
                 )
+            cofaces[f].append(c)
         if d == 0 and faces:
             raise InvalidComplexError(f"vertex {c} must not have hyperfaces")
         if d == 1 and len(faces) != 2:
@@ -322,7 +394,9 @@ def build_cw(cell_records, coordinates=None) -> CellComplex:
                 f"1-cell {c} must have exactly 2 hyperfaces (regularity)"
             )
     order = tuple(sorted(dims, key=lambda c: (dims[c], c)))
-    return CellComplex(CW, dims, hyper, order, coordinates=coordinates)
+    facets = {c: tuple(sorted(hyper[c], reverse=True)) for c in order}
+    cofs = {c: frozenset(cofaces[c]) for c in order}
+    return CellComplex(CW, dims, hyper, facets, cofs, order, coordinates=coordinates)
 
 
 class SubcomplexPair:

@@ -30,6 +30,10 @@ check of every row for tangency.
 The face-poset chains, the simplices of the barycentric subdivision, are
 grown one cell at a time from the transitive face sets alone, with no
 hyperface, flag or id of the library's subdivision.
+
+An autouse fixture checks every cw complex a test builds, and a piece of
+it, against the facet order the library documents: hyperfaces by
+descending ``sort_key``, sorted afresh.
 """
 
 from __future__ import annotations
@@ -41,7 +45,10 @@ from itertools import combinations, permutations
 from pathlib import Path
 
 import cellmatch
+import pytest
+
 from cellmatch import (
+    CellComplex,
     Matching,
     SubcomplexPair,
     acyclic_filtration,
@@ -60,6 +67,31 @@ def subprocess_env() -> dict[str, str]:
     src = str(Path(cellmatch.__file__).resolve().parents[1])
     path = [p for p in (src, os.environ.get("PYTHONPATH")) if p]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+@pytest.fixture(autouse=True)
+def cw_facets_sorted_by_rank():
+    """After each test, every cw complex it built, and the closure of every
+    other top cell of it, list each cell's facets as its hyperfaces sorted
+    by descending ``sort_key``."""
+    built = []
+    init = CellComplex.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.kind == "cw":
+            built.append(self)
+
+    CellComplex.__init__ = recording
+    try:
+        yield
+    finally:
+        CellComplex.__init__ = init
+    for X in built:
+        for Y in (X, X.restrict(X.closure(X.top_cells()[::2]))):
+            for c in Y.cells():
+                expected = tuple(sorted(Y.hyperfaces(c), key=Y.sort_key, reverse=True))
+                assert Y.facets(c) == expected, c
 
 
 def count_matchings_by_permutations(pair: SubcomplexPair) -> int:

@@ -7,6 +7,7 @@ import pytest
 
 from cellmatch import (
     DualLoop,
+    GeometricComplex,
     InvalidComplexError,
     InvalidLoopError,
     InvalidSubcomplexError,
@@ -63,6 +64,26 @@ def test_from_simplices_empty_rejected():
         from_simplices([])
     with pytest.raises(InvalidComplexError, match="empty complex"):
         from_simplices([[]])
+    with pytest.raises(InvalidComplexError, match="empty complex"):
+        from_simplices([[0, 1], []])
+
+
+@pytest.mark.parametrize(
+    "simplices, message",
+    [
+        ([[0, 1], [True, 2]], "bad vertex token True"),
+        ([[0, 1], [None]], "bad vertex token None"),
+        ([[0, -3], [-5, 1]], "negative vertex index -3$"),
+        # the first faulty simplex in input order names the fault
+        ([[0, 1], [-2, 1], ["a", None]], "negative vertex index -2$"),
+        ([[0, 1], [None, 2], [-4]], "bad vertex token None"),
+        ([[0, -1], []], "negative vertex index -1$"),
+        ([[], [False]], "empty complex"),
+    ],
+)
+def test_from_simplices_rejects_the_first_bad_simplex(simplices, message):
+    with pytest.raises(InvalidComplexError, match=message):
+        from_simplices(simplices)
 
 
 @pytest.mark.parametrize(
@@ -293,8 +314,28 @@ def test_dual_graph_single_edge():
 
 def test_dual_graph_rejects_non_pure():
     X = from_simplices([[0, 1, 2], [2, 3]])
+    assert not X.is_pure()
     with pytest.raises(PreconditionError, match="pure"):
         dual_graph(X)
+
+
+def test_dual_graph_rejects_non_pure_cw():
+    X = build_cw([
+        ("u", 0, []), ("v", 0, []), ("w", 0, []),
+        ("e", 1, ["u", "v"]), ("f", 1, ["u", "v"]), ("g", 1, ["v", "w"]),
+        ("disk", 2, ["e", "f"]),
+    ])
+    assert not X.is_pure()
+    assert X.restrict(X.closure(["disk"])).is_pure()
+    with pytest.raises(PreconditionError, match="pure"):
+        dual_graph(X)
+
+
+def test_geometric_complex_rejects_non_pure():
+    coords = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
+    X = from_simplices([[0, 1, 2], [2, 3]], coordinates=coords)
+    with pytest.raises(PreconditionError, match="must be pure-dimensional"):
+        GeometricComplex(X)
 
 
 def test_dual_graph_edge_count_matches_interior():
@@ -499,6 +540,10 @@ _TABLE_CASES = {
     "mixed_9_10_a": lambda: generators.from_simplices(
         [[9, 10, "a"], ["a", 10, 11], ["b", 9], [100, 11, "b"], [100, "a"]]
     ),
+    "duplicate_and_nested": lambda: generators.from_simplices(
+        [[0, 1, 2], [2, 1, 0], [0, 1], [2]]
+    ),
+    "repeated_token": lambda: generators.from_simplices([[0, 0, 1]]),
 }
 
 
@@ -509,7 +554,7 @@ def test_from_simplices_and_restrict_equal_combinations_oracle(monkeypatch, case
     _assert_tables_equal(X, oracle)
     rng = random.Random(case)
     for _ in range(6):
-        seeds = rng.sample(oracle["order"], rng.randint(1, 8))
+        seeds = rng.sample(oracle["order"], rng.randint(1, min(8, len(oracle["order"]))))
         closed = simplicial_tables_by_combinations(oracle["verts"][c] for c in seeds)
         Y = X.restrict(closed["order"])
         _assert_tables_equal(Y, closed)

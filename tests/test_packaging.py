@@ -57,6 +57,25 @@ def test_simplex_ids_are_written_only_in_complexes():
     assert users == {"complexes.py"}, users
 
 
+_CELL_COMPLEX_TABLES = {
+    "_dim", "_hyperfaces", "_facets", "_cofaces", "_verts", "_rank", "_sorted_cells"
+}
+
+
+def test_cell_complex_tables_are_read_only_in_complexes():
+    """The tables' layout is private to ``complexes.py``; every other module
+    goes through the ``CellComplex`` methods, so the layout can change."""
+    package = Path(cellmatch.__file__).resolve().parent
+    readers = {
+        f"{path.name}: {node.attr}"
+        for path in package.glob("*.py")
+        if path.name != "complexes.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in _CELL_COMPLEX_TABLES
+    }
+    assert not readers, readers
+
+
 def test_conftest_imports_no_private_name_of_the_package():
     """The oracles in ``conftest.py`` stay independent of the code they
     check, so they import only the package's public names."""
