@@ -238,12 +238,12 @@ def _cmd_dualloop(args) -> int:
     complex = io.load_complex(args.complex)
     if args.complement_empty:
         def predicate(pair):
-            return not pair.sub
+            return len(pair.rel_cells) == len(pair.complex)
     elif args.complement_betti:
         wanted = _parse_params(args.complement_betti, "--complement-betti")
 
         def predicate(pair):
-            if not pair.sub:
+            if len(pair.rel_cells) == len(pair.complex):
                 return False
             sub_complex = pair.complex.restrict(pair.sub)
             return betti_numbers(SubcomplexPair(sub_complex)).betti == wanted

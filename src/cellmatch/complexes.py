@@ -18,13 +18,15 @@ hyperfaces by descending rank. Simplices rank by dimension, then vertex
 tuple, and dropping a later vertex gives an earlier tuple, so a simplex's
 i-th facet omits its i-th vertex.
 
-Complexes and pairs are immutable after construction and safe to share.
+Complexes and pairs are immutable after construction and safe to share;
+a loop complement derives its subcomplex once, when it is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterable
 
@@ -409,9 +411,14 @@ class SubcomplexPair:
     The constructor checks that every cell of ``sub`` is in the complex
     and, unless ``close`` asks for the closure, that ``sub`` is closed. It
     tests closedness on the smaller side: when ``sub`` is smaller, every
-    sub cell's hyperfaces lie in ``sub``; otherwise no rel cell has a
-    coface in ``sub``, which is the same condition. Past a few set
-    operations over the cell ids, the work grows with the smaller side.
+    sub cell's hyperfaces lie in ``sub``; otherwise every rel cell's
+    cofaces lie outside ``sub``, which is the same condition. Past a few
+    set operations over the cell ids, the work grows with the smaller side.
+
+    A pair is immutable. The constructor stores ``sub``;
+    :func:`complement_of_dual_loop` builds its pair from the rel side
+    alone, and there ``sub`` is derived the first time it is read and then
+    cached.
     """
 
     def __init__(self, complex: CellComplex, sub: Iterable[str] = (), close: bool = False):
@@ -424,35 +431,53 @@ class SubcomplexPair:
         if close:
             subset = complex.closure(subset)
         if len(known) - len(subset) < len(subset):
-            rel_set = known - subset
-            closed = close or all(
-                complex._cofaces[c].isdisjoint(subset) for c in rel_set
-            )
-            rel = sorted(rel_set, key=complex.sort_key)
+            self._set_rel_side(known - subset, closed=close)
         else:
-            closed = close or all(complex._hyperfaces[c] <= subset for c in subset)
-            rel = [c for c in complex.cells() if c not in subset]
-        if not closed:
-            missing = sorted(
-                f
-                for c in subset
-                for f in complex.hyperfaces(c)
-                if f not in subset
-            )
-            raise InvalidSubcomplexError(
-                f"subcomplex not closed under hyperfaces; missing {missing[:5]}"
-            )
+            if not close and not all(complex._hyperfaces[c] <= subset for c in subset):
+                _raise_not_closed(
+                    f for c in subset for f in complex._hyperfaces[c] if f not in subset
+                )
+            self._set_rel([c for c in complex.cells() if c not in subset])
         self.sub = subset
-        dim = complex._dim
+
+    @cached_property
+    def sub(self) -> frozenset[str]:
+        """The subcomplex: every cell not in ``rel_cells``."""
+        return frozenset(self.complex._dim.keys() - self.rel_cells)
+
+    def _set_rel_side(self, rel_set: set[str], closed: bool) -> None:
+        """Take the rel fields from ``rel_set``, a set of known cells, in
+        time linear in it. Unless ``closed`` vouches for the rest, check
+        first that it is closed: every rel cell's cofaces are rel cells."""
+        complex = self.complex
+        cofaces = complex._cofaces
+        if not closed and not all(cofaces[c] <= rel_set for c in rel_set):
+            _raise_not_closed(
+                f for f in rel_set for c in cofaces[f] if c not in rel_set
+            )
+        self._set_rel(sorted(rel_set, key=complex._rank.__getitem__))
+
+    def _set_rel(self, rel: list[str]) -> None:
+        """Store the rel cells, given in the cell order, split by parity."""
+        dim = self.complex._dim
         self.rel_cells = tuple(rel)
         self.rel_even = tuple(c for c in rel if dim[c] % 2 == 0)
         self.rel_odd = tuple(c for c in rel if dim[c] % 2 == 1)
 
     def __repr__(self):
         return (
-            f"SubcomplexPair(|X|={len(self.complex)}, |Y|={len(self.sub)}, "
+            f"SubcomplexPair(|X|={len(self.complex)}, "
+            f"|Y|={len(self.complex) - len(self.rel_cells)}, "
             f"|rel|={len(self.rel_cells)})"
         )
+
+
+def _raise_not_closed(missing: Iterable[str]):
+    """Raise for a subcomplex that lacks the hyperfaces ``missing`` lists,
+    once per coface in the subcomplex."""
+    raise InvalidSubcomplexError(
+        f"subcomplex not closed under hyperfaces; missing {sorted(missing)[:5]}"
+    )
 
 
 def euler_characteristic(pair: SubcomplexPair) -> int:
@@ -518,10 +543,17 @@ class DualLoop:
 def complement_of_dual_loop(complex: CellComplex, loop: DualLoop) -> SubcomplexPair:
     """The pair whose subcomplex holds every cell not on the loop.
 
-    A valid loop's complement is closed: its tops have no cofaces, and each
-    link's only cofaces are two of its tops."""
+    The pair is built from its rel side, the loop's cells, so it costs work
+    on those cells only, not on the complex: the loop is validated, the
+    rest is checked closed on the rel side (a valid loop's tops have no
+    cofaces, and each link's only cofaces are two of its tops), and the
+    loop cells are put in the cell order and split by parity. ``sub``,
+    which holds almost every cell, is derived when it is first read."""
     loop.validate(complex)
-    return SubcomplexPair(complex, complex._dim.keys() - set(loop.cells))
+    pair = SubcomplexPair.__new__(SubcomplexPair)
+    pair.complex = complex
+    pair._set_rel_side(set(loop.cells), closed=False)
+    return pair
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,12 @@ def find_dual_loop(
     Neither cut skips a candidate. The walk keeps one path, with push and
     pop, and uses no recursion.
 
+    Each candidate's pair comes from :func:`complement_of_dual_loop`,
+    which works on the loop's own cells only, so a candidate costs time
+    linear in its length, not in the complex, until ``predicate`` reads
+    ``pair.sub``. A predicate that needs only the complement's size can
+    read ``len(pair.complex) - len(pair.rel_cells)``.
+
     Returns None when the enumeration finishes with no hit; raises
     SearchBudgetExceededError when ``budget`` candidates were tested
     without a verdict.

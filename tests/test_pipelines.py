@@ -7,6 +7,7 @@ import pytest
 from cellmatch import (
     DualLoop,
     HomologyNonzeroError,
+    InvalidLoopError,
     PreconditionError,
     SearchBudgetExceededError,
     SubcomplexPair,
@@ -15,8 +16,10 @@ from cellmatch import (
     cell_id,
     complement_of_dual_loop,
     find_dual_loop,
+    from_simplices,
     match_loop_pipeline,
     match_sphere_pipeline,
+    spanning_dual_loop,
     validate_matching,
 )
 from cellmatch import homology, io, pipelines
@@ -79,8 +82,6 @@ def test_sphere_pipeline_rejects_even_dimension():
 
 
 def test_sphere_pipeline_rejects_non_sphere():
-    from cellmatch import from_simplices
-
     figure8 = from_simplices([[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4]])
     with pytest.raises(HomologyNonzeroError):
         match_sphere_pipeline(figure8)
@@ -184,6 +185,83 @@ def test_find_dual_loop_candidates_equal_rewalk_oracle(monkeypatch, make, budget
     )
     assert tried == expected
     assert outcome == ("over budget" if budget else None)
+
+
+def _pair_fields(pair):
+    return pair.sub, pair.rel_cells, pair.rel_even, pair.rel_odd, repr(pair)
+
+
+@pytest.mark.parametrize(
+    "make", [torus7, _pillow, lambda: circle(12), _bary_torus7],
+    ids=["torus7", "pillow", "circle12", "bary_torus7"],
+)
+def test_loop_complement_equals_constructor_oracle(monkeypatch, make):
+    X = make()
+    _, tried = _search(monkeypatch, X, lambda pair: False, 2000)
+    assert tried
+    cells = set(X.cells())
+    for sequence in tried:
+        loop = DualLoop(sequence)
+        pair = complement_of_dual_loop(X, loop)
+        oracle = SubcomplexPair(X, cells - set(loop.cells))
+        assert _pair_fields(pair) == _pair_fields(oracle), sequence
+
+
+def test_loop_complement_builds_sub_when_first_read():
+    X = barycentric(_bary_torus7()).subdivided
+    loop = find_dual_loop(X, lambda pair: True, budget=1)
+    pair = complement_of_dual_loop(X, loop)
+    assert len(pair.rel_cells) == len(loop.cells)
+    repr(pair)
+    assert "sub" not in vars(pair)
+    assert pair.sub == frozenset(X.cells()) - set(loop.cells)
+    assert "sub" in vars(pair)
+    assert isinstance(pair.sub, frozenset)
+
+
+def _third_coface_complex():
+    """Three triangles round vertex 0 form a disc; a fourth triangle on
+    the edge 0.1 gives that link a third coface."""
+    return from_simplices([[0, 1, 2], [0, 1, 3], [0, 2, 3], [0, 1, 4]])
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (("0.1.2", "0.1", "0.1.2", "0.2"), "not simple: repeated cell 0.1.2"),
+        (("0.1.2", "0.1", "nope", "0.2"), "unknown cell 'nope'"),
+        (("0.1.2", "0.1", "0.3", "0.2"), "0.3 is not a top-dimensional cell"),
+        (
+            ("0.1.2", "0.1", "0.1.3", "0.3", "0.2.3", "0.2"),
+            "0.1 must have exactly the two cofaces ['0.1.2', '0.1.3'], "
+            "found ['0.1.2', '0.1.3', '0.1.4']",
+        ),
+    ],
+    ids=["repeat", "unknown", "not_top", "third_coface"],
+)
+def test_loop_complement_rejects_invalid_loops(cells, message):
+    X = _third_coface_complex()
+    loop = DualLoop(cells)
+    for check in (loop.validate, lambda X: complement_of_dual_loop(X, loop)):
+        with pytest.raises(InvalidLoopError) as err:
+            check(X)
+        assert str(err.value) == message
+
+
+def test_cli_dualloop_complement_empty(tmp_path, capsys):
+    c = tmp_path / "c.json"
+    t = tmp_path / "t.json"
+    loop = tmp_path / "loop.json"
+    assert main(["generate", "circle", "--params", "3", "-o", str(c)]) == 0
+    assert main(["dualloop", "find", str(c), "--complement-empty", "-o", str(loop)]) == 0
+    assert io.load_loop(str(loop)) == spanning_dual_loop(io.load_complex(str(c)))
+    loop.unlink()
+    assert main(["generate", "torus7", "-o", str(t)]) == 0
+    capsys.readouterr()
+    assert main(["dualloop", "find", str(t), "--complement-empty",
+                 "--budget", "50", "-o", str(loop)]) == 2
+    assert "within budget 50" in capsys.readouterr().err
+    assert not loop.exists()
 
 
 def test_pillow_tries_its_parallel_links_first(monkeypatch):
