@@ -401,11 +401,13 @@ def match_dual_cycle(complex: CellComplex, loop: DualLoop, orientation: int) -> 
 
 
 def compose_matchings(parts, relative_to=()) -> Matching:
-    """Union of partial matchings with pairwise-disjoint coverage."""
+    """Union of partial matchings with pairwise-disjoint coverage. A part is
+    a Matching or, to skip building one, the list its ``sorted_pairs``
+    would give."""
     pairs: list[tuple[str, str]] = []
     seen: set[str] = set()
     for part in parts:
-        for a, b in part.sorted_pairs():
+        for a, b in part.sorted_pairs() if isinstance(part, Matching) else part:
             for c in (a, b):
                 if c in seen:
                     raise InvalidMatchingError(f"duplicated: {c}")

@@ -6,6 +6,15 @@ The subdivision is the order complex of the face poset: one new vertex
 the maximal flags. The carrier of a subdivided cell is the largest
 original cell in its chain, i.e. the smallest original cell containing
 it, read off its vertex tuple as the vertex of highest source dimension.
+
+Propagation matches one acyclic block per matched pair, and most blocks
+are one block under a renaming of cells that keeps their order. A block
+is keyed by its indexed structure: its cells in the subdivided complex's
+order, each as the positions of its facets in that list, and the
+positions of its base cells. The block's matching depends on nothing
+else (the complex is simplicial, so the field is q and each sign is the
+parity of a facet position), so each distinct key is matched once and
+its pairs are renamed onto every block that shares it.
 """
 
 from __future__ import annotations
@@ -51,9 +60,10 @@ class SubdivisionMap:
         # monotone: the carrier of a face is a face of the carrier
         for c in sub.cells():
             s = self.carrier[c]
-            allowed = source.faces(s) | {s}
+            faces = source.faces(s)
             for f in sub.hyperfaces(c):
-                if self.carrier[f] not in allowed:
+                t = self.carrier[f]
+                if t != s and t not in faces:
                     raise InvalidSubdivisionError(
                         f"carrier not monotone at {f} < {c}"
                     )
@@ -100,6 +110,16 @@ def propagate_matching(
     closure of its other hyperfaces; each block is an acyclic pair and is
     matched constructively. The blocks compose to a complete matching
     relative to the subdivided base.
+
+    Blocks are keyed by their cells in the subdivided order, each as the
+    tuple of its facets' positions in that list, together with the sorted
+    positions of the base cells. The first block with a key is restricted
+    and matched, and its pairs are kept as positions; a later block with
+    the same key takes those pairs renamed onto its own cells. This is
+    exact: ``match_acyclic_pair`` on a simplicial block reads only the cell
+    order, the facet positions (the signs and the cofaces) and the base, so
+    a repeated key repeats both its result and every check it passed. The
+    composition and the final validation still cover every cell.
     """
     if set(pair.complex.cells()) != set(smap.source.cells()):
         raise InvalidSubdivisionError("subdivision map does not cover the pair's complex")
@@ -108,7 +128,9 @@ def propagate_matching(
     if not report.ok:
         raise InvalidMatchingError("; ".join(report.violations[:5]))
     complex = pair.complex
+    subdivided = smap.subdivided
     sub_base = smap.cells_over(pair.sub)
+    solved: dict[tuple, tuple[tuple[int, int], ...]] = {}
     parts = []
     for a, b in sorted(matching.pairs):
         if complex.dim_of(a) > complex.dim_of(b):
@@ -117,13 +139,23 @@ def propagate_matching(
             upper, lower = b, a
         closed = complex.faces(upper) | {upper}
         rim = closed - {upper, lower}
-        inside = smap.cells_over(closed)
+        inside = sorted(smap.cells_over(closed), key=subdivided.sort_key)
         rel = smap.cells_over(rim)
-        block_complex = smap.subdivided.restrict(inside)
-        block_pair = SubcomplexPair(block_complex, rel)
-        parts.append(match_acyclic_pair(block_pair))
+        position = dict(zip(inside, range(len(inside))))
+        at = position.__getitem__
+        key = (
+            tuple(tuple(map(at, subdivided.facets(c))) for c in inside),
+            tuple(sorted(map(at, rel))),
+        )
+        matched = solved.get(key)
+        if matched is None:
+            block = SubcomplexPair(subdivided.restrict(inside), rel)
+            matched = tuple((at(x), at(y)) for x, y in match_acyclic_pair(block).pairs)
+            solved[key] = matched
+        renamed = ((inside[i], inside[j]) for i, j in matched)
+        parts.append(sorted((x, y) if x <= y else (y, x) for x, y in renamed))
     result = compose_matchings(parts, relative_to=sub_base)
-    target = SubcomplexPair(smap.subdivided, sub_base)
+    target = SubcomplexPair(subdivided, sub_base)
     final = validate_matching(target, result)
     if not final.ok:
         raise AssertionError(

@@ -29,7 +29,9 @@ check of every row for tangency.
 
 The face-poset chains, the simplices of the barycentric subdivision, are
 grown one cell at a time from the transitive face sets alone, with no
-hyperface, flag or id of the library's subdivision.
+hyperface, flag or id of the library's subdivision. The propagation
+blocks are built one per matched pair, each restricted from the
+subdivision afresh, with nothing shared between blocks.
 
 An autouse fixture checks every cw complex a test builds, and a piece of
 it, against the facet order the library documents: hyperfaces by
@@ -335,6 +337,22 @@ def face_poset_chains(complex) -> list[tuple[str, ...]]:
         frontier = [ch + (c,) for ch in frontier for c in cells if ch[-1] in complex.faces(c)]
         chains = chains + frontier
     return chains
+
+
+def propagation_blocks(smap, pair: SubcomplexPair, matching) -> list[SubcomplexPair]:
+    """The acyclic block of every matched pair, in ``sorted(matching.pairs)``
+    order: the subdivided closed upper cell, relative to the subdivided
+    closure of its other hyperfaces."""
+    complex = pair.complex
+    blocks = []
+    for a, b in sorted(matching.pairs):
+        upper, lower = (a, b) if complex.dim_of(a) > complex.dim_of(b) else (b, a)
+        closed = complex.faces(upper) | {upper}
+        rim = closed - {upper, lower}
+        blocks.append(SubcomplexPair(
+            smap.subdivided.restrict(smap.cells_over(closed)), smap.cells_over(rim)
+        ))
+    return blocks
 
 
 def transitive_cofaces(complex, cid: str) -> set[str]:

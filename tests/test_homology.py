@@ -25,7 +25,7 @@ from cellmatch import (
     match_acyclic_pair,
     validate_matching,
 )
-from cellmatch import io, subdivision
+from cellmatch import Matching, io, subdivision
 from cellmatch.generators import (
     apex_of,
     circle,
@@ -45,6 +45,8 @@ from conftest import (
     is_zero_matrix,
     mat_mul,
     match_acyclic_pair_by_layer_complexes,
+    propagation_blocks,
+    relabeled,
 )
 
 
@@ -315,27 +317,26 @@ def _cw_square_grid(m: int):
     return build_cw(records), signs
 
 
-def test_match_acyclic_pair_equals_layer_complex_oracle(monkeypatch):
+def _mixed_dimensions():
+    """Triangles and tetrahedra. Relative to the closure of ``1.8.9``, one
+    layer has two complete matchings, so which side is on the left and the
+    order of the neighbours decide the result."""
+    return from_simplices([
+        [1, 0, 8], [3, 8, 6, 0], [4, 8, 9, 0], [3, 5, 4], [5, 4, 2, 8],
+        [6, 2, 3, 5], [4, 3, 0, 8], [1, 5, 8, 9], [5, 2, 3], [4, 8, 0],
+    ])
+
+
+def test_match_acyclic_pair_equals_layer_complex_oracle():
     cases = [(_shuffled_grid_rel_vertex(m, seed=m), None) for m in (3, 4, 5)]
     for base in (circle(4), circle(7)):
         X = cone(base)
         cases += [(SubcomplexPair(X, [apex_of(X)]), None), (SubcomplexPair(X, ["0"]), None)]
     grid, signs = _cw_square_grid(3)
     cases.append((SubcomplexPair(grid, ["v0_0"]), signs))
-    # One of its layers has two complete matchings, so which side is on
-    # the left and the order of the neighbours decide the result.
-    X = from_simplices([
-        [1, 0, 8], [3, 8, 6, 0], [4, 8, 9, 0], [3, 5, 4], [5, 4, 2, 8],
-        [6, 2, 3, 5], [4, 3, 0, 8], [1, 5, 8, 9], [5, 2, 3], [4, 8, 0],
-    ])
-    cases.append((SubcomplexPair(X, ["1.8.9"], close=True), None))
-    blocks = []
-    real = subdivision.match_acyclic_pair
-    monkeypatch.setattr(
-        subdivision, "match_acyclic_pair", lambda pair: blocks.append(pair) or real(pair)
-    )
+    cases.append((SubcomplexPair(_mixed_dimensions(), ["1.8.9"], close=True), None))
     B = barycentric(torus7()).subdivided
-    subdivision.propagate_matching(
+    blocks = propagation_blocks(
         barycentric(B), SubcomplexPair(B), complete_matching(SubcomplexPair(B))
     )
     assert len(blocks) == len(B) // 2
@@ -347,6 +348,40 @@ def test_match_acyclic_pair_equals_layer_complex_oracle(monkeypatch):
             assert json.dumps(io.encode_matching(got)) == json.dumps(
                 io.encode_matching(want)
             ), (pair, field)
+
+
+def test_propagate_matching_equals_blockwise_matching(monkeypatch):
+    """Blocks that share an indexed shape are matched once and renamed; the
+    result must be every block matched on its own, then put together."""
+    B = barycentric(torus7()).subdivided
+    shared = [SubcomplexPair(relabeled(B, seed)[0]) for seed in (1, 2, 3)]
+    cases = [SubcomplexPair(relabeled(torus7(), seed)[0]) for seed in (1, 2, 3)] + shared
+    S = sphere_boundary(4)
+    cases += [SubcomplexPair(relabeled(X, 5)[0]) for X in (S, barycentric(S).subdivided)]
+    cases.append(SubcomplexPair(simplex(3), ["0"]))
+    cases.append(SubcomplexPair(_cw_square_grid(3)[0], ["v0_0"]))
+    cases.append(SubcomplexPair(_mixed_dimensions(), ["1.8.9"], close=True))
+    calls = []
+    real = subdivision.match_acyclic_pair
+    monkeypatch.setattr(
+        subdivision, "match_acyclic_pair", lambda pair: calls.append(pair) or real(pair)
+    )
+    for pair in cases:
+        matching = complete_matching(pair)
+        assert isinstance(matching, Matching), pair
+        smap = barycentric(pair.complex)
+        blocks = propagation_blocks(smap, pair, matching)
+        want = Matching(
+            [p for block in blocks for p in match_acyclic_pair(block).pairs],
+            relative_to=smap.cells_over(pair.sub),
+        )
+        calls.clear()
+        got = subdivision.propagate_matching(smap, pair, matching)
+        assert json.dumps(io.encode_matching(got)) == json.dumps(
+            io.encode_matching(want)
+        ), pair
+        if pair in shared:
+            assert 0 < len(calls) < len(blocks), (len(calls), len(blocks))
 
 
 def test_inconsistent_cw_signs_fail_boundary_squared():
