@@ -176,10 +176,9 @@ def _cmd_subdivide(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    complex = io.load_complex(args.complex)
-    geom = GeometricComplex(complex)
     field_vec = direction(*args.field.split(","))
     rule, seed = _parse_base_rule(args.base)
+    geom = GeometricComplex(io.load_complex(args.complex))
     structure = flow_structure(geom, field_vec, base_rule=rule, seed=seed)
     matching = flow_matching(structure)
     _emit(io.encode_matching(matching), args.output)

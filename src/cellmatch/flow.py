@@ -11,15 +11,27 @@ simplex is downstream of each face holding all its falling vertices and
 upstream of each face holding all its rising ones. A zero c_i makes the
 facet opposite p_i degenerate.
 
-Only the signs of the c_i are read, and they come from one fraction-free
-integer elimination per top simplex (Bareiss 1968), the method of exact
-orientation predicates. The same elimination with a zero field is the
-test that a top simplex is not degenerate.
+Only the signs of the c_i are read. Each vertex is written once as the
+integer homogeneous column (D, D*x_1, ..., D*x_k), D > 0 the lcm of its
+own denominators; with these columns the system is solved by c_i / D_i,
+which has the sign of c_i. When a GeometricComplex is built, the columns
+of each top simplex go through one fraction-free Gauss-Jordan elimination
+(Bareiss 1968), the method of exact orientation predicates, and the row
+operations on the coordinate rows are kept. Every division in it is
+exact, since every entry is a minor, and a column left without a pivot
+is a degenerate top simplex. A field, scaled to integers by the lcm of
+its denominators (again positive), then costs a few integer dot products
+per top simplex: the pivot rows give the signs, and the residual rows
+give zero exactly when the field is tangent.
+
+The faces of a top simplex are read off its facets by vertex-position
+mask, and the mate of a cell off its own facets or cofaces.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,49 +58,53 @@ def direction(*components) -> tuple[Fraction, ...]:
     return vec
 
 
-_DEGENERATE = "degenerate"
-_NOT_TANGENT = "not tangent"
+def _homogeneous(point) -> tuple[int, ...]:
+    """The point (x_1, ..., x_k) as the integer column (D, D*x_1, ...,
+    D*x_k), where D > 0 is the lcm of its own denominators."""
+    scale = math.lcm(*(x.denominator for x in point))
+    return (scale, *(x.numerator * (scale // x.denominator) for x in point))
 
 
-def _vertex_signs(points, field) -> list[int] | str:
-    """The sign of each c_i in sum(c_i) = 0, sum(c_i p_i) = field, for the
-    vertices ``points`` of one simplex; ``_DEGENERATE`` when the points are
-    affinely dependent, ``_NOT_TANGENT`` when no solution exists.
+def _eliminate(columns, m: int):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the first
+    ``m`` of these integer ``columns``, with the others carried along.
 
-    Each row of the augmented system is scaled by the lcm of its own
-    denominators, which leaves the solution unchanged, and the integer
-    rows are reduced by fraction-free Gauss-Jordan elimination, in which
-    every division is exact. At the end each pivot row holds d in its own
-    column and d * c_i in the last one, with the same d in every row."""
-    m = len(points)
-    rows = [[1] * m + [0]]
-    rows.extend([p[i] for p in points] + [x] for i, x in enumerate(field))
-    for k, row in enumerate(rows):
-        scale = math.lcm(*(x.denominator for x in row))
-        rows[k] = [x.numerator * (scale // x.denominator) for x in row]
+    Returns ``None`` when one of the first m columns has no pivot, else
+    ``(d, pivots, residuals)``. At the end the i-th pivot row holds d in
+    column i and zero in the other eliminated columns, every other row is
+    zero there, and ``pivots`` and ``residuals`` are those rows' carried
+    entries. Every entry is a minor of the whole matrix, so every division
+    is exact. An eliminated column is dropped from every row, as no later
+    step reads it."""
+    rows = [list(row) for row in zip(*columns)]
     d = 1
     for col in range(m):
-        hit = next((r for r in range(col, len(rows)) if rows[r][col]), None)
-        if hit is None:
-            return _DEGENERATE
-        rows[col], rows[hit] = rows[hit], rows[col]
-        pivot = rows[col]
-        p = pivot[col]
-        for r, row in enumerate(rows):
-            if r != col:
-                f = row[col]
-                rows[r] = [(p * x - f * y) // d for x, y in zip(row, pivot)]
+        for hit in range(col, len(rows)):
+            if rows[hit][0]:
+                break
+        else:
+            return None
+        pivot = rows.pop(hit)
+        p = pivot[0]
+        tail = pivot[1:]
+        rows = [
+            [(p * x - f * y) // d for x, y in zip(row[1:], tail)] if (f := row[0])
+            else [p * x // d for x in row[1:]]
+            for row in rows
+        ]
+        rows.insert(col, tail)
         d = p
-    if any(row[m] for row in rows[m:]):
-        return _NOT_TANGENT
-    return [(c > 0) - (c < 0) for c in (row[m] * d for row in rows[:m])]
+    return d, tuple(map(tuple, rows[:m])), tuple(map(tuple, rows[m:]))
 
 
 class GeometricComplex:
     """A pure simplicial complex embedded by exact rational coordinates.
 
     Every top simplex must be non-degenerate and every codimension-1
-    simplex must bound at most two top simplices.
+    simplex must bound at most two top simplices. The constructor
+    eliminates each top simplex's homogeneous columns once and keeps, as
+    tuples, the last pivot d and the tracked row operations of the pivot
+    rows and of the residual rows, which every later field reads.
     """
 
     def __init__(self, complex: CellComplex):
@@ -114,11 +130,18 @@ class GeometricComplex:
         self.coordinates = {t: coords[t] for t in tokens}
         if not complex.is_pure():
             raise PreconditionError("geometric complexes must be pure-dimensional")
-        zero = (0,) * self.ambient_dim
+        columns = {t: _homogeneous(coords[t]) for t in tokens}
+        # Identity columns for rows 1..: their carried entries are the row
+        # operations a field's right-hand side (0, u) needs, as its row 0 is 0.
+        size = self.ambient_dim + 1
+        track = [tuple(int(r == j) for r in range(size)) for j in range(1, size)]
+        self._eliminated: dict[str, tuple] = {}
         for top in complex.top_cells():
-            points = [coords[v] for v in complex.vertices(top)]
-            if _vertex_signs(points, zero) == _DEGENERATE:
+            verts = complex.vertices(top)
+            solve = _eliminate([*map(columns.__getitem__, verts), *track], len(verts))
+            if solve is None:
                 raise InvalidComplexError(f"degenerate top simplex {top}")
+            self._eliminated[top] = solve
         if self.n >= 1:
             for f in complex.cells_of_dim(self.n - 1):
                 if len(complex.cofaces(f)) > 2:
@@ -140,24 +163,33 @@ class BoundarySplit:
     entering: frozenset[str]
 
 
-def _derivative_signs(geom: GeometricComplex, field_vec) -> dict[str, dict[Token, int]]:
+def _derivative_signs(geom: GeometricComplex, field_vec) -> dict[str, list[int]]:
     """Per top simplex, the sign (1, 0 or -1) of the derivative of each
-    barycentric coordinate along the field. The constructor has already
-    rejected every degenerate top simplex."""
+    barycentric coordinate along the field, in the order of its vertices.
+
+    The field is scaled to integers u = L * v, L > 0 the lcm of its
+    denominators. With the homogeneous columns D_j * (1, p_j) the system
+    for (0, u) is solved by c'_j = L * c_j / D_j, which has the sign of
+    c_j. The elimination kept at construction turns (0, u) into d * c'_i
+    on pivot row i, the dot product of that row's tracked operations with
+    u, and into zero on every residual row exactly when the field is
+    tangent. So each sign is that of d times one dot product, and nothing
+    is eliminated here."""
     v = direction(*field_vec)
     if len(v) != geom.ambient_dim:
         raise InvalidComplexError(
             f"field has {len(v)} components, ambient dimension is {geom.ambient_dim}"
         )
-    out: dict[str, dict[Token, int]] = {}
-    for top in geom.complex.top_cells():
-        verts = geom.complex.vertices(top)
-        signs = _vertex_signs([geom.point(u) for u in verts], v)
-        if signs == _NOT_TANGENT:
+    scale = math.lcm(*(x.denominator for x in v))
+    u = [x.numerator * (scale // x.denominator) for x in v]
+    out: dict[str, list[int]] = {}
+    for top, (d, pivots, residuals) in geom._eliminated.items():
+        if any(sum(map(operator.mul, ops, u)) for ops in residuals):
             raise NotTransverseError(
                 f"field is not tangent to top simplex {top}", simplices=(top,)
             )
-        out[top] = dict(zip(verts, signs))
+        values = (d * sum(map(operator.mul, ops, u)) for ops in pivots)
+        out[top] = [(c > 0) - (c < 0) for c in values]
     return out
 
 
@@ -169,25 +201,28 @@ def check_transverse(geom: GeometricComplex, field_vec) -> BoundarySplit:
 
 
 def _sign_split(geom: GeometricComplex, field_vec):
-    """The boundary split, and per top simplex its rising and falling
-    vertices."""
+    """The boundary split, and per top simplex the vertex-position masks
+    of its rising and falling vertices (bit i for its i-th vertex)."""
     if geom.n < 1:
         raise PreconditionError("flow structures need dimension at least 1")
     complex = geom.complex
     degenerate = set()
     exiting = set()
     entering = set()
-    signs: dict[str, tuple[frozenset[Token], frozenset[Token]]] = {}
+    signs: dict[str, tuple[int, int]] = {}
     for top, values in _derivative_signs(geom, field_vec).items():
-        for value, facet in zip(values.values(), complex.facets(top)):
+        rise = fall = 0
+        for i, (value, facet) in enumerate(zip(values, complex.facets(top))):
             if value == 0:
                 degenerate.add(facet)
-            elif len(complex.cofaces(facet)) == 1:
+                continue
+            if value > 0:
+                rise |= 1 << i
+            else:
+                fall |= 1 << i
+            if len(complex.cofaces(facet)) == 1:
                 (exiting if value < 0 else entering).add(facet)
-        signs[top] = (
-            frozenset(u for u, value in values.items() if value > 0),
-            frozenset(u for u, value in values.items() if value < 0),
-        )
+        signs[top] = (rise, fall)
     if degenerate:
         raise NotTransverseError(
             "field lies in the span of codimension-1 simplices: "
@@ -250,16 +285,31 @@ def flow_structure(
         raise ValueError("base_rule 'random' requires a seed")
     split, signs = _sign_split(geom, field_vec)
     complex = geom.complex
+    facets = complex.facets
 
+    # The faces of a top simplex by vertex-position mask (bit i for its
+    # i-th vertex), filled from the full mask down: a mask's face is a facet
+    # of its parent, the face with the mask's lowest unset bit added, and
+    # the i-th facet omits the i-th vertex.
+    full = (1 << (geom.n + 1)) - 1
+    steps = []
+    for mask in range(full - 1, 0, -1):
+        low = ~mask & (mask + 1)
+        steps.append((mask, mask | low, (mask & (low - 1)).bit_count()))
     down_tops: dict[str, list[str]] = {c: [] for c in complex.cells()}
     up_tops: dict[str, list[str]] = {c: [] for c in complex.cells()}
-    for t, (rising, falling) in signs.items():
-        for c in (t, *complex.faces(t)):
-            verts = complex.vertices(c)
-            if falling.issubset(verts):
-                down_tops[c].append(t)
-            if rising.issubset(verts):
-                up_tops[c].append(t)
+    unstable_core: dict[str, str] = {}
+    face: list[str | None] = [None] * (full + 1)
+    for t, (rise, fall) in signs.items():
+        face[full] = t
+        for mask, parent, i in steps:
+            face[mask] = facets(face[parent])[i]
+        for mask in range(1, full + 1):
+            if mask & fall == fall:
+                down_tops[face[mask]].append(t)
+            if mask & rise == rise:
+                up_tops[face[mask]].append(t)
+        unstable_core[t] = face[rise]
 
     downstream: dict[str, str] = {}
     upstream: dict[str, str] = {}
@@ -277,12 +327,10 @@ def flow_structure(
         unstable[t].add(c)
 
     rng = random.Random(seed) if base_rule == "random" else None
-    unstable_core: dict[str, str] = {}
     base_vertex: dict[str, Token] = {}
-    for t, (rising, falling) in signs.items():
-        if not rising or not falling:
+    for t, (rise, fall) in signs.items():
+        if not rise or not fall:
             raise AssertionError(f"{t} lacks a rising or a falling vertex")
-        unstable_core[t] = cell_id(rising)
         choices = complex.vertices(unstable_core[t])  # ascending token order
         base_vertex[t] = choices[0] if rng is None else rng.choice(choices)
 
@@ -314,16 +362,15 @@ def flow_matching(fs: FlowStructure) -> Matching:
     for c in pair.rel_cells:
         top = fs.downstream[c]
         base = fs.base_vertex[top]
-        verts = set(complex.vertices(c))
+        verts = complex.vertices(c)
         if base in verts:
-            partner_verts = verts - {base}
+            if len(verts) == 1:
+                raise AssertionError(f"mate of {c} would be empty")
+            partner = complex.facets(c)[verts.index(base)]
         else:
-            partner_verts = verts | {base}
-        if not partner_verts:
-            raise AssertionError(f"mate of {c} would be empty")
-        partner = cell_id(partner_verts)
-        if partner not in complex:
-            raise AssertionError(f"mate {partner} of {c} is not a cell")
+            partner = next((f for f in complex.cofaces(c) if base in complex.vertices(f)), None)
+            if partner is None:
+                raise AssertionError(f"mate {cell_id((*verts, base))} of {c} is not a cell")
         if fs.downstream.get(partner) != top:
             raise AssertionError(
                 f"mate {partner} of {c} has a different downstream simplex"
@@ -332,8 +379,7 @@ def flow_matching(fs: FlowStructure) -> Matching:
     for c, m in mate.items():
         if mate.get(m) != c:
             raise AssertionError(f"mate rule is not an involution at {c}")
-    pairs = {tuple(sorted((c, m))) for c, m in mate.items()}
-    result = Matching(pairs, relative_to=fs.split.exiting)
+    result = Matching(mate.items(), relative_to=fs.split.exiting)
     report = validate_matching(pair, result)
     if not report.ok:
         raise AssertionError(f"flow matching failed validation: {report.violations[:3]}")

@@ -25,7 +25,9 @@ each facet's opposite vertex by search, and takes the unstable core as
 the common vertices of the unstable hyperfaces. It solves for the
 derivatives itself, with no elimination: Cramer's rule with Leibniz
 determinants on the first nonsingular square subset of the rows, then a
-check of every row for tangency.
+check of every row for tangency. The flow matching by vertex sets names
+each mate by ``cell_id`` of a vertex set, with no facet or coface lookup,
+and the affine-independence test looks for a nonzero maximal minor.
 
 The face-poset chains, the simplices of the barycentric subdivision, are
 grown one cell at a time from the transitive face sets alone, with no
@@ -193,11 +195,10 @@ def derivatives_by_cramer(geom, field_vec) -> dict:
         rows = [[Fraction(1)] * m]
         rows += [[geom.point(u)[i] for u in verts] for i in range(geom.ambient_dim)]
         rhs = [Fraction(0), *v]
-        square = next(
-            s for s in combinations(range(len(rows)), m)
-            if _leibniz_det([rows[r] for r in s])
+        det, square = next(
+            (det, s) for s in combinations(range(len(rows)), m)
+            if (det := _leibniz_det([rows[r] for r in s]))
         )
-        det = _leibniz_det([rows[r] for r in square])
         solution = [
             _leibniz_det([[rhs[r] if j == k else rows[r][j] for j in range(m)] for r in square])
             / det
@@ -287,6 +288,32 @@ def flow_structure_by_resolve(geom, field_vec, base_rule="lowest", seed=None):
     return FlowStructure(
         geom, direction(*field_vec), split, downstream, upstream, stable, unstable,
         unstable_core, base_vertex, base_rule,
+    )
+
+
+def flow_matching_by_vertex_sets(fs) -> Matching:
+    """``flow_matching`` from public ``FlowStructure`` fields alone: the mate
+    of each cell off the exiting closure is named by ``cell_id`` of its
+    vertex set with the base vertex of its downstream simplex removed when
+    present and added otherwise."""
+    X = fs.geometry.complex
+    pairs = set()
+    for c in X.cells():
+        if c not in fs.split.exiting:
+            base = fs.base_vertex[fs.downstream[c]]
+            pairs.add((c, cell_id(set(X.vertices(c)) ^ {base})))
+    return Matching(pairs, relative_to=fs.split.exiting)
+
+
+def affinely_independent_by_minors(points) -> bool:
+    """Whether the points are affinely independent: some maximal square
+    minor of the matrix with columns (1, p_i) is nonzero, each taken as a
+    Leibniz determinant."""
+    rows = [[Fraction(1)] * len(points)]
+    rows += [[Fraction(p[i]) for p in points] for i in range(len(points[0]))]
+    return any(
+        _leibniz_det([rows[r] for r in square])
+        for square in combinations(range(len(rows)), len(points))
     )
 
 

@@ -67,6 +67,15 @@ def test_flow_matching_written(tmp_path):
     assert data["format"] == io.MATCHING_FORMAT
 
 
+@pytest.mark.parametrize("flag, message", [
+    (("--field", "bogus"), "bad direction component 'bogus'"),
+    (("--field", "1,-3", "--base", "random:x"), "bad --base value 'random:x'"),
+])
+def test_flow_flags_checked_before_the_complex_is_read(tmp_path, capsys, flag, message):
+    assert run("flow", str(tmp_path / "missing.json"), *flag) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_chi_and_homology(tmp_path, capsys):
     t = tmp_path / "t.json"
     assert run("generate", "torus7", "-o", str(t)) == 0

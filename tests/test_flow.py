@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,11 @@ from cellmatch import (
 )
 from cellmatch.generators import grid_square, interval, product
 
-from conftest import flow_structure_by_resolve
+from conftest import (
+    affinely_independent_by_minors,
+    flow_matching_by_vertex_sets,
+    flow_structure_by_resolve,
+)
 
 
 def _triangle() -> GeometricComplex:
@@ -215,11 +220,12 @@ def test_float_coordinates_rejected():
 
 
 def test_field_not_tangent_reported():
-    # a 1-complex embedded in the plane with a field off its line
-    coords = {0: (Fraction(0), Fraction(0)), 1: (Fraction(1), Fraction(0))}
-    geom = GeometricComplex(from_simplices([[0, 1]], coordinates=coords))
-    with pytest.raises(NotTransverseError, match="tangent"):
-        check_transverse(geom, (0, 1))
+    # a 1-complex in the plane and a 2-complex in space, fields off them
+    for geom, field in [(_segment_in_plane(), (0, 1)), (_tilted_grid(), (1, -3, 1))]:
+        with pytest.raises(NotTransverseError) as err:
+            check_transverse(geom, field)
+        top = geom.complex.top_cells()[0]
+        assert str(err.value) == f"field is not tangent to top simplex {top}"
 
 
 def test_non_simplicial_rejected():
@@ -271,6 +277,16 @@ def _sheared_grid() -> GeometricComplex:
     )
 
 
+def _tilted_grid() -> GeometricComplex:
+    """``grid_square(2)`` on the plane z = x/2 - y/3 in R^3, so that every
+    top simplex has a row left over by its elimination."""
+    X = grid_square(2)
+    coords = {t: (x, y, x / 2 - y / 3) for t, (x, y) in X.coordinates.items()}
+    return GeometricComplex(
+        from_simplices([X.vertices(t) for t in X.top_cells()], coordinates=coords)
+    )
+
+
 _ORACLE_CASES = [
     (grid_square(3), [(1, -3), (3, 1), (-2, 5), (2, -1), (1, 1), (0, -1), (1, 2, 3)]),
     (interval(4), [(1,), (-1,), ("1/2",)]),
@@ -278,6 +294,7 @@ _ORACLE_CASES = [
     (_folded().complex, [(1, 3), (1, -3), (3, 1), (-1, -2), (1, 0)]),
     (_segment_in_plane().complex, [(0, 1), (1, 1)]),
     (_sheared_grid().complex, [("1/3", "-2/7"), (5, "3/11"), (-1, -1), (2, -1), ("-7/5", 3)]),
+    (_tilted_grid().complex, [(1, -3, "3/2"), (2, 1, "2/3"), (1, -3, 1)]),
 ]
 
 
@@ -307,3 +324,73 @@ def test_flow_structure_equals_per_cell_resolve_oracle(base_rule, seed):
                 assert getattr(got, f.name) == getattr(want, f.name), (field, f.name)
             assert split == want.split
             assert flow_matching(got) == flow_matching(want)
+            assert flow_matching(got) == flow_matching_by_vertex_sets(want)
+
+
+def _random_simplex(rng: random.Random):
+    """One simplex of dimension 1-3 in an ambient space of its dimension up
+    to two more, with fractional coordinates over mixed denominators; one
+    case in five has its last point an affine combination of the others.
+    Returns its complex, its points and its fields: a tangent field; when
+    n > 1, one along an edge, which makes a facet degenerate; and when the
+    ambient space leaves room, one pushed off its plane."""
+
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 11)))
+
+    n = rng.randint(1, 3)
+    k = rng.randint(n, n + 2)
+    points = [tuple(q() for _ in range(k)) for _ in range(n + 1)]
+    if rng.random() < 0.2:
+        weights = [q() for _ in range(n - 1)]
+        points[n] = tuple(
+            p0 + sum(w * (p[i] - p0) for w, p in zip(weights, points[1:n]))
+            for i, p0 in enumerate(points[0])
+        )
+    weights = [q() for _ in range(n)]
+    tangent = tuple(
+        sum(w * (p[i] - p0) for w, p in zip(weights, points[1:]))
+        for i, p0 in enumerate(points[0])
+    )
+    fields = [tangent]
+    if n > 1:
+        fields.append(tuple(a - b for a, b in zip(points[1], points[0])))
+    if k > n:
+        fields.append(tuple(x + q() for x in tangent))
+    labels = rng.sample(range(10), n + 1)
+    complex = from_simplices([labels], coordinates=dict(zip(labels, points)))
+    return complex, points, fields
+
+
+def _without_geometry(structure):
+    if isinstance(structure, tuple):
+        return structure
+    return {f.name: getattr(structure, f.name)
+            for f in dataclasses.fields(structure) if f.name != "geometry"}
+
+
+def test_random_simplices_equal_minors_and_resolve_oracles():
+    """Degeneracy against nonzero minors, and every field's structure,
+    boundary split and errors against the per-cell search; one geometry
+    serves every field of a simplex, and gives what a fresh one gives."""
+    rng = random.Random(17)
+    outcomes = {"degenerate": 0, "structure": 0, "error": 0}
+    for _ in range(400):
+        complex, points, fields = _random_simplex(rng)
+        geom = _outcome(GeometricComplex, complex)
+        assert isinstance(geom, GeometricComplex) == affinely_independent_by_minors(points)
+        if not isinstance(geom, GeometricComplex):
+            top = complex.top_cells()[0]
+            assert geom == (InvalidComplexError, f"degenerate top simplex {top}")
+            outcomes["degenerate"] += 1
+            continue
+        for field in fields:
+            got = _outcome(flow_structure, geom, field)
+            want = _outcome(flow_structure_by_resolve, geom, field)
+            fresh = _outcome(flow_structure, GeometricComplex(complex), field)
+            assert _without_geometry(got) == _without_geometry(want), field
+            assert _without_geometry(fresh) == _without_geometry(got), field
+            split = _outcome(check_transverse, geom, field)
+            assert split == (want if isinstance(want, tuple) else want.split), field
+            outcomes["error" if isinstance(want, tuple) else "structure"] += 1
+    assert min(outcomes.values()) >= 40, outcomes
