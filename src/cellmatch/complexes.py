@@ -24,6 +24,7 @@ a loop complement derives its subcomplex once, when it is first read.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -511,28 +512,24 @@ class DualLoop:
         return self.cells[1::2]
 
     def validate(self, complex: CellComplex) -> None:
-        n = complex.dim
-        seen: set[str] = set()
-        repeats: set[str] = set()
-        for c in self.cells:
-            if c in seen:
-                repeats.add(c)
-            seen.add(c)
-        if repeats:
+        cells, dims, cofaces = self.cells, complex._dim, complex._cofaces
+        if len(set(cells)) < len(cells):
+            repeats = [c for c, count in Counter(cells).items() if count > 1]
             raise InvalidLoopError(f"not simple: repeated cell {min(repeats)}")
-        for cid in self.cells:
-            if cid not in complex:
+        for cid in cells:
+            if cid not in dims:
                 raise InvalidLoopError(f"unknown cell {cid!r}")
-        tops = self.top_cells
-        links = self.link_cells
+        n = complex.dim
+        tops = cells[0::2]
         for c in tops:
-            if complex.dim_of(c) != n:
+            if dims[c] != n:
                 raise InvalidLoopError(f"{c} is not a top-dimensional cell")
-        for i, f in enumerate(links):
-            if complex.dim_of(f) != n - 1:
+        k = len(tops)
+        for i, f in enumerate(cells[1::2]):
+            if dims[f] != n - 1:
                 raise InvalidLoopError(f"{f} is not a codimension-1 cell")
-            cofs = complex.cofaces(f)
-            expected = {tops[i], tops[(i + 1) % self.k]}
+            cofs = cofaces[f]
+            expected = {tops[i], tops[(i + 1) % k]}
             if cofs != expected:
                 raise InvalidLoopError(
                     f"{f} must have exactly the two cofaces {sorted(expected)}, "

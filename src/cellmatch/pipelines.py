@@ -147,17 +147,27 @@ def find_dual_loop(
     node, in the order of the complex's top cells; a cycle is found only
     from its smallest node by id, so each is tried once. Length 2 takes
     each pair of parallel links, the other node ascending, then the two
-    links ascending. Longer cycles are walked depth first, each node's
-    (link, node) neighbours in ascending order, and each is taken in one
-    direction only, the one whose second node has the smaller id.
+    links ascending. Longer cycles of one start go in ascending order of
+    their sequences (start, link, node, ..., link), each taken in one
+    direction only, the one whose second node has the smaller id. This
+    is the order of a depth-first walk over each node's sorted (link,
+    node) neighbours: two walks part at their first differing neighbour,
+    which is where their sequences first differ.
 
-    For each length L and start, a breadth-first search over the nodes
-    not below the start gives their distances to it, out to radius L//2.
-    A path is not extended to a node farther from the start than the
-    steps it has left (Johnson 1975): such a path cannot close in time.
-    A start with fewer than L nodes in reach has no cycle of length L.
-    Neither cut skips a candidate. The walk keeps one path, with push and
-    pop, and uses no recursion.
+    Each start keeps its half-paths, the simple paths leaving it over
+    nodes above it, as alternating (node, link, ..., node) tuples, one
+    list per number of links, and grows one more list only when a longer
+    cycle needs it (Pohl 1971). A cycle of length L is a path P of L//2
+    links joined to a path Q of L - L//2 links that ends where P ends,
+    with disjoint interiors and P's second node below Q's; P + reversed
+    Q is its sequence. Every P has L//2 links, so sequences compare by P
+    first. P runs over its list, which is in ascending order as built,
+    and Q over the paths with P's end, sorted by their reversed
+    sequences, so the join lists the cycles of one start in ascending
+    order with no sort of the cycles. Lists shorter than L//2 links are
+    dropped, and a start left with no paths has no longer cycle. A
+    two-coloured dual graph has no odd cycle, so its odd lengths are
+    skipped. The search uses no recursion.
 
     Each candidate's pair comes from :func:`complement_of_dual_loop`,
     which works on the loop's own cells only, so a candidate costs time
@@ -185,64 +195,61 @@ def find_dual_loop(
         pair = complement_of_dual_loop(complex, loop)
         return loop if predicate(pair) else None
 
-    for length in range(2, len(nodes) + 1):
-        for start in nodes:
-            if length == 2:
-                by_other: dict[str, list[str]] = {}
-                for edge, other in neighbors[start]:
-                    by_other.setdefault(other, []).append(edge)
-                for other in sorted(by_other):
-                    if other <= start:
-                        continue
-                    parallels = sorted(by_other[other])
-                    for i, edge_a in enumerate(parallels):
-                        for edge_b in parallels[i + 1:]:
-                            hit = test([start, edge_a, other, edge_b])
-                            if hit is not None:
-                                return hit
+    for start in nodes:
+        by_other: dict[str, list[str]] = {}
+        for edge, other in neighbors[start]:
+            by_other.setdefault(other, []).append(edge)
+        for other in sorted(by_other):
+            if other <= start:
                 continue
-            # distances to start among the nodes not below it; a node
-            # missing from dist (below start, or beyond radius length // 2)
-            # lies on no cycle of this length through start
-            dist = {start: 0}
-            frontier = [start]
-            for d in range(1, length // 2 + 1):
-                reached = []
-                for node in frontier:
-                    for _, other in neighbors[node]:
-                        if other not in dist and other > start:
-                            dist[other] = d
-                            reached.append(other)
-                frontier = reached
-            if len(dist) < length:  # too few nodes in reach for the cycle
-                continue
-            path, edges, seen = [start], [], {start}
-            pending = [iter(neighbors[start])]
-            while pending:
-                steps_left = length - len(path)
-                for edge, other in pending[-1]:
-                    if other in seen or dist.get(other, length) > steps_left:
-                        continue
-                    if steps_left > 1:
-                        path.append(other)
-                        edges.append(edge)
-                        seen.add(other)
-                        pending.append(iter(neighbors[other]))
-                        break
-                    # a closing link is never on the path, which has >= 3 nodes
-                    if path[1] < other:  # one direction per cycle
-                        for closing, back in neighbors[other]:
-                            if back == start:
-                                links = edges + [edge, closing]
-                                sequence = []
-                                for node, link in zip(path + [other], links):
-                                    sequence += (node, link)
-                                hit = test(sequence)
-                                if hit is not None:
-                                    return hit
-                else:
-                    pending.pop()
-                    seen.discard(path.pop())
-                    if edges:
-                        edges.pop()
+            parallels = sorted(by_other[other])
+            for i, edge_a in enumerate(parallels):
+                for edge_b in parallels[i + 1:]:
+                    hit = test([start, edge_a, other, edge_b])
+                    if hit is not None:
+                        return hit
+
+    colour: dict[str, int] = {}
+    for root in nodes:
+        if root in colour:
+            continue
+        colour[root], stack = 0, [root]
+        while stack:
+            node = stack.pop()
+            for _, other in neighbors[node]:
+                if other not in colour:
+                    colour[other] = 1 - colour[node]
+                    stack.append(other)
+    bipartite = all(colour[a] != colour[b] for a, b in graph.edges.values())
+
+    # halves[start][k]: the half-paths of k links, in ascending order
+    halves = {start: {0: [(start,)]} for start in nodes}
+    starts = nodes
+    for length in range(3, len(nodes) + 1):
+        if bipartite and length % 2:
+            continue
+        short, long = length // 2, length - length // 2
+        for start in starts:
+            kept = halves[start]
+            while long not in kept:
+                top = max(kept)
+                kept[top + 1] = [
+                    path + step
+                    for path in kept[top]
+                    for step in neighbors[path[-1]]
+                    if step[1] > start and step[1] not in path
+                ]
+            for k in [k for k in kept if k < short]:
+                del kept[k]
+            ends: dict[str, list[tuple[str, ...]]] = {}
+            for q in sorted(kept[long], key=lambda q: q[::-1]):
+                ends.setdefault(q[-1], []).append(q)
+            for p in kept[short]:
+                inner = set(p[2:-1:2])
+                for q in ends.get(p[-1], ()):
+                    if p[2] < q[2] and inner.isdisjoint(q[2:-1:2]):
+                        hit = test(p + q[-2:0:-1])
+                        if hit is not None:
+                            return hit
+        starts = [start for start in starts if halves[start][long]]
     return None

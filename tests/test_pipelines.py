@@ -141,6 +141,21 @@ def _bary_torus7(seed=None):
     return X if seed is None else relabeled(X, seed)[0]
 
 
+def _bary_mobius():
+    """barycentric of the 5-vertex Moebius band; its dual graph is not
+    bipartite, and its shortest odd cycle has length 15."""
+    band = from_simplices([[i, (i + 1) % 5, (i + 2) % 5] for i in range(5)])
+    return barycentric(band).subdivided
+
+
+def _bary_torus7_and_k4():
+    """barycentric(torus7), whose dual graph is bipartite, beside a
+    relabelled tetrahedron boundary, whose dual graph K4 has triangles."""
+    X, K = _bary_torus7(), relabeled(sphere_boundary(3), 1)[0]
+    tops = [X.vertices(c) for c in X.cells_of_dim(2)]
+    return from_simplices(tops + [K.vertices(c) for c in K.cells_of_dim(2)])
+
+
 def _search(monkeypatch, X, predicate, budget):
     """find_dual_loop's result, or "over budget", and the loops it tried,
     in the order it tried them."""
@@ -170,10 +185,13 @@ def _search(monkeypatch, X, predicate, budget):
         (lambda: _bary_torus7(1), 2000),
         (lambda: _bary_torus7(2), 2000),
         (lambda: _bary_torus7(3), 2000),
+        (_bary_mobius, None),
+        (_bary_torus7_and_k4, 2000),
     ],
     ids=[
         "torus7", "sphere3", "circle5", "circle12", "pillow", "bary_torus7",
         "bary_torus7_seed1", "bary_torus7_seed2", "bary_torus7_seed3",
+        "bary_mobius", "bary_torus7_and_k4",
     ],
 )
 def test_find_dual_loop_candidates_equal_rewalk_oracle(monkeypatch, make, budget):
@@ -236,8 +254,11 @@ def _third_coface_complex():
             "0.1 must have exactly the two cofaces ['0.1.2', '0.1.3'], "
             "found ['0.1.2', '0.1.3', '0.1.4']",
         ),
+        (("0.1.2", "1", "0.1.3", "0.1"), "1 is not a codimension-1 cell"),
+        # a bad link comes first, but every top is checked before any link
+        (("0.1.2", "1", "0.3", "0.2"), "0.3 is not a top-dimensional cell"),
     ],
-    ids=["repeat", "unknown", "not_top", "third_coface"],
+    ids=["repeat", "unknown", "not_top", "third_coface", "not_codim1", "two_faults"],
 )
 def test_loop_complement_rejects_invalid_loops(cells, message):
     X = _third_coface_complex()
