@@ -143,7 +143,7 @@ def _cmd_enumerate(args) -> int:
         io.write_json(
             args.output,
             {
-                "format": "cellmatch-enumeration-v1",
+                "format": io.ENUMERATION_FORMAT,
                 "count": count,
                 "matchings": [io.encode_matching(m) for m in matchings],
             },
@@ -189,7 +189,7 @@ def _cmd_orbits(args) -> int:
     pair = _load_pair(args)
     matching = io.load_matching(args.matching)
     report = orbit_analysis(pair, matching)
-    obj = {"format": "cellmatch-orbit-v1", "classification": report.classification}
+    obj = {"format": io.ORBIT_FORMAT, "classification": report.classification}
     if report.orbit is not None:
         obj["orbit"] = list(report.orbit)
     if report.collapse_order is not None:
@@ -265,17 +265,16 @@ _FORMAT_NAMES = [
     io.BETTI_FORMAT,
     io.FILTRATION_FORMAT,
     io.SUBDIV_FORMAT,
+    io.ENUMERATION_FORMAT,
+    io.ORBIT_FORMAT,
 ]
 
 
-def _print_formats() -> int:
+def _print_formats(subcommands) -> int:
     obj = {
         "version": __version__,
         "formats": _FORMAT_NAMES,
-        "subcommands": [
-            "generate", "chi", "match", "enumerate", "homology", "subdivide",
-            "flow", "orbits", "validate", "pipeline", "dualloop",
-        ],
+        "subcommands": list(subcommands),
         "families": list(family_names()),
         "exit_codes": {"0": "success", "1": "usage/format", "2": "negative verdict",
                        "3": "precondition violation"},
@@ -375,6 +374,7 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_dualloop)
 
+    parser.set_defaults(subcommands=tuple(sub.choices))
     return parser
 
 
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.formats:
-            return _print_formats()
+            return _print_formats(args.subcommands)
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return EXIT_USAGE

@@ -11,12 +11,12 @@ Tables are checked once, where they enter from outside the program:
 ``from_simplices`` checks the vertex tokens and that no two vertex sets
 share an id, and ``build_cw`` checks every raw record. Everything derived
 from a built complex (``restrict``, the builders' own faces) is trusted.
-The builders fill every table the complex serves (dimensions, hyperfaces,
-facets, cofaces, vertex tuples) and fix its cell order; ``restrict`` keeps
-that order and slices the parent's tables. ``facets`` lists a cell's
-hyperfaces by descending rank. Simplices rank by dimension, then vertex
-tuple, and dropping a later vertex gives an earlier tuple, so a simplex's
-i-th facet omits its i-th vertex.
+The builders fill every table the complex stores (dimensions, facets,
+cofaces, vertex tuples) and fix its cell order; ``restrict`` keeps that
+order and slices the parent's tables. ``facets`` is the one stored
+hyperface relation: a cell's hyperfaces by descending rank. Simplices
+rank by dimension, then vertex tuple, and dropping a later vertex gives
+an earlier tuple, so a simplex's i-th facet omits its i-th vertex.
 
 Complexes and pairs are immutable after construction and safe to share;
 a loop complement derives its subcomplex once, when it is first read.
@@ -85,15 +85,16 @@ class CellComplex:
     Build one with :func:`from_simplices` or :func:`build_cw`, or take a
     piece of one with :meth:`restrict`, which slices its parent's tables.
     The constructor trusts its tables: it checks only the kind,
-    non-emptiness and the coordinates, stores every table it is handed
-    (cofaces and facets included) and builds only the rank, so the tables
-    must come from one of those builders, which own them. The builders own
-    the cell order too: ``order`` lists every cell once, and :meth:`cells`
-    returns it as given.
+    non-emptiness and the coordinates, stores the tables it is handed
+    (dimensions, facets, cofaces, vertex tuples) and builds only the rank,
+    so the tables must come from one of those builders, which own them.
+    The builders own the cell order too: ``order`` lists every cell once,
+    and :meth:`cells` returns it as given. ``facets`` is the one stored
+    hyperface relation; :meth:`hyperfaces` builds its set from them.
     """
 
     def __init__(
-        self, kind, dims, hyperfaces, facets, cofaces, order, verts=None, coordinates=None
+        self, kind, dims, facets, cofaces, order, verts=None, coordinates=None
     ):
         if kind not in (SIMPLICIAL, CW):
             raise InvalidComplexError(f"unknown complex kind {kind!r}")
@@ -101,7 +102,6 @@ class CellComplex:
             raise InvalidComplexError("empty complex")
         self.kind = kind
         self._dim = dims
-        self._hyperfaces = hyperfaces
         self._facets = facets
         self._cofaces = cofaces
         self._verts = verts
@@ -127,7 +127,7 @@ class CellComplex:
         return self._dim[cid]
 
     def hyperfaces(self, cid: str) -> frozenset[str]:
-        return self._hyperfaces[cid]
+        return frozenset(self._facets[cid])
 
     def facets(self, cid: str) -> tuple[str, ...]:
         """Hyperfaces of ``cid`` by descending rank, as the builder stored
@@ -161,35 +161,11 @@ class CellComplex:
 
     def faces(self, cid: str) -> frozenset[str]:
         """All proper faces of ``cid`` (transitive closure of hyperfaces)."""
-        cached = self._faces_cache.get(cid)
-        if cached is not None:
-            return cached
-        out: set[str] = set()
-        stack = list(self._hyperfaces[cid])
-        while stack:
-            f = stack.pop()
-            if f not in out:
-                out.add(f)
-                stack.extend(self._hyperfaces[f])
-        result = frozenset(out)
-        self._faces_cache[cid] = result
-        return result
+        return _reach(self._facets, self._faces_cache, cid)
 
     def cofaces_all(self, cid: str) -> frozenset[str]:
         """All proper cofaces of ``cid`` (cells strictly containing it)."""
-        cached = self._cofaces_cache.get(cid)
-        if cached is not None:
-            return cached
-        out: set[str] = set()
-        stack = list(self._cofaces[cid])
-        while stack:
-            c = stack.pop()
-            if c not in out:
-                out.add(c)
-                stack.extend(self._cofaces[c])
-        result = frozenset(out)
-        self._cofaces_cache[cid] = result
-        return result
+        return _reach(self._cofaces, self._cofaces_cache, cid)
 
     def closure(self, ids: Iterable[str]) -> frozenset[str]:
         out: set[str] = set()
@@ -202,10 +178,9 @@ class CellComplex:
 
     def is_closed(self, ids: Iterable[str]) -> bool:
         idset = set(ids)
-        for c in idset:
-            if c not in self._dim:
-                raise InvalidSubcomplexError(f"unknown cell {c!r}")
-        return all(self._hyperfaces[c] <= idset for c in idset)
+        _check_known(self, idset)
+        facets = self._facets
+        return all(idset.issuperset(facets[c]) for c in idset)
 
     def is_pure(self) -> bool:
         """Whether every cell is a face of a top cell: exactly when every
@@ -220,8 +195,8 @@ class CellComplex:
         """The subcomplex on ``ids``, which must be nonempty and closed. It
         lists its cells in this complex's order, so both rank them alike,
         and slices this complex's tables: a closed piece keeps every cell's
-        hyperfaces and facets, and its cofaces are this complex's cofaces
-        that lie in the piece."""
+        facets, and its cofaces are this complex's cofaces that lie in the
+        piece."""
         idset = set(ids)
         if not idset:
             raise InvalidSubcomplexError("cannot restrict to an empty cell set")
@@ -229,7 +204,6 @@ class CellComplex:
             raise InvalidSubcomplexError("cell set is not closed under hyperfaces")
         order = tuple(sorted(idset, key=self._rank.__getitem__))
         dims = {c: self._dim[c] for c in order}
-        hyper = {c: self._hyperfaces[c] for c in order}
         facets = {c: self._facets[c] for c in order}
         cofaces = {}
         for c in order:
@@ -243,7 +217,7 @@ class CellComplex:
                 tokens = {verts[c][0] for c in order if dims[c] == 0}
                 coords = {t: self.coordinates[t] for t in tokens if t in self.coordinates}
         return CellComplex(
-            self.kind, dims, hyper, facets, cofaces, order, verts=verts, coordinates=coords
+            self.kind, dims, facets, cofaces, order, verts=verts, coordinates=coords
         )
 
     def __repr__(self):
@@ -252,6 +226,30 @@ class CellComplex:
             counts[d] = counts.get(d, 0) + 1
         f_vec = tuple(counts.get(d, 0) for d in range(self.dim + 1))
         return f"CellComplex(kind={self.kind!r}, f={f_vec})"
+
+
+def _reach(table, cache, cid: str) -> frozenset[str]:
+    """The cells reachable from ``cid`` by one or more steps of ``table``
+    (facets or cofaces), kept in ``cache``."""
+    cached = cache.get(cid)
+    if cached is not None:
+        return cached
+    out: set[str] = set()
+    stack = list(table[cid])
+    while stack:
+        c = stack.pop()
+        if c not in out:
+            out.add(c)
+            stack.extend(table[c])
+    result = cache[cid] = frozenset(out)
+    return result
+
+
+def _check_known(complex: CellComplex, ids: set) -> None:
+    """Raise for the smallest of ``ids`` that names no cell of ``complex``."""
+    known = complex._dim.keys()
+    if not known >= ids:
+        raise InvalidSubcomplexError(f"unknown cell {min(ids - known, key=str)!r}")
 
 
 def _check_simplices(vertex_sets) -> None:
@@ -325,7 +323,6 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
     ids: dict[tuple[int, ...], str] = {}
     dims: dict[str, int] = {}
     verts: dict[str, tuple[Token, ...]] = {}
-    hyper: dict[str, frozenset[str]] = {}
     facets: dict[str, tuple[str, ...]] = {}
     cofaces: dict[str, frozenset[str]] = {}
     order: list[str] = []
@@ -341,7 +338,6 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
         # combinations lists the facets by ascending rank
         fs = [tuple(map(ids.__getitem__, combinations(t, d)))[::-1] if d else () for t in ts]
         facets.update(zip(cids, fs))
-        hyper.update(zip(cids, map(frozenset, fs)))
         for c, cf in zip(cids, fs):
             for f in cf:
                 below[f].append(c)
@@ -351,7 +347,7 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
     if len(verts) < len(ids):  # two vertex tuples wrote one id
         _raise_shared_id(tuple(sorted(v, key=_token_key)) for v in vertex_sets)
     return CellComplex(
-        SIMPLICIAL, dims, hyper, facets, cofaces, tuple(order), verts, coordinates
+        SIMPLICIAL, dims, facets, cofaces, tuple(order), verts, coordinates
     )
 
 
@@ -361,26 +357,27 @@ def build_cw(cell_records, coordinates=None) -> CellComplex:
     This is where raw cw tables enter, so every record is checked here:
     str ids, nonnegative int dimensions, hyperfaces that exist one
     dimension down, no hyperfaces on a vertex and exactly two on a 1-cell.
-    Cells are ordered by dimension, then by id, so a cell's facets, all of
-    one dimension, are its hyperfaces by descending id.
+    A record's hyperfaces are checked in their listed order, a repeat
+    counted once. Cells are ordered by dimension, then by id, so a cell's
+    facets, all of one dimension, are its hyperfaces by descending id.
     """
     records = list(cell_records)
     if not records:
         raise InvalidComplexError("empty complex")
     dims: dict[str, int] = {}
-    hyper: dict[str, frozenset[str]] = {}
+    listed: dict[str, tuple[str, ...]] = {}
     for cid, d, faces in records:
         if cid in dims:
             raise InvalidComplexError(f"duplicate cell id {cid!r}")
         dims[cid] = d
-        hyper[cid] = frozenset(faces)
+        listed[cid] = tuple(dict.fromkeys(faces))
     cofaces: dict[str, list[str]] = {c: [] for c in dims}
     for c, d in dims.items():
         if not isinstance(c, str) or not c:
             raise InvalidComplexError(f"bad cell id {c!r}")
         if not isinstance(d, int) or d < 0:
             raise InvalidComplexError(f"cell {c}: bad dimension {d!r}")
-        faces = hyper[c]
+        faces = listed[c]
         for f in faces:
             if f not in dims:
                 raise InvalidComplexError(f"cell {c}: dangling hyperface {f!r}")
@@ -397,9 +394,9 @@ def build_cw(cell_records, coordinates=None) -> CellComplex:
                 f"1-cell {c} must have exactly 2 hyperfaces (regularity)"
             )
     order = tuple(sorted(dims, key=lambda c: (dims[c], c)))
-    facets = {c: tuple(sorted(hyper[c], reverse=True)) for c in order}
+    facets = {c: tuple(sorted(listed[c], reverse=True)) for c in order}
     cofs = {c: frozenset(cofaces[c]) for c in order}
-    return CellComplex(CW, dims, hyper, facets, cofs, order, coordinates=coordinates)
+    return CellComplex(CW, dims, facets, cofs, order, coordinates=coordinates)
 
 
 class SubcomplexPair:
@@ -425,19 +422,21 @@ class SubcomplexPair:
     def __init__(self, complex: CellComplex, sub: Iterable[str] = (), close: bool = False):
         self.complex = complex
         subset = frozenset(sub)
-        known = complex._dim.keys()
-        if not known >= subset:
-            cid = next(c for c in subset if c not in known)
-            raise InvalidSubcomplexError(f"unknown cell {cid!r}")
+        _check_known(complex, subset)
         if close:
             subset = complex.closure(subset)
-        if len(known) - len(subset) < len(subset):
-            self._set_rel_side(known - subset, closed=close)
-        else:
-            if not close and not all(complex._hyperfaces[c] <= subset for c in subset):
+        if len(complex) - len(subset) < len(subset):
+            rel_set = complex._dim.keys() - subset
+            cofaces = complex._cofaces
+            if not close and not all(cofaces[c] <= rel_set for c in rel_set):
                 _raise_not_closed(
-                    f for c in subset for f in complex._hyperfaces[c] if f not in subset
+                    f for f in rel_set for c in cofaces[f] if c not in rel_set
                 )
+            self._set_rel(sorted(rel_set, key=complex._rank.__getitem__))
+        else:
+            facets = complex._facets
+            if not close and not all(subset.issuperset(facets[c]) for c in subset):
+                _raise_not_closed(f for c in subset for f in facets[c] if f not in subset)
             self._set_rel([c for c in complex.cells() if c not in subset])
         self.sub = subset
 
@@ -445,18 +444,6 @@ class SubcomplexPair:
     def sub(self) -> frozenset[str]:
         """The subcomplex: every cell not in ``rel_cells``."""
         return frozenset(self.complex._dim.keys() - self.rel_cells)
-
-    def _set_rel_side(self, rel_set: set[str], closed: bool) -> None:
-        """Take the rel fields from ``rel_set``, a set of known cells, in
-        time linear in it. Unless ``closed`` vouches for the rest, check
-        first that it is closed: every rel cell's cofaces are rel cells."""
-        complex = self.complex
-        cofaces = complex._cofaces
-        if not closed and not all(cofaces[c] <= rel_set for c in rel_set):
-            _raise_not_closed(
-                f for f in rel_set for c in cofaces[f] if c not in rel_set
-            )
-        self._set_rel(sorted(rel_set, key=complex._rank.__getitem__))
 
     def _set_rel(self, rel: list[str]) -> None:
         """Store the rel cells, given in the cell order, split by parity."""
@@ -541,15 +528,16 @@ def complement_of_dual_loop(complex: CellComplex, loop: DualLoop) -> SubcomplexP
     """The pair whose subcomplex holds every cell not on the loop.
 
     The pair is built from its rel side, the loop's cells, so it costs work
-    on those cells only, not on the complex: the loop is validated, the
-    rest is checked closed on the rel side (a valid loop's tops have no
-    cofaces, and each link's only cofaces are two of its tops), and the
-    loop cells are put in the cell order and split by parity. ``sub``,
-    which holds almost every cell, is derived when it is first read."""
+    on those cells only, not on the complex: the loop is validated, and the
+    loop cells are put in the cell order and split by parity. The rest is
+    closed without a check, since validating proves it: a valid loop's tops
+    have no cofaces, and each link's only cofaces are two of its tops.
+    ``sub``, which holds almost every cell, is derived when it is first
+    read."""
     loop.validate(complex)
     pair = SubcomplexPair.__new__(SubcomplexPair)
     pair.complex = complex
-    pair._set_rel_side(set(loop.cells), closed=False)
+    pair._set_rel(sorted(loop.cells, key=complex._rank.__getitem__))
     return pair
 
 

@@ -237,7 +237,7 @@ def match_acyclic_pair(pair: SubcomplexPair, field: str | None = None, signs=Non
         right_set = frozenset(right)
         adjacency = {
             c: tuple(sorted(
-                (complex.hyperfaces(c) | complex.cofaces(c)) & right_set,
+                complex.cofaces(c).union(complex.facets(c)) & right_set,
                 key=complex.sort_key,
             ))
             for c in left

@@ -24,6 +24,7 @@ from .complexes import (
 )
 from .errors import FileFormatError
 from .homology import BettiVector, Filtration
+from .linalg import FIELDS
 from .matching import HallCertificate, Matching
 from .subdivision import SubdivisionMap
 
@@ -35,6 +36,8 @@ CERTIFICATE_FORMAT = "cellmatch-certificate-v1"
 BETTI_FORMAT = "cellmatch-betti-v1"
 FILTRATION_FORMAT = "cellmatch-filtration-v1"
 SUBDIV_FORMAT = "cellmatch-subdiv-v1"
+ENUMERATION_FORMAT = "cellmatch-enumeration-v1"
+ORBIT_FORMAT = "cellmatch-orbit-v1"
 
 
 def _require_format(obj, expected: str):
@@ -125,7 +128,7 @@ def encode_complex(complex: CellComplex) -> dict:
             {
                 "id": c,
                 "dim": complex.dim_of(c),
-                "faces": sorted(complex.hyperfaces(c)),
+                "faces": sorted(complex.facets(c)),
             }
             for c in sorted(complex.cells())
         ]
@@ -289,15 +292,16 @@ def encode_certificate(certificate: HallCertificate) -> dict:
 
 def decode_certificate(obj) -> HallCertificate:
     _require_format(obj, CERTIFICATE_FORMAT)
-    try:
-        return HallCertificate(
-            obj["side"],
-            frozenset(obj["A"]),
-            frozenset(obj["IA"]),
-            int(obj["deficiency"]),
-        )
-    except (TypeError, KeyError) as exc:
-        raise FileFormatError("bad certificate file") from exc
+    side, cells, neighborhood = obj.get("side"), obj.get("A"), obj.get("IA")
+    deficiency = obj.get("deficiency")
+    if not (
+        side in ("even", "odd")
+        and _is_list_of(cells, str)
+        and _is_list_of(neighborhood, str)
+        and _is(deficiency, int)
+    ):
+        raise FileFormatError("bad certificate file")
+    return HallCertificate(side, frozenset(cells), frozenset(neighborhood), deficiency)
 
 
 def save_certificate(certificate: HallCertificate, path: str) -> None:
@@ -317,10 +321,10 @@ def encode_betti(betti: BettiVector) -> dict:
 
 def decode_betti(obj) -> BettiVector:
     _require_format(obj, BETTI_FORMAT)
-    try:
-        return BettiVector(tuple(int(b) for b in obj["betti"]), obj["field"])
-    except (TypeError, KeyError) as exc:
-        raise FileFormatError("bad betti file") from exc
+    betti, field = obj.get("betti"), obj.get("field")
+    if not (_is_list_of(betti, int) and field in FIELDS):
+        raise FileFormatError("bad betti file")
+    return BettiVector(tuple(betti), field)
 
 
 def encode_filtration(filtration: Filtration) -> dict:
@@ -335,6 +339,9 @@ def decode_filtration(obj) -> Filtration:
     stages = obj.get("stages")
     if not isinstance(stages, list):
         raise FileFormatError("filtration file needs a 'stages' list")
+    for stage in stages:
+        if not _is_list_of(stage, str):
+            raise FileFormatError(f"bad filtration stage {stage!r}: expected a list of ids")
     return Filtration(tuple(frozenset(stage) for stage in stages))
 
 
@@ -352,6 +359,8 @@ def decode_subdivision(obj, source: CellComplex, subdivided: CellComplex) -> Sub
     carrier = obj.get("carrier")
     if not isinstance(carrier, dict):
         raise FileFormatError("subdivision file needs a 'carrier' object")
+    if not all(_is(s, str) for s in carrier.values()):
+        raise FileFormatError("subdivision 'carrier' must map cell ids to cell ids")
     smap = SubdivisionMap(source, subdivided, dict(carrier))
     smap.validate()
     return smap

@@ -40,7 +40,7 @@ def incidence_graph(pair: SubcomplexPair) -> IncidenceGraph:
     complex = pair.complex
     adjacency = {}
     for c in pair.rel_cells:
-        nbrs = (complex.hyperfaces(c) | complex.cofaces(c)) - pair.sub
+        nbrs = complex.cofaces(c).union(complex.facets(c)) - pair.sub
         adjacency[c] = tuple(sorted(nbrs, key=complex.sort_key))
     return IncidenceGraph(pair.rel_even, pair.rel_odd, adjacency)
 
@@ -260,7 +260,7 @@ def validate_matching(pair: SubcomplexPair, matching: Matching) -> MatchingRepor
                 violations.append(f"duplicated: {c}")
             seen.add(c)
         if a in complex and b in complex:
-            incident = a in complex.hyperfaces(b) or b in complex.hyperfaces(a)
+            incident = a in complex.facets(b) or b in complex.facets(a)
             if not incident:
                 violations.append(f"not incident: {a} / {b}")
     for c in pair.rel_cells:
@@ -451,7 +451,7 @@ def orbit_analysis(pair: SubcomplexPair, matching: Matching) -> OrbitReport:
     succ: list[list[int]] = []
     for lower, upper in pairs:
         nxt = []
-        for f in sorted(complex.hyperfaces(upper), key=complex.sort_key):
+        for f in reversed(complex.facets(upper)):
             j = index.get(f)
             if j is not None and f != lower:
                 nxt.append(j)

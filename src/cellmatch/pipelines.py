@@ -51,7 +51,7 @@ def match_sphere_pipeline(complex: CellComplex) -> Matching:
         return match_dual_cycle(complex, loop, 0)
 
     sigma = complex.cells_of_dim(n - 1)[0]
-    tau = min(complex.hyperfaces(sigma), key=complex.sort_key)
+    tau = complex.facets(sigma)[-1]
     loop = star_cycle(complex, tau)
     cycle_part = match_dual_cycle(complex, loop, 0)
 

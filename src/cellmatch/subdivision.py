@@ -61,7 +61,7 @@ class SubdivisionMap:
         for c in sub.cells():
             s = self.carrier[c]
             faces = source.faces(s)
-            for f in sub.hyperfaces(c):
+            for f in sub.facets(c):
                 t = self.carrier[f]
                 if t != s and t not in faces:
                     raise InvalidSubdivisionError(

@@ -369,6 +369,40 @@ def test_version_and_formats(capsys):
     assert "match" in out["subcommands"]
 
 
+def test_formats_list_every_tag_the_subcommands_write(tmp_path, capsys):
+    """Every file a subcommand writes carries a format ``--formats`` lists,
+    and ``--formats`` lists every subcommand."""
+    def out(name):
+        return str(tmp_path / name)
+
+    c, w, g, s, m = out("c.json"), out("w.json"), out("g.json"), out("s.json"), out("m.json")
+    commands = [
+        ("generate", "circle", "--params", "4", "-o", c),
+        ("generate", "wedge", "-o", w),
+        ("generate", "grid_square", "--params", "2", "-o", g),
+        ("generate", "sphere_boundary", "--params", "4", "-o", s),
+        ("match", c, "-o", m),
+        ("match", w, "-o", out("certificate.json")),
+        ("enumerate", c, "-o", out("enumeration.json")),
+        ("homology", c, "-o", out("betti.json")),
+        ("subdivide", c, "-o", out("subdivided.json"), "--map-out", out("map.json"),
+         "--propagate", m, "--matching-out", out("propagated.json")),
+        ("flow", g, "--field", "1,2", "-o", out("flow.json")),
+        ("orbits", c, "--matching", m, "-o", out("orbits.json")),
+        ("pipeline", "sphere", s, "-o", out("pipeline.json")),
+        ("dualloop", "find", c, "--complement-empty", "-o", out("loop.json")),
+    ]
+    for argv in commands:
+        assert run(*argv) in (0, 2), argv
+    written = {io.read_json(str(path))["format"] for path in tmp_path.iterdir()}
+    assert {io.ENUMERATION_FORMAT, io.ORBIT_FORMAT} <= written
+    capsys.readouterr()
+    assert run("--formats") == 0
+    listed = json.loads(capsys.readouterr().out)
+    assert written <= set(listed["formats"]), written - set(listed["formats"])
+    assert set(listed["subcommands"]) == {argv[0] for argv in commands} | {"chi", "validate"}
+
+
 def test_emitted_files_reparse(tmp_path):
     # round-trip: every emitted artifact re-parses to an equal value
     c = tmp_path / "c.json"

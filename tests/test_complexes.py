@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -36,7 +39,11 @@ from cellmatch.generators import (
 )
 from cellmatch.subdivision import barycentric
 
-from conftest import alternating_cycle_by_scan, simplicial_tables_by_combinations
+from conftest import (
+    alternating_cycle_by_scan,
+    simplicial_tables_by_combinations,
+    subprocess_env,
+)
 
 
 def test_from_simplices_circle():
@@ -256,6 +263,51 @@ def test_subcomplex_pair_rejects_on_either_side(sub, message):
     with pytest.raises(InvalidSubcomplexError) as err:
         SubcomplexPair(grid_square(3), sub)
     assert str(err.value) == message
+
+
+_SEEDED_ERRORS = """
+import json
+from cellmatch import SubcomplexPair, build_cw, from_simplices
+from cellmatch.generators import torus7
+from cellmatch.subdivision import barycentric
+
+def text(make):
+    try:
+        make()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "no error"
+
+unknown = ["zz", "yy", "xx", "ww"]
+smap = barycentric(from_simplices([[0, 1]]))
+smap.carrier["b0.b0.1"] = "1"
+print(json.dumps([
+    text(lambda: SubcomplexPair(torus7(), unknown)),
+    text(lambda: torus7().is_closed(unknown)),
+    text(lambda: build_cw([("a", 0, []), ("e", 1, unknown)])),
+    text(smap.validate),
+]))
+"""
+
+
+def test_error_texts_do_not_depend_on_the_hash_seed():
+    """Each error names one fixed cell whatever the string hash seed: the
+    smallest unknown id, the first listed dangling hyperface, and the first
+    facet at which a carrier is not monotone."""
+    expected = [
+        "InvalidSubcomplexError: unknown cell 'ww'",
+        "InvalidSubcomplexError: unknown cell 'ww'",
+        "InvalidComplexError: cell e: dangling hyperface 'zz'",
+        "InvalidSubdivisionError: carrier not monotone at b0.1 < b0.b0.1",
+    ]
+    for seed in range(4):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SEEDED_ERRORS],
+            capture_output=True, text=True, timeout=60,
+            env={**subprocess_env(), "PYTHONHASHSEED": str(seed)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expected, seed
 
 
 @pytest.mark.parametrize(

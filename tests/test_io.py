@@ -20,7 +20,7 @@ from cellmatch import (
 )
 from cellmatch import io
 from cellmatch.generators import circle, grid_square, torus7
-from cellmatch.homology import Filtration
+from cellmatch.homology import BettiVector, Filtration
 from cellmatch.subdivision import barycentric
 
 
@@ -159,6 +159,46 @@ def test_subdivision_roundtrip(tmp_path):
     obj = io.encode_subdivision(smap)
     back = io.decode_subdivision(obj, smap.source, smap.subdivided)
     assert back.carrier == smap.carrier
+
+
+_SMAP = barycentric(circle(3))
+_GOOD_ARTIFACTS = {
+    "betti": (io.decode_betti, io.encode_betti(BettiVector((1, 0), "q")), ()),
+    "certificate": (
+        io.decode_certificate,
+        io.encode_certificate(HallCertificate("even", frozenset("ab"), frozenset("x"), 1)),
+        (),
+    ),
+    "filtration": (
+        io.decode_filtration, io.encode_filtration(Filtration((frozenset(), frozenset("0")))), ()
+    ),
+    "subdivision": (
+        io.decode_subdivision, io.encode_subdivision(_SMAP), (_SMAP.source, _SMAP.subdivided)
+    ),
+}
+_MALFORMED_FIELDS = {
+    "betti_float": ("betti", {"betti": [1.7, 0]}),
+    "betti_str": ("betti", {"betti": ["1", "0"]}),
+    "betti_bool": ("betti", {"betti": [True, 0]}),
+    "betti_field_int": ("betti", {"field": 5}),
+    "certificate_cells_str": ("certificate", {"A": "abc"}),
+    "certificate_deficiency_float": ("certificate", {"deficiency": 1.9}),
+    "certificate_side": ("certificate", {"side": "up"}),
+    "filtration_stage_str": ("filtration", {"stages": ["abc"]}),
+    "filtration_stage_nested": ("filtration", {"stages": [[["0"]]]}),
+    "subdivision_carrier_list": ("subdivision", {"carrier": {"b0": ["0"]}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_FIELDS))
+def test_readers_reject_malformed_shapes(case):
+    """A well-formed artifact with one field of the wrong shape is a
+    file-format error, never a silent coercion or a ``TypeError``."""
+    kind, fields = _MALFORMED_FIELDS[case]
+    decode, good, args = _GOOD_ARTIFACTS[kind]
+    decode(good, *args)
+    with pytest.raises(FileFormatError):
+        decode({**good, **fields}, *args)
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):
