@@ -68,11 +68,17 @@ def _emit(obj, path: str | None) -> None:
         io.write_json(path, obj)
 
 
+def _sub_cells(complex, path: str) -> frozenset[str]:
+    """The cells of the subcomplex file ``path``, closed in ``complex`` when
+    the file asks for its closure."""
+    cells, closure = io.load_subcomplex(path)
+    return complex.closure(cells) if closure else frozenset(cells)
+
+
 def _rel_pair(complex, rel: str | None) -> SubcomplexPair:
     """``complex`` relative to the subcomplex file ``rel``, if one is given."""
     if rel:
-        cells, closure = io.load_subcomplex(rel)
-        return SubcomplexPair(complex, cells, close=closure)
+        return SubcomplexPair(complex, _sub_cells(complex, rel))
     return SubcomplexPair(complex)
 
 
@@ -218,14 +224,8 @@ def _cmd_pipeline(args) -> int:
         if not args.loop:
             raise _UsageError("pipeline loop requires --loop")
         loop = io.load_loop(args.loop)
-        base: tuple = ()
-        if args.base:
-            cells, closure = io.load_subcomplex(args.base)
-            base = tuple(complex.closure(cells)) if closure else tuple(cells)
-        circle_cells = None
-        if args.circle:
-            cells, closure = io.load_subcomplex(args.circle)
-            circle_cells = complex.closure(cells) if closure else frozenset(cells)
+        base = _sub_cells(complex, args.base) if args.base else ()
+        circle_cells = _sub_cells(complex, args.circle) if args.circle else None
         matching = match_loop_pipeline(complex, loop, base=base, circle_cells=circle_cells)
     _emit(io.encode_matching(matching), args.output)
     return EXIT_OK
@@ -279,8 +279,7 @@ def _print_formats(subcommands) -> int:
         "exit_codes": {"0": "success", "1": "usage/format", "2": "negative verdict",
                        "3": "precondition violation"},
     }
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    _emit(obj, None)
     return EXIT_OK
 
 

@@ -12,11 +12,13 @@ Tables are checked once, where they enter from outside the program:
 share an id, and ``build_cw`` checks every raw record. Everything derived
 from a built complex (``restrict``, the builders' own faces) is trusted.
 The builders fill every table the complex stores (dimensions, facets,
-cofaces, vertex tuples) and fix its cell order; ``restrict`` keeps that
-order and slices the parent's tables. ``facets`` is the one stored
-hyperface relation: a cell's hyperfaces by descending rank. Simplices
-rank by dimension, then vertex tuple, and dropping a later vertex gives
-an earlier tuple, so a simplex's i-th facet omits its i-th vertex.
+cofacets, vertex tuples) and fix its cell order, by dimension first;
+``restrict`` keeps that order and slices the parent's tables. ``facets``
+and ``cofacets`` store the hyperface relation once each way, as tuples by
+descending and ascending rank, so a cell's neighbours in rank order are
+its reversed facets, then its cofacets. Simplices rank by dimension, then
+vertex tuple, and dropping a later vertex gives an earlier tuple, so a
+simplex's i-th facet omits its i-th vertex.
 
 Complexes and pairs are immutable after construction and safe to share;
 a loop complement derives its subcomplex once, when it is first read.
@@ -86,11 +88,12 @@ class CellComplex:
     piece of one with :meth:`restrict`, which slices its parent's tables.
     The constructor trusts its tables: it checks only the kind,
     non-emptiness and the coordinates, stores the tables it is handed
-    (dimensions, facets, cofaces, vertex tuples) and builds only the rank,
+    (dimensions, facets, cofacets, vertex tuples) and builds only the rank,
     so the tables must come from one of those builders, which own them.
     The builders own the cell order too: ``order`` lists every cell once,
-    and :meth:`cells` returns it as given. ``facets`` is the one stored
-    hyperface relation; :meth:`hyperfaces` builds its set from them.
+    by dimension first, and :meth:`cells` returns it as given. ``facets``
+    and ``cofacets`` are rank-ordered tuples; :meth:`hyperfaces` and
+    :meth:`cofaces` build their sets from them. No per-cell set is stored.
     """
 
     def __init__(
@@ -107,8 +110,6 @@ class CellComplex:
         self._verts = verts
         self.coordinates = _coerce_coordinates(coordinates)
         self.dim = max(self._dim.values())
-        self._faces_cache: dict[str, frozenset[str]] = {}
-        self._cofaces_cache: dict[str, frozenset[str]] = {}
         self._sorted_cells = order
         self._rank = dict(zip(order, range(len(order))))
 
@@ -134,9 +135,14 @@ class CellComplex:
         them; for a simplex, the i-th omits the i-th of its ``vertices``."""
         return self._facets[cid]
 
+    def cofacets(self, cid: str) -> tuple[str, ...]:
+        """Cells having ``cid`` as a hyperface, by ascending rank, as the
+        builder stored them."""
+        return self._cofaces[cid]
+
     def cofaces(self, cid: str) -> frozenset[str]:
         """Cells having ``cid`` as a hyperface."""
-        return self._cofaces[cid]
+        return frozenset(self._cofaces[cid])
 
     def vertices(self, cid: str) -> tuple[Token, ...]:
         if self._verts is None:
@@ -161,20 +167,17 @@ class CellComplex:
 
     def faces(self, cid: str) -> frozenset[str]:
         """All proper faces of ``cid`` (transitive closure of hyperfaces)."""
-        return _reach(self._facets, self._faces_cache, cid)
+        return _reach(self._facets, (cid,))
 
     def cofaces_all(self, cid: str) -> frozenset[str]:
         """All proper cofaces of ``cid`` (cells strictly containing it)."""
-        return _reach(self._cofaces, self._cofaces_cache, cid)
+        return _reach(self._cofaces, (cid,))
 
     def closure(self, ids: Iterable[str]) -> frozenset[str]:
-        out: set[str] = set()
-        for cid in ids:
-            if cid not in self._dim:
-                raise InvalidSubcomplexError(f"unknown cell {cid!r}")
-            out.add(cid)
-            out.update(self.faces(cid))
-        return frozenset(out)
+        """``ids`` and all their faces; raises for the smallest unknown id."""
+        idset = set(ids)
+        _check_known(self, idset)
+        return _reach(self._facets, idset).union(idset)
 
     def is_closed(self, ids: Iterable[str]) -> bool:
         idset = set(ids)
@@ -196,7 +199,7 @@ class CellComplex:
         lists its cells in this complex's order, so both rank them alike,
         and slices this complex's tables: a closed piece keeps every cell's
         facets, and its cofaces are this complex's cofaces that lie in the
-        piece."""
+        piece, in the same order."""
         idset = set(ids)
         if not idset:
             raise InvalidSubcomplexError("cannot restrict to an empty cell set")
@@ -208,7 +211,9 @@ class CellComplex:
         cofaces = {}
         for c in order:
             cofs = self._cofaces[c]
-            cofaces[c] = cofs if cofs <= idset else cofs & idset
+            if not idset.issuperset(cofs):
+                cofs = tuple(x for x in cofs if x in idset)
+            cofaces[c] = cofs
         verts = None
         coords = None
         if self._verts is not None:
@@ -228,21 +233,17 @@ class CellComplex:
         return f"CellComplex(kind={self.kind!r}, f={f_vec})"
 
 
-def _reach(table, cache, cid: str) -> frozenset[str]:
-    """The cells reachable from ``cid`` by one or more steps of ``table``
-    (facets or cofaces), kept in ``cache``."""
-    cached = cache.get(cid)
-    if cached is not None:
-        return cached
+def _reach(table, start) -> frozenset[str]:
+    """The cells reachable from the cells ``start`` by one or more steps of
+    ``table`` (facets or cofacets), in one walk; nothing is cached."""
     out: set[str] = set()
-    stack = list(table[cid])
+    stack = [c for s in start for c in table[s]]
     while stack:
         c = stack.pop()
         if c not in out:
             out.add(c)
             stack.extend(table[c])
-    result = cache[cid] = frozenset(out)
-    return result
+    return frozenset(out)
 
 
 def _check_known(complex: CellComplex, ids: set) -> None:
@@ -324,9 +325,9 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
     dims: dict[str, int] = {}
     verts: dict[str, tuple[Token, ...]] = {}
     facets: dict[str, tuple[str, ...]] = {}
-    cofaces: dict[str, frozenset[str]] = {}
+    cofaces: dict[str, tuple[str, ...]] = {}
     order: list[str] = []
-    below: dict[str, list[str]] = {}  # cofaces of the last dimension's cells
+    below: dict[str, list[str]] = {}  # cofaces of the last dimension's cells, by rank
     for d, level in enumerate(levels):
         ts = sorted(level)
         vs = [tuple(map(token, t)) for t in ts]
@@ -341,9 +342,9 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
         for c, cf in zip(cids, fs):
             for f in cf:
                 below[f].append(c)
-        cofaces.update(zip(below, map(frozenset, below.values())))
+        cofaces.update(zip(below, map(tuple, below.values())))
         below = {c: [] for c in cids}
-    cofaces.update(dict.fromkeys(below, frozenset()))
+    cofaces.update(dict.fromkeys(below, ()))
     if len(verts) < len(ids):  # two vertex tuples wrote one id
         _raise_shared_id(tuple(sorted(v, key=_token_key)) for v in vertex_sets)
     return CellComplex(
@@ -359,7 +360,8 @@ def build_cw(cell_records, coordinates=None) -> CellComplex:
     dimension down, no hyperfaces on a vertex and exactly two on a 1-cell.
     A record's hyperfaces are checked in their listed order, a repeat
     counted once. Cells are ordered by dimension, then by id, so a cell's
-    facets, all of one dimension, are its hyperfaces by descending id.
+    facets, all of one dimension, are its hyperfaces by descending id, and
+    its cofacets, listed here in any order, are sorted by ascending id.
     """
     records = list(cell_records)
     if not records:
@@ -395,7 +397,7 @@ def build_cw(cell_records, coordinates=None) -> CellComplex:
             )
     order = tuple(sorted(dims, key=lambda c: (dims[c], c)))
     facets = {c: tuple(sorted(listed[c], reverse=True)) for c in order}
-    cofs = {c: frozenset(cofaces[c]) for c in order}
+    cofs = {c: tuple(sorted(cofaces[c])) for c in order}
     return CellComplex(CW, dims, facets, cofs, order, coordinates=coordinates)
 
 
@@ -407,11 +409,9 @@ class SubcomplexPair:
     odd-dimensional parts.
 
     The constructor checks that every cell of ``sub`` is in the complex
-    and, unless ``close`` asks for the closure, that ``sub`` is closed. It
-    tests closedness on the smaller side: when ``sub`` is smaller, every
-    sub cell's hyperfaces lie in ``sub``; otherwise every rel cell's
-    cofaces lie outside ``sub``, which is the same condition. Past a few
-    set operations over the cell ids, the work grows with the smaller side.
+    and, unless ``close`` asks for the closure, that ``sub`` is closed:
+    every sub cell's hyperfaces lie in ``sub``. It then lists the rel
+    cells in one pass over the cell order.
 
     A pair is immutable. The constructor stores ``sub``;
     :func:`complement_of_dual_loop` builds its pair from the rel side
@@ -422,22 +422,14 @@ class SubcomplexPair:
     def __init__(self, complex: CellComplex, sub: Iterable[str] = (), close: bool = False):
         self.complex = complex
         subset = frozenset(sub)
-        _check_known(complex, subset)
         if close:
             subset = complex.closure(subset)
-        if len(complex) - len(subset) < len(subset):
-            rel_set = complex._dim.keys() - subset
-            cofaces = complex._cofaces
-            if not close and not all(cofaces[c] <= rel_set for c in rel_set):
-                _raise_not_closed(
-                    f for f in rel_set for c in cofaces[f] if c not in rel_set
-                )
-            self._set_rel(sorted(rel_set, key=complex._rank.__getitem__))
         else:
+            _check_known(complex, subset)
             facets = complex._facets
-            if not close and not all(subset.issuperset(facets[c]) for c in subset):
+            if not all(subset.issuperset(facets[c]) for c in subset):
                 _raise_not_closed(f for c in subset for f in facets[c] if f not in subset)
-            self._set_rel([c for c in complex.cells() if c not in subset])
+        self._set_rel([c for c in complex.cells() if c not in subset])
         self.sub = subset
 
     @cached_property
@@ -516,10 +508,10 @@ class DualLoop:
             if dims[f] != n - 1:
                 raise InvalidLoopError(f"{f} is not a codimension-1 cell")
             cofs = cofaces[f]
-            expected = {tops[i], tops[(i + 1) % k]}
-            if cofs != expected:
+            a, b = tops[i], tops[(i + 1) % k]
+            if cofs != (a, b) and cofs != (b, a):
                 raise InvalidLoopError(
-                    f"{f} must have exactly the two cofaces {sorted(expected)}, "
+                    f"{f} must have exactly the two cofaces {sorted((a, b))}, "
                     f"found {sorted(cofs)}"
                 )
 
@@ -574,7 +566,7 @@ def dual_graph(complex: CellComplex) -> DualGraph:
     boundary = set()
     non_manifold = set()
     for f in complex.cells_of_dim(n - 1) if n >= 1 else ():
-        cofs = sorted(complex.cofaces(f))
+        cofs = sorted(complex.cofacets(f))
         if len(cofs) == 1:
             boundary.add(f)
         elif len(cofs) == 2:
@@ -650,9 +642,8 @@ def star_cycle(complex: CellComplex, tau: str) -> DualLoop:
         raise PreconditionError(
             f"{tau} has dimension {complex.dim_of(tau)}; expected {n - 2}"
         )
-    star = complex.cofaces_all(tau)
-    tops = sorted((c for c in star if complex.dim_of(c) == n), key=complex.sort_key)
-    mids = {c: complex.cofaces(c) for c in star if complex.dim_of(c) == n - 1}
+    mids = {c: complex.cofacets(c) for c in complex.cofacets(tau)}
+    tops = sorted(set(chain.from_iterable(mids.values())), key=complex.sort_key)
     loop = _alternating_cycle(tops, mids)
     if loop is None:
         raise PreconditionError(f"link of {tau} is not a single cycle")

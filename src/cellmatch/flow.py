@@ -25,7 +25,7 @@ per top simplex: the pivot rows give the signs, and the residual rows
 give zero exactly when the field is tangent.
 
 The faces of a top simplex are read off its facets by vertex-position
-mask, and the mate of a cell off its own facets or cofaces.
+mask, and the mate of a cell off its own facets or cofacets.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class GeometricComplex:
             self._eliminated[top] = solve
         if self.n >= 1:
             for f in complex.cells_of_dim(self.n - 1):
-                if len(complex.cofaces(f)) > 2:
+                if len(complex.cofacets(f)) > 2:
                     raise InvalidComplexError(
                         f"codimension-1 simplex {f} bounds more than two top simplices"
                     )
@@ -220,7 +220,7 @@ def _sign_split(geom: GeometricComplex, field_vec):
                 rise |= 1 << i
             else:
                 fall |= 1 << i
-            if len(complex.cofaces(facet)) == 1:
+            if len(complex.cofacets(facet)) == 1:
                 (exiting if value < 0 else entering).add(facet)
         signs[top] = (rise, fall)
     if degenerate:
@@ -368,7 +368,7 @@ def flow_matching(fs: FlowStructure) -> Matching:
                 raise AssertionError(f"mate of {c} would be empty")
             partner = complex.facets(c)[verts.index(base)]
         else:
-            partner = next((f for f in complex.cofaces(c) if base in complex.vertices(f)), None)
+            partner = next((f for f in complex.cofacets(c) if base in complex.vertices(f)), None)
             if partner is None:
                 raise AssertionError(f"mate {cell_id((*verts, base))} of {c} is not a cell")
         if fs.downstream.get(partner) != top:

@@ -112,7 +112,7 @@ def product(a: CellComplex, b: CellComplex) -> CellComplex:
         return [
             complex.vertices(c)
             for c in complex.cells()
-            if not complex.cofaces(c)
+            if not complex.cofacets(c)
         ]
 
     tops = []
@@ -156,7 +156,7 @@ def cone(base: CellComplex) -> CellComplex:
     tops = [
         tuple(base.vertices(c)) + (apex,)
         for c in base.cells()
-        if not base.cofaces(c)
+        if not base.cofacets(c)
     ]
     return from_simplices(tops)
 

@@ -23,6 +23,7 @@ subcomplex built per layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from . import linalg
 from .complexes import CW, SIMPLICIAL, CellComplex, SubcomplexPair
@@ -236,10 +237,10 @@ def match_acyclic_pair(pair: SubcomplexPair, field: str | None = None, signs=Non
         left, right = (upper, lower) if d % 2 == 0 else (lower, upper)
         right_set = frozenset(right)
         adjacency = {
-            c: tuple(sorted(
-                complex.cofaces(c).union(complex.facets(c)) & right_set,
-                key=complex.sort_key,
-            ))
+            c: tuple(
+                x for x in chain(reversed(complex.facets(c)), complex.cofacets(c))
+                if x in right_set
+            )
             for c in left
         }
         pairs.extend(_hopcroft_karp(left, adjacency)[0].items())

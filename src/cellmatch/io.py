@@ -118,9 +118,9 @@ def encode_complex(complex: CellComplex) -> dict:
     obj: dict = {"format": COMPLEX_FORMAT, "kind": complex.kind}
     if complex.kind == SIMPLICIAL:
         maximal = [
-            [_token_text(t) for t in complex.vertices(c)]
+            list(complex.vertices(c))
             for c in complex.cells()
-            if not complex.cofaces(c)
+            if not complex.cofacets(c)
         ]
         obj["simplices"] = sorted(maximal)
     else:
@@ -140,10 +140,6 @@ def encode_complex(complex: CellComplex) -> dict:
             )
         }
     return obj
-
-
-def _token_text(token):
-    return token if isinstance(token, int) else str(token)
 
 
 def decode_complex(obj) -> CellComplex:

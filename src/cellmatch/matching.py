@@ -2,7 +2,7 @@
 orbit/collapse analysis of matchings.
 
 Maximum matching runs Hopcroft-Karp over the even/odd incidence graph with
-id-sorted adjacency, so results are deterministic. When no complete
+rank-ordered adjacency, so results are deterministic. When no complete
 matching exists the matcher returns a deficiency certificate: a set A of
 cells on one side with fewer incident cells than members, obtained by
 alternating-path reachability from the unmatched cells.
@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .complexes import CellComplex, DualLoop, SubcomplexPair, complement_of_dual_loop
 from .errors import BruteForceBoundError, InvalidMatchingError
@@ -37,11 +38,14 @@ class IncidenceGraph:
 
 
 def incidence_graph(pair: SubcomplexPair) -> IncidenceGraph:
+    """Each rel cell's rel neighbours in the cell order: its facets, read
+    backwards, all rank below its cofacets."""
     complex = pair.complex
+    sub = pair.sub
     adjacency = {}
     for c in pair.rel_cells:
-        nbrs = complex.cofaces(c).union(complex.facets(c)) - pair.sub
-        adjacency[c] = tuple(sorted(nbrs, key=complex.sort_key))
+        nbrs = chain(reversed(complex.facets(c)), complex.cofacets(c))
+        adjacency[c] = tuple(x for x in nbrs if x not in sub)
     return IncidenceGraph(pair.rel_even, pair.rel_odd, adjacency)
 
 
@@ -416,16 +420,11 @@ def compose_matchings(parts, relative_to=()) -> Matching:
     return Matching(pairs, relative_to=relative_to)
 
 
-def _matched_pairs_by_level(pair: SubcomplexPair, matching: Matching):
-    """Matched pairs as (lower, upper) keyed for deterministic iteration."""
-    complex = pair.complex
-    out = []
-    for a, b in matching.pairs:
-        if complex.dim_of(a) > complex.dim_of(b):
-            a, b = b, a
-        out.append((a, b))
-    out.sort(key=lambda p: complex.sort_key(p[0]))
-    return out
+def _lower_upper_pairs(pair: SubcomplexPair, matching: Matching):
+    """The pairs of a matching that covers ``pair`` as (lower, upper), in
+    the cell order of their lower cells."""
+    dim, mate = pair.complex.dim_of, matching._mate
+    return [(c, mate[c]) for c in pair.rel_cells if dim(mate[c]) > dim(c)]
 
 
 def orbit_analysis(pair: SubcomplexPair, matching: Matching) -> OrbitReport:
@@ -446,7 +445,7 @@ def orbit_analysis(pair: SubcomplexPair, matching: Matching) -> OrbitReport:
     if not report.ok:
         raise InvalidMatchingError("; ".join(report.violations[:5]))
     complex = pair.complex
-    pairs = _matched_pairs_by_level(pair, matching)
+    pairs = _lower_upper_pairs(pair, matching)
     index = {lower: i for i, (lower, _) in enumerate(pairs)}
     succ: list[list[int]] = []
     for lower, upper in pairs:

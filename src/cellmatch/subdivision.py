@@ -25,7 +25,7 @@ from functools import cached_property
 from .complexes import CellComplex, SubcomplexPair, from_simplices
 from .errors import InvalidMatchingError, InvalidSubdivisionError
 from .homology import match_acyclic_pair
-from .matching import Matching, compose_matchings, validate_matching
+from .matching import Matching, _lower_upper_pairs, compose_matchings, validate_matching
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,10 @@ class SubdivisionMap:
             if s not in source:
                 raise InvalidSubdivisionError(f"carrier of {c} names unknown cell {s}")
         # monotone: the carrier of a face is a face of the carrier
+        faces_of = {s: source.faces(s) for s in source.cells()}
         for c in sub.cells():
             s = self.carrier[c]
-            faces = source.faces(s)
+            faces = faces_of[s]
             for f in sub.facets(c):
                 t = self.carrier[f]
                 if t != s and t not in faces:
@@ -90,7 +91,7 @@ def barycentric(complex: CellComplex) -> SubdivisionMap:
         tip = ("b" + c,)
         flags[c] = [flag + tip for f in complex.facets(c) for flag in flags[f]] or [tip]
     subdivided = from_simplices(
-        flag for c in complex.cells() if not complex.cofaces(c) for flag in flags[c]
+        flag for c in complex.cells() if not complex.cofacets(c) for flag in flags[c]
     )
     depth = {"b" + c: complex.dim_of(c) for c in complex.cells()}
     carrier = {
@@ -132,11 +133,7 @@ def propagate_matching(
     sub_base = smap.cells_over(pair.sub)
     solved: dict[tuple, tuple[tuple[int, int], ...]] = {}
     parts = []
-    for a, b in sorted(matching.pairs):
-        if complex.dim_of(a) > complex.dim_of(b):
-            upper, lower = a, b
-        else:
-            upper, lower = b, a
+    for lower, upper in _lower_upper_pairs(pair, matching):
         closed = complex.faces(upper) | {upper}
         rim = closed - {upper, lower}
         inside = sorted(smap.cells_over(closed), key=subdivided.sort_key)

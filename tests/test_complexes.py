@@ -21,10 +21,12 @@ from cellmatch import (
     dual_graph,
     euler_characteristic,
     from_simplices,
+    incidence_graph,
     spanning_dual_loop,
     star_cycle,
 )
 from cellmatch import generators, subdivision
+from cellmatch.complexes import _alternating_cycle
 from cellmatch.generators import (
     apex_of,
     circle,
@@ -284,6 +286,7 @@ smap.carrier["b0.b0.1"] = "1"
 print(json.dumps([
     text(lambda: SubcomplexPair(torus7(), unknown)),
     text(lambda: torus7().is_closed(unknown)),
+    text(lambda: torus7().closure(unknown)),
     text(lambda: build_cw([("a", 0, []), ("e", 1, unknown)])),
     text(smap.validate),
 ]))
@@ -295,6 +298,7 @@ def test_error_texts_do_not_depend_on_the_hash_seed():
     smallest unknown id, the first listed dangling hyperface, and the first
     facet at which a carrier is not monotone."""
     expected = [
+        "InvalidSubcomplexError: unknown cell 'ww'",
         "InvalidSubcomplexError: unknown cell 'ww'",
         "InvalidSubcomplexError: unknown cell 'ww'",
         "InvalidComplexError: cell e: dangling hyperface 'zz'",
@@ -341,6 +345,64 @@ def test_subcomplex_pair_rel_cells_equal_filter_on_either_side(X):
                     f"subcomplex not closed under hyperfaces; missing {missing[:5]}"
                 )
     assert sides == {True, False}
+
+
+def _reversed_cw_sphere():
+    """Two squares glued along their rims, its records listed top cells
+    first, so every cell's cofaces arrive in descending id order."""
+    records = [(f"v{i}", 0, []) for i in range(4)]
+    records += [(f"e{i}", 1, [f"v{i}", f"v{(i + 1) % 4}"]) for i in range(4)]
+    records += [(name, 2, ["e0", "e1", "e2", "e3"]) for name in ("north", "south")]
+    return build_cw(reversed(records))
+
+
+def _neighbour_order_cases():
+    grid = grid_square(3)
+    bary = barycentric(torus7()).subdivided
+    piece = bary.restrict(bary.closure(bary.top_cells()[:20]))
+    cw = _reversed_cw_sphere()
+    return [
+        (grid, {grid.cells_of_dim(0)[4]}),
+        (bary, set()),
+        (cw, cw.closure(["e0"])),
+        (piece, piece.closure(piece.cells_of_dim(1)[:3])),
+    ]
+
+
+@pytest.mark.parametrize(
+    "index", range(4), ids=["grid3_rel_vertex", "bary_torus7", "reversed_cw", "restricted"]
+)
+def test_neighbour_lists_are_in_cell_order(index):
+    X, sub = _neighbour_order_cases()[index]
+    key = X.sort_key
+    for c in X.cells():
+        cofs = X.cofacets(c)
+        assert isinstance(cofs, tuple), c
+        assert list(cofs) == sorted(cofs, key=key), c
+        assert sorted(cofs) == sorted(X.cofaces(c)), c
+    pair = SubcomplexPair(X, sub)
+    adjacency = incidence_graph(pair).adjacency
+    for c in pair.rel_cells:
+        expected = sorted((X.cofaces(c) | X.hyperfaces(c)) - pair.sub, key=key)
+        assert adjacency[c] == tuple(expected), c
+    rng = random.Random(index)
+    cells = list(X.cells())
+    for size in (1, 2, 5, 20):
+        ids = rng.sample(cells, min(size, len(cells)))
+        assert X.closure(ids) == set(ids).union(*(X.faces(c) for c in ids))
+
+
+@pytest.mark.parametrize(
+    "X", [sphere_boundary(4), barycentric(sphere_boundary(4)).subdivided],
+    ids=["sphere4", "bary_sphere4"],
+)
+def test_star_cycle_equals_cofaces_all_star(X):
+    n = X.dim
+    for tau in X.cells_of_dim(n - 2):
+        star = X.cofaces_all(tau)
+        tops = sorted((c for c in star if X.dim_of(c) == n), key=X.sort_key)
+        mids = {c: X.cofaces(c) for c in star if X.dim_of(c) == n - 1}
+        assert star_cycle(X, tau) == _alternating_cycle(tops, mids), tau
 
 
 def test_dual_graph_tetrahedron_boundary():
