@@ -61,7 +61,8 @@ def cell_id(tokens: Iterable[Token]) -> str:
 
 def _simplex_id(sorted_tokens) -> str:
     """The id of a simplex whose vertex tokens are already distinct and
-    ascending; the one place the id format is written."""
+    ascending: their texts joined by dots. ``from_simplices`` writes the
+    same text as a facet's id, a dot and the last token."""
     return ".".join(map(str, sorted_tokens))
 
 
@@ -191,9 +192,6 @@ class CellComplex:
         dim = self._dim
         return all(dim[c] == self.dim for c, cofs in self._cofaces.items() if not cofs)
 
-    def skeleton(self, d: int) -> frozenset[str]:
-        return frozenset(c for c in self._dim if self._dim[c] <= d)
-
     def restrict(self, ids: Iterable[str]) -> "CellComplex":
         """The subcomplex on ``ids``, which must be nonempty and closed. It
         lists its cells in this complex's order, so both rank them alike,
@@ -285,15 +283,18 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
 
     Every face of every listed simplex is added, with canonical ids;
     duplicate input simplices are harmless. The distinct tokens are checked
-    and sorted once (ints first, smallest first), and each simplex becomes
-    the ascending tuple of its tokens' places in that order. The faces are
-    generated one dimension at a time, from the top down, as sets of such
-    tuples; each dimension is sorted natively, so cells are ordered by
-    dimension, then by vertex tuple. One pass in that order writes each id
-    once and fills every table: a simplex's i-th facet omits its i-th
-    vertex, which is descending rank. Raises InvalidComplexError on the
-    first bad input simplex, and when two distinct vertex sets would share
-    an id (vertex ``"1.2"`` and edge ``{1, 2}``, or int ``1`` and str ``"1"``).
+    and sorted once (ints first, smallest first; natively when all are
+    ints), and each simplex becomes the ascending tuple of its tokens'
+    places in that order. When the tokens are 0..n-1, a place tuple is the
+    vertex tuple itself. The faces are generated one dimension at a time,
+    from the top down, as sets of such tuples; each dimension is sorted
+    natively, so cells are ordered by dimension, then by vertex tuple. One
+    pass in that order writes each id once and fills every table: a
+    simplex's i-th facet omits its i-th vertex, which is descending rank,
+    and its id is its last facet's id, a dot and its last token. Raises
+    InvalidComplexError on the first bad input simplex, and when two
+    distinct vertex sets would share an id (vertex ``"1.2"`` and edge
+    ``{1, 2}``, or int ``1`` and str ``"1"``).
     """
     vertex_sets = []
     try:
@@ -306,11 +307,11 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
         raise InvalidComplexError("empty complex")
     # A bool would hide in the union behind an equal int, so the types of
     # every token are read; anything unusual takes the per-simplex check.
-    if not all(vertex_sets) or not {int, str}.issuperset(
-        map(type, chain.from_iterable(vertex_sets))
-    ):
+    kinds = set(map(type, chain.from_iterable(vertex_sets)))
+    if not all(vertex_sets) or not {int, str}.issuperset(kinds):
         _check_simplices(vertex_sets)
-    tokens = sorted(set().union(*vertex_sets), key=_token_key)
+    tokens = set().union(*vertex_sets)
+    tokens = sorted(tokens) if kinds == {int} else sorted(tokens, key=_token_key)
     if isinstance(tokens[0], int) and tokens[0] < 0:
         _check_simplices(vertex_sets)
     index = dict(zip(tokens, range(len(tokens))))
@@ -321,6 +322,8 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
         for t in levels[d]:
             levels[d - 1].update(combinations(t, d))
     token = tokens.__getitem__
+    text = list(map(str, tokens))
+    plain = tokens == list(range(len(tokens)))  # each token is its own place
     ids: dict[tuple[int, ...], str] = {}
     dims: dict[str, int] = {}
     verts: dict[str, tuple[Token, ...]] = {}
@@ -330,14 +333,19 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
     below: dict[str, list[str]] = {}  # cofaces of the last dimension's cells, by rank
     for d, level in enumerate(levels):
         ts = sorted(level)
-        vs = [tuple(map(token, t)) for t in ts]
-        cids = list(map(_simplex_id, vs))
+        if d:
+            # combinations lists the facets by ascending rank; the last one
+            # drops the last vertex, so its id is a prefix of the cell's
+            fs = [tuple(map(ids.__getitem__, combinations(t, d)))[::-1] for t in ts]
+            cids = [f"{f[-1]}.{text[t[-1]]}" for f, t in zip(fs, ts)]
+        else:
+            fs = [()] * len(ts)
+            cids = [text[i] for i, in ts]
+        vs = ts if plain else [tuple(map(token, t)) for t in ts]
         ids.update(zip(ts, cids))
         verts.update(zip(cids, vs))
         dims.update(dict.fromkeys(cids, d))
         order += cids
-        # combinations lists the facets by ascending rank
-        fs = [tuple(map(ids.__getitem__, combinations(t, d)))[::-1] if d else () for t in ts]
         facets.update(zip(cids, fs))
         for c, cf in zip(cids, fs):
             for f in cf:

@@ -13,6 +13,7 @@ import os
 import re
 import tempfile
 from fractions import Fraction
+from itertools import chain
 
 from .complexes import (
     CW,
@@ -61,6 +62,11 @@ def _parse_fraction(value) -> Fraction:
         raise FileFormatError(f"bad rational {value!r}") from exc
 
 
+# The encoder's own "p/q" text: ASCII digits, an optional minus sign and a
+# nonzero denominator. Fraction reads it as the two ints it names.
+_RATIO = re.compile(r"(-?[0-9]+)/(0*[1-9][0-9]*)")
+
+
 def _is(value, types) -> bool:
     """``isinstance``, except that a JSON boolean is never an integer."""
     return isinstance(value, types) and not isinstance(value, bool)
@@ -75,16 +81,29 @@ def _is_list_of(value, types) -> bool:
 def _decode_coordinates(points, tokens):
     """Coordinates keyed by vertex token. A key names the complex's own
     token written as that text; a key that names no token is an int when
-    it is ASCII digits after an optional minus sign, else the text."""
-    if points is None:
-        return None
+    it is ASCII digits after an optional minus sign, else the text.
+
+    A value in the encoder's "p/q" form is read as its two ints, and each
+    distinct text is read once; any other value takes ``_parse_fraction``,
+    so the values accepted and the errors raised are Fraction's own."""
     by_text = {str(t): t for t in tokens}
+    texts: dict[str, Fraction] = {}
+
+    def read(value) -> Fraction:
+        if type(value) is not str:
+            return _parse_fraction(value)
+        q = texts.get(value)
+        if q is None:
+            m = _RATIO.fullmatch(value)
+            q = texts[value] = Fraction(int(m[1]), int(m[2])) if m else _parse_fraction(value)
+        return q
+
     out = {}
     for key, point in points.items():
         token = by_text.get(key)
         if token is None:
             token = int(key) if re.fullmatch(r"-?[0-9]+", key) else key
-        out[token] = tuple(_parse_fraction(x) for x in point)
+        out[token] = tuple(map(read, point))
     return out
 
 
@@ -155,14 +174,21 @@ def decode_complex(obj) -> CellComplex:
         simplices = obj.get("simplices")
         if not isinstance(simplices, list):
             raise FileFormatError("simplicial complex file needs a 'simplices' list")
-        for simplex in simplices:
-            if not _is_list_of(simplex, (int, str)):
-                raise FileFormatError(
-                    f"bad simplex {simplex!r}: expected a list of integer or "
-                    "string vertex tokens"
-                )
-        tokens = {t for simplex in simplices for t in simplex}
-        return from_simplices(simplices, coordinates=_decode_coordinates(points, tokens))
+        # One pass over every token; only a fault takes the per-simplex
+        # loop, which names the first faulty simplex.
+        if not (
+            all(type(simplex) is list for simplex in simplices)
+            and {int, str}.issuperset(map(type, chain.from_iterable(simplices)))
+        ):
+            for simplex in simplices:
+                if not _is_list_of(simplex, (int, str)):
+                    raise FileFormatError(
+                        f"bad simplex {simplex!r}: expected a list of integer or "
+                        "string vertex tokens"
+                    )
+        if points is not None:
+            points = _decode_coordinates(points, set(chain.from_iterable(simplices)))
+        return from_simplices(simplices, coordinates=points)
     if kind == CW:
         cells = obj.get("cells")
         if not isinstance(cells, list):
@@ -180,8 +206,9 @@ def decode_complex(obj) -> CellComplex:
                     "'dim' and a list of str 'faces'"
                 )
             records.append((record["id"], record["dim"], record["faces"]))
-        tokens = [cid for cid, _, _ in records]
-        return build_cw(records, coordinates=_decode_coordinates(points, tokens))
+        if points is not None:
+            points = _decode_coordinates(points, [cid for cid, _, _ in records])
+        return build_cw(records, coordinates=points)
     raise FileFormatError(f"unknown complex kind {kind!r}")
 
 

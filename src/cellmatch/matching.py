@@ -437,9 +437,9 @@ def orbit_analysis(pair: SubcomplexPair, matching: Matching) -> OrbitReport:
 
     The collapse order removes, at each step, the free pair (its lower
     cell has its mate as its only remaining coface) that comes first by
-    the sort key of its lower cell. A heap of free pairs with live-coface
-    counters finds it, so the replay costs O(sum |faces| + sum
-    |cofaces_all| + n log n) over the n matched pairs.
+    the sort key of its lower cell. A heap of free pairs with live-cofacet
+    counters finds it, so the replay costs O(sum |facets| + n log n) over
+    the n matched pairs.
     """
     report = validate_matching(pair, matching)
     if not report.ok:
@@ -464,7 +464,7 @@ def orbit_analysis(pair: SubcomplexPair, matching: Matching) -> OrbitReport:
             orbit.extend((lower, upper))
         return OrbitReport("cyclic", orbit=tuple(orbit))
 
-    order = _collapse_order(complex, pairs, index)
+    order = _collapse_order(complex, pairs)
     return OrbitReport("acyclic", collapse_order=tuple(order))
 
 
@@ -499,37 +499,43 @@ def _find_cycle(succ: list[list[int]]) -> list[int] | None:
     return None
 
 
-def _collapse_order(complex: CellComplex, pairs, index):
-    """Free-face collapse order of an acyclic matching.
+def _collapse_order(complex: CellComplex, pairs):
+    """Free-face collapse order of an acyclic matching, replayed on facet
+    counters (Forman's correspondence of acyclic matchings and collapses).
 
-    ``live[i]`` counts the cells of ``cofaces_all(lower_i)`` still in play,
-    and pair i is free when it is 1. A pair's upper cell stays in play
-    until the pair goes, so a count only falls and never below 1: a free
-    pair stays free, and popping the smallest index off a heap of free
-    pairs picks the leftmost free pair of a full rescan. Removing a pair
-    walks the faces of its two cells separately, since a face of both
-    loses two live cofaces.
+    The cells left, the base and the pairs not yet removed, always form a
+    closed complex, and every proper coface of a cell contains one of its
+    cofacets, since faces are the transitive closure of facets. So a
+    pair's upper cell is its lower cell's only live coface exactly when
+    the lower cell has one live cofacet (the upper cell) and the upper
+    cell has none. ``live`` keeps those two counts per pair, lower at
+    ``2i`` and upper at ``2i + 1``. They start at the cofacet counts:
+    the base is closed, so every coface of a matched cell is matched.
+    Removing a pair decrements the counts of its two cells' facets, and a
+    pair is pushed on the heap when a decrement brings its counts to 1
+    and 0. Counts only fall, and a lower count never below 1 while its
+    upper cell is in play, so a free pair stays free and is never
+    decremented again: it is pushed once, and popping the smallest index
+    picks the leftmost free pair of a full rescan. The replay costs
+    O(sum |facets| + n log n) over the n matched pairs.
     """
-    in_play = set(index)
-    in_play.update(upper for _, upper in pairs)
-    live = [
-        sum(1 for c in complex.cofaces_all(lower) if c in in_play)
-        for lower, _ in pairs
-    ]
-    free = [i for i, n in enumerate(live) if n == 1]  # ascending: a heap
-    removed = [False] * len(pairs)
+    cells = list(chain.from_iterable(pairs))
+    slot = dict(zip(cells, range(len(cells))))
+    facets = complex.facets
+    live = [len(complex.cofacets(c)) for c in cells]
+    free = [i for i in range(len(pairs)) if live[2 * i] == 1 and not live[2 * i + 1]]
     order = []
-    while free:
+    while free:  # ascending: a heap
         i = heapq.heappop(free)
-        removed[i] = True
         order.append(pairs[i])
         for cell in pairs[i]:
-            for f in complex.faces(cell):
-                j = index.get(f)
-                if j is not None and not removed[j]:
-                    live[j] -= 1
-                    if live[j] == 1:
-                        heapq.heappush(free, j)
+            for f in facets(cell):
+                s = slot.get(f)
+                if s is not None:
+                    live[s] -= 1
+                    j = s & ~1
+                    if live[j] == 1 and not live[j + 1]:
+                        heapq.heappush(free, j >> 1)
     if len(order) != len(pairs):  # cannot happen for acyclic matchings
         raise AssertionError("collapse replay stalled on an acyclic matching")
     return order

@@ -245,10 +245,11 @@ def _everything_but(X, *cells):
 @pytest.mark.parametrize(
     "sub, message",
     [
-        # fewer sub cells than rel cells: the sub cells' hyperfaces are read
+        # a few sub cells
         (["1.2", "0"], "subcomplex not closed under hyperfaces; missing ['1', '2']"),
         (["0", "nope"], "unknown cell 'nope'"),
-        # fewer rel cells: the rel cells' cofaces are read
+        # all cells but one or two vertices, or all and one unknown: the
+        # hyperfaces of every sub cell are read just the same
         (
             _everything_but(grid_square(3), "5"),
             "subcomplex not closed under hyperfaces; missing ['5', '5', '5', '5', '5']",
@@ -259,7 +260,7 @@ def _everything_but(X, *cells):
         ),
         (list(grid_square(3).cells()) + ["9.9.9"], "unknown cell '9.9.9'"),
     ],
-    ids=["sub_open", "sub_unknown", "rel_open", "rel_open_twice", "rel_unknown"],
+    ids=["sub_open", "sub_unknown", "all_but_vertex", "all_but_two_vertices", "all_and_unknown"],
 )
 def test_subcomplex_pair_rejects_on_either_side(sub, message):
     with pytest.raises(InvalidSubcomplexError) as err:

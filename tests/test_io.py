@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from cellmatch import io
 from cellmatch.generators import circle, grid_square, torus7
 from cellmatch.homology import BettiVector, Filtration
 from cellmatch.subdivision import barycentric
+from conftest import simplicial_tables_by_combinations
 
 
 def test_complex_roundtrip_simplicial(tmp_path):
@@ -95,6 +97,79 @@ def test_complex_rejects_floats():
             "simplices": [[0, 1]],
             "coordinates": {"0": [0.5], "1": [1.5]},
         })
+
+
+def _simplicial(simplices, coordinates=None) -> dict:
+    obj = {"format": io.COMPLEX_FORMAT, "kind": "simplicial", "simplices": simplices}
+    if coordinates is not None:
+        obj["coordinates"] = coordinates
+    return obj
+
+
+_LABELS = {
+    "ints_from_0": lambda rng: list(range(9)),
+    "sparse_ints": lambda rng: rng.sample(range(60), 9),
+    "strs": lambda rng: [f"v{n}" for n in rng.sample(range(60), 9)],
+    "digit_strs": lambda rng: [str(n) for n in rng.sample(range(60), 9)],
+    "mixed": lambda rng: [n if n % 2 else str(n) for n in rng.sample(range(60), 9)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LABELS))
+def test_decoded_complex_equals_combinations_oracle(case):
+    """Seeded simplices, each listing its tokens in random order, decode to
+    the tables ``itertools.combinations`` gives."""
+    rng = random.Random(case)
+    for _ in range(8):
+        labels = _LABELS[case](rng)
+        simplices = [[t] for t in labels]
+        simplices += [rng.sample(labels, rng.randint(1, 4)) for _ in range(rng.randint(1, 9))]
+        rng.shuffle(simplices)
+        X = io.decode_complex(_simplicial(simplices))
+        oracle = simplicial_tables_by_combinations(simplices)
+        assert X.cells() == tuple(oracle["order"])
+        for c in oracle["order"]:
+            v = oracle["verts"][c]
+            assert X.dim_of(c) == oracle["dims"][c] and X.vertices(c) == v, c
+            dropped = [v[:i] + v[i + 1:] for i in range(len(v))] if len(v) > 1 else []
+            assert [X.vertices(f) for f in X.facets(c)] == dropped, c
+            assert X.cofacets(c) == tuple(sorted(oracle["cofaces"][c], key=X.sort_key)), c
+
+
+@pytest.mark.parametrize(
+    "text", ["2/4", "-0/3", "5", " 1/2", "1_0/3", "\u0661/\u0662", "-7/014", "+3/6", "0/1"]
+)
+def test_coordinate_texts_read_as_fraction_does(text):
+    Y = io.decode_complex(_simplicial([[0, 1]], {"0": [text, text], "1": ["1/3", text]}))
+    assert Y.coordinates == {0: (Fraction(text),) * 2, 1: (Fraction(1, 3), Fraction(text))}
+    assert all(type(x) is Fraction for point in Y.coordinates.values() for x in point)
+
+
+_BAD_SIMPLEX = "expected a list of integer or string vertex tokens"
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (_simplicial([[0, 1]], {"0": ["1/0"], "1": ["0"]}), "bad rational '1/0'"),
+        (_simplicial([[0, 1]], {"0": ["0"], "1": ["1/00"]}), "bad rational '1/00'"),
+        (_simplicial([[0, 1]], {"0": ["1/2"], "1": [None]}), "bad rational None"),
+        (
+            _simplicial([[0, 1]], {"0": ["1/2"], "1": [1.5]}),
+            "floating-point numbers are rejected; use 'p/q' text",
+        ),
+        (_simplicial([[0, 1], [0, True]]), f"bad simplex [0, True]: {_BAD_SIMPLEX}"),
+        (_simplicial([[0, 1], [2, 1.5], "ab"]), f"bad simplex [2, 1.5]: {_BAD_SIMPLEX}"),
+        (_simplicial([[0, 1], "01"]), f"bad simplex '01': {_BAD_SIMPLEX}"),
+        (_simplicial([[0, 1], {"0": 1}]), f"bad simplex {{'0': 1}}: {_BAD_SIMPLEX}"),
+    ],
+    ids=["zero_den", "zero_den_padded", "null", "float", "bool_token", "first_of_two",
+         "str_simplex", "object_simplex"],
+)
+def test_complex_file_faults_keep_their_texts(obj, message):
+    with pytest.raises(FileFormatError) as err:
+        io.decode_complex(obj)
+    assert str(err.value) == message
 
 
 def test_complex_bad_format_tag():

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from cellmatch import (
     BruteForceBoundError,
+    CellComplex,
     GeometricComplex,
     HallCertificate,
     InvalidMatchingError,
     Matching,
     SubcomplexPair,
+    build_cw,
     cell_id,
     complete_matching,
     compose_matchings,
@@ -32,6 +35,7 @@ from cellmatch.generators import (
     cone,
     grid_square,
     interval,
+    product,
     simplex,
     sphere_boundary,
     torus7,
@@ -415,6 +419,21 @@ def test_collapse_replay_on_cone():
         replay_collapse(pair, report.collapse_order)
 
 
+def _cubical_cube(m: int, rng) -> CellComplex:
+    """The m-by-m-by-m grid of unit cubes as a cw complex, its cells named
+    at random. A cell is a (start, length) pair per axis, length 0 or 1;
+    its hyperfaces put one of its length-1 axes at either end."""
+    axis = [(i, n) for i in range(m + 1) for n in (0, 1) if i + n <= m]
+    cells = list(itertools.product(axis, repeat=3))
+    name = dict(zip(cells, (f"c{k}" for k in rng.sample(range(10 * len(cells)), len(cells)))))
+    records = []
+    for c in cells:
+        ends = [(a, i + e) for a, (i, n) in enumerate(c) if n for e in (0, 1)]
+        faces = [c[:a] + ((j, 0),) + c[a + 1:] for a, j in ends]
+        records.append((name[c], sum(n for _, n in c), [name[f] for f in faces]))
+    return build_cw(records)
+
+
 def _shuffled_acyclic_cases():
     rng = random.Random(2718)
     for k in (3, 4, 5):
@@ -429,6 +448,17 @@ def _shuffled_acyclic_cases():
         X, perm = relabeled(interval(k), rng.randrange(1 << 30))
         pair = SubcomplexPair(X, [str(perm[rng.choice((0, k))])])
         yield pair, complete_matching(pair)
+    # beyond dimension 2: 3-balls, simplicial and cw
+    for k, m, direction in ((1, 2, (1, -2, 3)), (2, 2, (-3, 1, 2))):
+        X, _ = relabeled(product(interval(k), grid_square(m)), rng.randrange(1 << 30))
+        pair = SubcomplexPair(X, [rng.choice(X.cells_of_dim(0))])
+        yield pair, match_acyclic_pair(pair)
+        fs = flow_structure(GeometricComplex(X), direction)
+        yield SubcomplexPair(X, fs.rel_base()), flow_matching(fs)
+    for m in (2, 3):
+        X = _cubical_cube(m, rng)
+        pair = SubcomplexPair(X, [rng.choice(X.cells_of_dim(0))])
+        yield pair, match_acyclic_pair(pair)
 
 
 def test_collapse_order_equals_greedy_rescan():
@@ -436,6 +466,7 @@ def test_collapse_order_equals_greedy_rescan():
         report = orbit_analysis(pair, m)
         assert report.classification == "acyclic"
         assert list(report.collapse_order) == greedy_collapse_order(pair, m)
+        replay_collapse(pair, report.collapse_order)
 
 
 def test_collapse_order_long_shuffled_interval_runs_back_to_base():
