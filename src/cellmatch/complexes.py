@@ -69,17 +69,13 @@ def _simplex_id(sorted_tokens) -> str:
 def _coerce_coordinates(coordinates) -> dict[Token, tuple[Fraction, ...]] | None:
     if coordinates is None:
         return None
-    out: dict[Token, tuple[Fraction, ...]] = {}
-    for token, point in coordinates.items():
-        coords = []
-        for value in point:
-            if isinstance(value, float):
-                raise InvalidComplexError(
-                    "exact rational coordinates required; got a float"
-                )
-            coords.append(value if isinstance(value, Fraction) else Fraction(value))
-        out[token] = tuple(coords)
-    return out
+    return {token: tuple(map(_exact, point)) for token, point in coordinates.items()}
+
+
+def _exact(value) -> Fraction:
+    if isinstance(value, float):
+        raise InvalidComplexError("exact rational coordinates required; got a float")
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 class CellComplex:
@@ -87,10 +83,11 @@ class CellComplex:
 
     Build one with :func:`from_simplices` or :func:`build_cw`, or take a
     piece of one with :meth:`restrict`, which slices its parent's tables.
-    The constructor trusts its tables: it checks only the kind,
-    non-emptiness and the coordinates, stores the tables it is handed
-    (dimensions, facets, cofacets, vertex tuples) and builds only the rank,
-    so the tables must come from one of those builders, which own them.
+    The constructor trusts its tables: it checks only the kind and
+    non-emptiness, stores the tables it is handed (dimensions, facets,
+    cofacets, vertex tuples, and coordinates the builders have made exact)
+    and builds only the rank, so the tables must come from one of those
+    builders, which own them.
     The builders own the cell order too: ``order`` lists every cell once,
     by dimension first, and :meth:`cells` returns it as given. ``facets``
     and ``cofacets`` are rank-ordered tuples; :meth:`hyperfaces` and
@@ -109,7 +106,7 @@ class CellComplex:
         self._facets = facets
         self._cofaces = cofaces
         self._verts = verts
-        self.coordinates = _coerce_coordinates(coordinates)
+        self.coordinates = coordinates
         self.dim = max(self._dim.values())
         self._sorted_cells = order
         self._rank = dict(zip(order, range(len(order))))
@@ -356,7 +353,8 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
     if len(verts) < len(ids):  # two vertex tuples wrote one id
         _raise_shared_id(tuple(sorted(v, key=_token_key)) for v in vertex_sets)
     return CellComplex(
-        SIMPLICIAL, dims, facets, cofaces, tuple(order), verts, coordinates
+        SIMPLICIAL, dims, facets, cofaces, tuple(order), verts,
+        _coerce_coordinates(coordinates),
     )
 
 
@@ -406,7 +404,9 @@ def build_cw(cell_records, coordinates=None) -> CellComplex:
     order = tuple(sorted(dims, key=lambda c: (dims[c], c)))
     facets = {c: tuple(sorted(listed[c], reverse=True)) for c in order}
     cofs = {c: tuple(sorted(cofaces[c])) for c in order}
-    return CellComplex(CW, dims, facets, cofs, order, coordinates=coordinates)
+    return CellComplex(
+        CW, dims, facets, cofs, order, coordinates=_coerce_coordinates(coordinates)
+    )
 
 
 class SubcomplexPair:

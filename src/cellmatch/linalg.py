@@ -80,12 +80,6 @@ def reduce_columns(columns: list, field: str, skip=()) -> dict[int, int]:
     return lows
 
 
-def restrict_rows(columns: list, rows) -> list:
-    """The columns with every entry outside ``rows`` dropped."""
-    rows = set(rows)
-    return [{r: v for r, v in col.items() if r in rows} for col in columns]
-
-
 def composes_to_zero(lower: list, upper: list, field: str) -> bool:
     """Whether the map with columns ``lower`` kills every column of
     ``upper``, whose rows index the columns of ``lower``."""

@@ -554,22 +554,29 @@ def is_zero_matrix(rows: list[list]) -> bool:
     return all(entry == 0 for row in rows for entry in row)
 
 
-def dense_boundary(pair: SubcomplexPair, d: int, field: str) -> list[list]:
-    """Boundary matrix of a simplicial pair from its vertex tuples alone:
-    rows are the (d-1)-cells outside the base, columns the d-cells, both in
-    the pair's cell order; the face omitting the i-th smallest vertex
-    carries (-1)^i."""
+def dense_boundary(pair: SubcomplexPair, d: int, field: str, signs=None) -> list[list]:
+    """Boundary matrix of a pair: rows are the (d-1)-cells outside the
+    base, columns the d-cells, both in the pair's cell order. On a
+    simplicial pair it is read from the vertex tuples alone: the face
+    omitting the i-th smallest vertex carries (-1)^i. On a cw pair each
+    hyperface carries its sign from ``signs``, or 1 over f2."""
     X = pair.complex
     rows = [c for c in pair.rel_cells if X.dim_of(c) == d - 1]
     cols = [c for c in pair.rel_cells if X.dim_of(c) == d]
     index = {c: i for i, c in enumerate(rows)}
     out = [[_entry(0, field)] * len(cols) for _ in rows]
     for j, c in enumerate(cols):
-        verts = sorted(X.vertices(c))
-        for i in range(len(verts)):
-            face = ".".join(str(v) for v in verts[:i] + verts[i + 1:])
+        if X.kind == "cw":
+            entries = {f: 1 if field == "f2" else signs[(c, f)] for f in X.hyperfaces(c)}
+        else:
+            verts = sorted(X.vertices(c))
+            entries = {
+                ".".join(str(v) for v in verts[:i] + verts[i + 1:]): (-1) ** i
+                for i in range(len(verts))
+            }
+        for face, value in entries.items():
             if face in index:
-                out[index[face]][j] = _entry((-1) ** i, field)
+                out[index[face]][j] = _entry(value, field)
     return out
 
 

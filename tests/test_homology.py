@@ -2,14 +2,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 import json
-import os
 import random
 import subprocess
 import sys
 
 import pytest
 
-import cellmatch
 from cellmatch import (
     HomologyNonzeroError,
     PreconditionError,
@@ -23,15 +21,17 @@ from cellmatch import (
     euler_characteristic,
     from_simplices,
     match_acyclic_pair,
+    match_sphere_pipeline,
     validate_matching,
 )
-from cellmatch import Matching, io, subdivision
+from cellmatch import Matching, io, pipelines, subdivision
 from cellmatch.generators import (
     apex_of,
     circle,
     cone,
     grid_square,
     interval,
+    product,
     simplex,
     sphere_boundary,
     torus7,
@@ -47,6 +47,7 @@ from conftest import (
     match_acyclic_pair_by_layer_complexes,
     propagation_blocks,
     relabeled,
+    subprocess_env,
 )
 
 
@@ -76,13 +77,41 @@ def test_relative_disk_mod_boundary():
     assert bv.betti == (0, 0, 1)
 
 
-def test_boundary_squared_zero_both_fields():
-    for field in ("q", "f2"):
-        cc = chain_complex(SubcomplexPair(sphere_boundary(4)), field=field)
-        for d in range(1, 4):
-            lower, upper = cc.matrix(d - 1), cc.matrix(d)
-            if lower and upper:
-                assert is_zero_matrix(mat_mul(lower, upper, field))
+def test_boundary_squared_zero_both_fields(monkeypatch):
+    """The library checks boundary squared only on cw complexes; it must
+    hold on every simplicial shape it trusts, pairs and pieces included."""
+    pairs = [
+        SubcomplexPair(X)
+        for X in (
+            circle(5), simplex(3), sphere_boundary(2), sphere_boundary(3),
+            sphere_boundary(4), sphere_boundary(5), torus7(), wedge(),
+            interval(4), grid_square(2), cone(circle(4)), product(circle(3), circle(3)),
+            _rp2(), barycentric(torus7()).subdivided,  # str tokens
+        )
+    ]
+    S = sphere_boundary(4)
+    piece = S.restrict(S.closure(S.top_cells()[:3]))
+    pairs += [
+        SubcomplexPair(piece),
+        SubcomplexPair(piece, [piece.cells_of_dim(0)[-1]]),
+        SubcomplexPair(simplex(3), ["0"]),
+        SubcomplexPair(_mixed_dimensions(), ["1.8.9"], close=True),
+    ]
+    middles = []
+    real = pipelines.match_acyclic_pair
+    monkeypatch.setattr(
+        pipelines, "match_acyclic_pair", lambda pair: middles.append(pair) or real(pair)
+    )
+    match_sphere_pipeline(sphere_boundary(6))
+    assert [pair.complex.dim for pair in middles] == [5, 3]
+    pairs += middles  # (rest, rim)
+    for pair in pairs:
+        for field in ("q", "f2"):
+            cc = chain_complex(pair, field=field)
+            for d in range(1, pair.complex.dim + 1):
+                lower, upper = cc.matrix(d - 1), cc.matrix(d)
+                if lower and upper:
+                    assert is_zero_matrix(mat_mul(lower, upper, field)), (pair, field, d)
 
 
 def test_rank_nullity_per_degree():
@@ -247,6 +276,29 @@ def test_layer_boundary_full_column_rank_checked():
     filtration = acyclic_filtration(pair)
     assert [set(s) for s in filtration.stages][-1] == set(X.cells())
     assert set(pair.rel_cells) == {"1.2", "0.1.2"}
+    # every layer's boundary, built afresh, is square with full column rank
+    grid, signs = _cw_square_grid(3)
+    cases = [(pair, None), (SubcomplexPair(grid, ["v0_0"]), signs)]
+    cases += [
+        (SubcomplexPair(Y, [rel]), None)
+        for Y, rel in ((simplex(3), "0"), (cone(circle(5)), "0"), (cone(torus7()), "0"))
+    ]
+    cases += [
+        (_shuffled_grid_rel_vertex(3, seed=3), None),
+        (SubcomplexPair(_mixed_dimensions(), ["1.8.9"], close=True), None),
+    ]
+    for case, case_signs in cases:
+        Y = case.complex
+        for field in ("q", "f2"):
+            layers = list(acyclic_filtration(case, field=field, signs=case_signs).layers())
+            assert layers, (case, field)
+            for below, stage in layers:
+                d = max(Y.dim_of(c) for c in stage - below)
+                layer = SubcomplexPair(Y.restrict(stage), below)
+                boundary = dense_boundary(layer, d, field, signs=case_signs)
+                n_cols = len(boundary[0]) if boundary else 0
+                assert n_cols and len(boundary) == n_cols, (case, field, d)
+                assert len(dense_pivot_columns(boundary, field)) == n_cols, (case, field, d)
 
 
 def _shuffled_grid_rel_vertex(m: int, seed: int) -> SubcomplexPair:
@@ -426,25 +478,51 @@ def test_cw_signs_are_read_only_among_the_pairs_cells():
     assert chain_complex(SubcomplexPair(X), field="f2", signs={}).rank(2) == 1
 
 
+def _stdout_under_optimize(body: str) -> str:
+    """Run ``body`` in a child interpreter under ``python -O``, which strips
+    ``assert`` statements, and return what it prints."""
+    script = "if __debug__:\n    raise SystemExit('assertions are enabled')\n" + body
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def test_postcondition_raises_under_optimize():
-    script = (
+    stdout = _stdout_under_optimize(
         "import cellmatch.homology as homology\n"
         "from cellmatch import SubcomplexPair\n"
         "from cellmatch.generators import simplex\n"
         "from cellmatch.matching import MatchingReport\n"
-        "if __debug__:\n"
-        "    raise SystemExit('assertions are enabled')\n"
         "homology.validate_matching = lambda pair, m: MatchingReport(False, ('forced',))\n"
         "try:\n"
         "    homology.match_acyclic_pair(SubcomplexPair(simplex(2), ['0']))\n"
         "except AssertionError as err:\n"
         "    print('raised:', err)\n"
     )
-    src = os.path.dirname(os.path.dirname(cellmatch.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=env, capture_output=True, text=True, timeout=120,
+    assert "raised: acyclic-pair matching failed validation" in stdout
+
+
+def test_layer_check_raises_under_optimize():
+    """With lowest rows that miss the leftover cells, the layer walk raises
+    its own error."""
+    stdout = _stdout_under_optimize(
+        "import cellmatch.homology as homology\n"
+        "from cellmatch import SubcomplexPair\n"
+        "from cellmatch.generators import simplex\n"
+        "real = homology.ChainComplex._reduced\n"
+        "def shifted(self, d):\n"
+        "    lows = real(self, d)\n"
+        "    return {j: low + 1 for j, low in lows.items()} if d == 1 else lows\n"
+        "homology.ChainComplex._reduced = shifted\n"
+        "try:\n"
+        "    homology.match_acyclic_pair(SubcomplexPair(simplex(2), ['0']))\n"
+        "except AssertionError as err:\n"
+        "    print('raised:', err)\n"
     )
-    assert result.returncode == 0, result.stderr
-    assert "raised: acyclic-pair matching failed validation" in result.stdout
+    assert (
+        "raised: layer 1: 2 leftover cells of dimension 0 are not the lowest rows "
+        "of its 2 selected cells of dimension 1"
+    ) in stdout, stdout

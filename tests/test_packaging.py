@@ -57,6 +57,21 @@ def test_simplex_ids_are_written_only_in_complexes():
     assert users == {"complexes.py"}, users
 
 
+def test_reduce_columns_is_called_only_by_the_chain_complex():
+    """Ranks, pivot columns, Betti numbers and the acyclic layers all read
+    the one reduction per dimension that ``homology.ChainComplex`` runs."""
+    package = Path(cellmatch.__file__).resolve().parent
+    sites = [
+        f"{path.name}: {getattr(top, 'name', None)}"
+        for path in sorted(package.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and "reduce_columns" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert sites == ["homology.py: ChainComplex"], sites
+
+
 _CELL_COMPLEX_TABLES = {
     "_dim", "_hyperfaces", "_facets", "_cofaces", "_verts", "_rank", "_sorted_cells"
 }
