@@ -2,9 +2,10 @@
 """Composite pipelines: odd spheres and loop-based constructions.
 
 The sphere pipeline matches an odd-dimensional rational homology sphere in
-three stages: the cycle of cells around a codimension-2 cell, the acyclic
-remainder relative to the chosen cell's boundary, and the boundary sphere
-by recursion. The loop pipeline matches a manifold from a dual loop whose
+one loop down its dimensions. Each step matches the cycle of cells around a
+codimension-2 cell and the acyclic remainder relative to the chosen cell's
+boundary, then moves to that boundary sphere, two dimensions down, until
+the circle. The loop pipeline matches a manifold from a dual loop whose
 complement is acyclic relative to a base and an optional parallel circle.
 """
 

@@ -217,6 +217,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    loop_only = (args.loop, args.circle, args.base)
+    if args.kind == "sphere" and any(f is not None for f in loop_only):
+        raise _UsageError("--loop, --circle and --base require pipeline loop")
     complex = io.load_complex(args.complex)
     if args.kind == "sphere":
         matching = match_sphere_pipeline(complex)

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .complexes import SIMPLICIAL, CellComplex, SubcomplexPair, Token, cell_id
 from .errors import InvalidComplexError, NotTransverseError, PreconditionError
-from .matching import Matching, validate_matching
+from .matching import Matching, _checked
 
 
 def direction(*components) -> tuple[Fraction, ...]:
@@ -163,36 +163,6 @@ class BoundarySplit:
     entering: frozenset[str]
 
 
-def _derivative_signs(geom: GeometricComplex, field_vec) -> dict[str, list[int]]:
-    """Per top simplex, the sign (1, 0 or -1) of the derivative of each
-    barycentric coordinate along the field, in the order of its vertices.
-
-    The field is scaled to integers u = L * v, L > 0 the lcm of its
-    denominators. With the homogeneous columns D_j * (1, p_j) the system
-    for (0, u) is solved by c'_j = L * c_j / D_j, which has the sign of
-    c_j. The elimination kept at construction turns (0, u) into d * c'_i
-    on pivot row i, the dot product of that row's tracked operations with
-    u, and into zero on every residual row exactly when the field is
-    tangent. So each sign is that of d times one dot product, and nothing
-    is eliminated here."""
-    v = direction(*field_vec)
-    if len(v) != geom.ambient_dim:
-        raise InvalidComplexError(
-            f"field has {len(v)} components, ambient dimension is {geom.ambient_dim}"
-        )
-    scale = math.lcm(*(x.denominator for x in v))
-    u = [x.numerator * (scale // x.denominator) for x in v]
-    out: dict[str, list[int]] = {}
-    for top, (d, pivots, residuals) in geom._eliminated.items():
-        if any(sum(map(operator.mul, ops, u)) for ops in residuals):
-            raise NotTransverseError(
-                f"field is not tangent to top simplex {top}", simplices=(top,)
-            )
-        values = (d * sum(map(operator.mul, ops, u)) for ops in pivots)
-        out[top] = [(c > 0) - (c < 0) for c in values]
-    return out
-
-
 def check_transverse(geom: GeometricComplex, field_vec) -> BoundarySplit:
     """Exact transversality test; returns the boundary split or raises a
     degeneracy report naming every offending codimension-1 simplex."""
@@ -202,17 +172,40 @@ def check_transverse(geom: GeometricComplex, field_vec) -> BoundarySplit:
 
 def _sign_split(geom: GeometricComplex, field_vec):
     """The boundary split, and per top simplex the vertex-position masks
-    of its rising and falling vertices (bit i for its i-th vertex)."""
+    of its rising and falling vertices (bit i for its i-th vertex).
+
+    The field is scaled to integers u = L * v, L > 0 the lcm of its
+    denominators. With the homogeneous columns D_j * (1, p_j) the system
+    for (0, u) is solved by c'_j = L * c_j / D_j, which has the sign of
+    c_j. The elimination kept at construction turns (0, u) into d * c'_i
+    on pivot row i, the dot product of that row's tracked operations with
+    u, and into zero on every residual row exactly when the field is
+    tangent. So each sign is that of d times one dot product, and nothing
+    is eliminated here. The first top simplex the field is not tangent to
+    raises at once; degenerate facets are gathered over all of them and
+    raised after."""
     if geom.n < 1:
         raise PreconditionError("flow structures need dimension at least 1")
+    v = direction(*field_vec)
+    if len(v) != geom.ambient_dim:
+        raise InvalidComplexError(
+            f"field has {len(v)} components, ambient dimension is {geom.ambient_dim}"
+        )
+    scale = math.lcm(*(x.denominator for x in v))
+    u = [x.numerator * (scale // x.denominator) for x in v]
     complex = geom.complex
     degenerate = set()
     exiting = set()
     entering = set()
     signs: dict[str, tuple[int, int]] = {}
-    for top, values in _derivative_signs(geom, field_vec).items():
+    for top, (d, pivots, residuals) in geom._eliminated.items():
+        if any(sum(map(operator.mul, ops, u)) for ops in residuals):
+            raise NotTransverseError(
+                f"field is not tangent to top simplex {top}", simplices=(top,)
+            )
         rise = fall = 0
-        for i, (value, facet) in enumerate(zip(values, complex.facets(top))):
+        for i, (ops, facet) in enumerate(zip(pivots, complex.facets(top))):
+            value = d * sum(map(operator.mul, ops, u))
             if value == 0:
                 degenerate.add(facet)
                 continue
@@ -380,7 +373,4 @@ def flow_matching(fs: FlowStructure) -> Matching:
         if mate.get(m) != c:
             raise AssertionError(f"mate rule is not an involution at {c}")
     result = Matching(mate.items(), relative_to=fs.split.exiting)
-    report = validate_matching(pair, result)
-    if not report.ok:
-        raise AssertionError(f"flow matching failed validation: {report.violations[:3]}")
-    return result
+    return _checked(pair, result, "flow matching failed validation")

@@ -34,7 +34,7 @@ from itertools import chain
 from . import linalg
 from .complexes import CW, SIMPLICIAL, CellComplex, SubcomplexPair
 from .errors import HomologyNonzeroError, PreconditionError
-from .matching import Matching, _hopcroft_karp, validate_matching
+from .matching import Matching, _checked, _hopcroft_karp
 
 
 def _default_field(complex: CellComplex) -> str:
@@ -250,9 +250,4 @@ def match_acyclic_pair(pair: SubcomplexPair, field: str | None = None, signs=Non
         }
         pairs.extend(_hopcroft_karp(left, adjacency)[0].items())
     result = Matching(pairs, relative_to=pair.sub)
-    report = validate_matching(pair, result)
-    if not report.ok:
-        raise AssertionError(
-            f"acyclic-pair matching failed validation: {report.violations[:3]}"
-        )
-    return result
+    return _checked(pair, result, "acyclic-pair matching failed validation")

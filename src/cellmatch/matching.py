@@ -234,16 +234,10 @@ def complete_matching(pair: SubcomplexPair, use_parity_shortcut: bool = True):
     mate_even, mate_odd = _hopcroft_karp(graph.even, graph.adjacency)
     if len(mate_even) == n_even and len(mate_odd) == n_odd:
         return Matching(mate_even.items(), relative_to=pair.sub)
-    if n_even > n_odd:
-        side = "even"
-    elif n_odd > n_even:
-        side = "odd"
-    else:
-        side = "even"  # balanced: both sides have unmatched cells
-    if side == "even":
-        cert = _koenig_certificate(graph, side, mate_even, mate_odd)
-    else:
-        cert = _koenig_certificate(graph, side, mate_odd, mate_even)
+    if n_odd > n_even:
+        cert = _koenig_certificate(graph, "odd", mate_odd, mate_even)
+    else:  # more even cells, or balanced with unmatched cells on both sides
+        cert = _koenig_certificate(graph, "even", mate_even, mate_odd)
     if not cert.verify(pair):
         raise AssertionError("internal error: certificate failed verification")
     return cert
@@ -271,6 +265,17 @@ def validate_matching(pair: SubcomplexPair, matching: Matching) -> MatchingRepor
         if c not in seen:
             violations.append(f"uncovered: {c}")
     return MatchingReport(not violations, tuple(violations))
+
+
+def _checked(pair: SubcomplexPair, matching: Matching, what: str) -> Matching:
+    """``matching``, after checking that it is a complete matching of
+    ``pair``. A construction ends with this call, and a failure is a bug in
+    the construction ``what`` names; it raises explicitly, so the check
+    still runs under ``python -O``."""
+    report = validate_matching(pair, matching)
+    if not report.ok:
+        raise AssertionError(f"{what}: {report.violations[:3]}")
+    return matching
 
 
 def enumerate_matchings(
@@ -469,9 +474,10 @@ def orbit_analysis(pair: SubcomplexPair, matching: Matching) -> OrbitReport:
 
 
 def _find_cycle(succ: list[list[int]]) -> list[int] | None:
-    """First directed cycle in DFS order, or None."""
+    """First directed cycle in DFS order, or None. The stack is the path
+    from the root, so an edge back to a node on it closes the cycle that
+    runs from that node up the stack."""
     color = [0] * len(succ)  # 0 unvisited, 1 on stack, 2 done
-    parent: dict[int, int] = {}
     for root in range(len(succ)):
         if color[root]:
             continue
@@ -479,21 +485,15 @@ def _find_cycle(succ: list[list[int]]) -> list[int] | None:
         color[root] = 1
         while stack:
             node, it = stack[-1]
-            advanced = False
             for j in it:
                 if color[j] == 0:
                     color[j] = 1
-                    parent[j] = node
                     stack.append((j, iter(succ[j])))
-                    advanced = True
                     break
                 if color[j] == 1:
-                    cycle = [node]
-                    while cycle[-1] != j:
-                        cycle.append(parent[cycle[-1]])
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
+                    path = [v for v, _ in stack]
+                    return path[path.index(j):]
+            else:
                 color[node] = 2
                 stack.pop()
     return None

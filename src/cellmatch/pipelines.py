@@ -1,5 +1,6 @@
 """Composite matching pipelines: odd-dimensional rational homology
-spheres, loop-based constructions, and bounded dual-loop search."""
+spheres, matched in one loop down their dimensions, loop-based
+constructions, and bounded dual-loop search."""
 
 from __future__ import annotations
 
@@ -19,54 +20,46 @@ from .errors import (
     SearchBudgetExceededError,
 )
 from .homology import betti_numbers, match_acyclic_pair
-from .matching import Matching, compose_matchings, match_dual_cycle, validate_matching
-
-
-def _sphere_betti(n: int) -> tuple[int, ...]:
-    betti = [0] * (n + 1)
-    betti[0] += 1
-    betti[n] += 1
-    return tuple(betti)
+from .matching import Matching, _checked, compose_matchings, match_dual_cycle
 
 
 def match_sphere_pipeline(complex: CellComplex) -> Matching:
     """Complete matching of an odd-dimensional rational-homology-sphere
-    cellulation.
+    cellulation, in one loop down its dimensions.
 
-    Around the lowest codimension-2 cell of the lowest codimension-1 cell,
-    the cells containing it form an alternating cycle and get the cycle
-    matching; the rest of the complex relative to that cell's boundary is
-    an acyclic pair; the boundary sphere recurses, down to the circle.
+    Each step first checks that its sphere has odd dimension n and the
+    Betti numbers of an n-sphere. For n >= 3, around the lowest
+    codimension-2 cell of the lowest codimension-1 cell, the cells
+    containing it form an alternating cycle and get the cycle matching;
+    the rest of the sphere relative to that cell's boundary is an acyclic
+    pair; the boundary, an (n-2)-sphere, is the next step's sphere. At
+    the circle, the cells of its spanning dual loop get the cycle
+    matching. The parts are composed once and checked once against the
+    whole complex.
     """
-    n = complex.dim
-    if n % 2 == 0:
-        raise PreconditionError("odd dimension required")
-    bv = betti_numbers(SubcomplexPair(complex))
-    if bv.betti != _sphere_betti(n):
-        raise HomologyNonzeroError(
-            f"not a rational homology sphere: betti {bv.betti}", betti=bv
-        )
-    if n == 1:
-        loop = spanning_dual_loop(complex)
-        return match_dual_cycle(complex, loop, 0)
-
-    sigma = complex.cells_of_dim(n - 1)[0]
-    tau = complex.facets(sigma)[-1]
-    loop = star_cycle(complex, tau)
-    cycle_part = match_dual_cycle(complex, loop, 0)
-
-    rest = complex.restrict(cycle_part.relative_to)
-    rim = complex.faces(sigma)
-    middle_part = match_acyclic_pair(SubcomplexPair(rest, rim))
-
-    boundary_sphere = complex.restrict(rim)
-    boundary_part = match_sphere_pipeline(boundary_sphere)
-
-    result = compose_matchings([cycle_part, middle_part, boundary_part])
-    report = validate_matching(SubcomplexPair(complex), result)
-    if not report.ok:
-        raise AssertionError(f"sphere pipeline output invalid: {report.violations[:3]}")
-    return result
+    parts = []
+    sphere = complex
+    while True:
+        n = sphere.dim
+        if n % 2 == 0:
+            raise PreconditionError("odd dimension required")
+        bv = betti_numbers(SubcomplexPair(sphere))
+        if bv.betti != (1, *[0] * (n - 1), 1):
+            raise HomologyNonzeroError(
+                f"not a rational homology sphere: betti {bv.betti}", betti=bv
+            )
+        if n == 1:
+            break
+        sigma = sphere.cells_of_dim(n - 1)[0]
+        tau = sphere.facets(sigma)[-1]
+        cycle_part = match_dual_cycle(sphere, star_cycle(sphere, tau), 0)
+        rest = sphere.restrict(cycle_part.relative_to)
+        rim = sphere.faces(sigma)
+        parts += [cycle_part, match_acyclic_pair(SubcomplexPair(rest, rim))]
+        sphere = sphere.restrict(rim)
+    parts.append(match_dual_cycle(sphere, spanning_dual_loop(sphere), 0))
+    result = compose_matchings(parts)
+    return _checked(SubcomplexPair(complex), result, "sphere pipeline output invalid")
 
 
 def _circle_cycle_matching(complex: CellComplex, cells: frozenset[str]) -> Matching:
@@ -131,10 +124,7 @@ def match_loop_pipeline(
         parts.append(circle_part)
 
     result = compose_matchings(parts, relative_to=base_set)
-    report = validate_matching(SubcomplexPair(complex, base_set), result)
-    if not report.ok:
-        raise AssertionError(f"loop pipeline output invalid: {report.violations[:3]}")
-    return result
+    return _checked(SubcomplexPair(complex, base_set), result, "loop pipeline output invalid")
 
 
 def find_dual_loop(

@@ -25,7 +25,9 @@ from functools import cached_property
 from .complexes import CellComplex, SubcomplexPair, from_simplices
 from .errors import InvalidMatchingError, InvalidSubdivisionError
 from .homology import match_acyclic_pair
-from .matching import Matching, _lower_upper_pairs, compose_matchings, validate_matching
+from .matching import (
+    Matching, _checked, _lower_upper_pairs, compose_matchings, validate_matching,
+)
 
 
 @dataclass(frozen=True)
@@ -153,9 +155,4 @@ def propagate_matching(
         parts.append(sorted((x, y) if x <= y else (y, x) for x, y in renamed))
     result = compose_matchings(parts, relative_to=sub_base)
     target = SubcomplexPair(subdivided, sub_base)
-    final = validate_matching(target, result)
-    if not final.ok:
-        raise AssertionError(
-            f"propagated matching failed validation: {final.violations[:3]}"
-        )
-    return result
+    return _checked(target, result, "propagated matching failed validation")

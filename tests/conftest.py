@@ -35,6 +35,11 @@ hyperface, flag or id of the library's subdivision. The propagation
 blocks are built one per matched pair, each restricted from the
 subdivision afresh, with nothing shared between blocks.
 
+The sphere pipeline by recursion is the construction as the paper states
+it: the star cycle and the acyclic pair, then the boundary sphere matched
+by a call of its own, each level composing its three parts. It is built
+from public names only and checks no precondition.
+
 An autouse fixture checks every cw complex a test builds, and a piece of
 it, against the facet order the library documents: hyperfaces by
 descending ``sort_key``, sorted afresh.
@@ -57,9 +62,14 @@ from cellmatch import (
     SubcomplexPair,
     acyclic_filtration,
     complete_matching,
+    compose_matchings,
     from_simplices,
     cell_id,
     incidence_graph,
+    match_acyclic_pair,
+    match_dual_cycle,
+    spanning_dual_loop,
+    star_cycle,
 )
 from cellmatch.errors import InvalidComplexError, NotTransverseError, PreconditionError
 from cellmatch.flow import BoundarySplit, FlowStructure, direction
@@ -515,6 +525,25 @@ def dual_loops_by_rewalk(complex):
                 for edge, other in reversed(neighbors[node]):
                     if other not in seen and other >= start:
                         stack.append((other, path + [other], edges + [edge], seen | {other}))
+
+
+def sphere_pipeline_by_recursion(complex) -> Matching:
+    """The sphere pipeline by recursion: around the lowest codimension-2
+    cell of the lowest codimension-1 cell sigma, the star cycle's cycle
+    matching; the rest relative to sigma's boundary, matched as an acyclic
+    pair; and sigma's boundary sphere matched by recursion, down to the
+    circle's spanning dual loop."""
+    n = complex.dim
+    if n == 1:
+        return match_dual_cycle(complex, spanning_dual_loop(complex), 0)
+    sigma = complex.cells_of_dim(n - 1)[0]
+    tau = complex.facets(sigma)[-1]
+    cycle_part = match_dual_cycle(complex, star_cycle(complex, tau), 0)
+    rest = complex.restrict(cycle_part.relative_to)
+    rim = complex.faces(sigma)
+    middle_part = match_acyclic_pair(SubcomplexPair(rest, rim))
+    boundary_part = sphere_pipeline_by_recursion(complex.restrict(rim))
+    return compose_matchings([cycle_part, middle_part, boundary_part])
 
 
 def relabeled(complex, seed: int):

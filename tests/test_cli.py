@@ -291,6 +291,23 @@ def test_pipeline_sphere(tmp_path):
     assert run("pipeline", "sphere", str(s2)) == 3
 
 
+def test_pipeline_sphere_rejects_loop_flags(tmp_path, capsys):
+    """--loop, --circle and --base belong to pipeline loop; pipeline sphere
+    rejects each before it reads any file."""
+    s = tmp_path / "s.json"
+    m = tmp_path / "m.json"
+    missing = str(tmp_path / "missing.json")
+    assert run("generate", "sphere_boundary", "--params", "4", "-o", str(s)) == 0
+    capsys.readouterr()
+    for flags in (["--loop"], ["--circle"], ["--base"], ["--base", "--loop", "--circle"]):
+        argv = [arg for flag in flags for arg in (flag, missing)]
+        assert run("pipeline", "sphere", str(s), *argv, "-o", str(m)) == 1
+        assert capsys.readouterr().err == (
+            "cellmatch: --loop, --circle and --base require pipeline loop\n"
+        )
+    assert not m.exists()
+
+
 def test_dualloop_find_and_loop_pipeline(tmp_path):
     t = tmp_path / "t.json"
     loop = tmp_path / "loop.json"

@@ -287,6 +287,20 @@ def _tilted_grid() -> GeometricComplex:
     )
 
 
+def _bent_pair() -> GeometricComplex:
+    """Two triangles on the edge 0.1 in R^3, one in the plane z = 0 and one
+    in y = 0. The field (0, 1, 0) is tangent to the first, with its facet
+    0.2 degenerate, and not tangent to the second: the tangency error of
+    the later top comes before the degeneracy of the earlier one."""
+    coords = {
+        0: (Fraction(0), Fraction(0), Fraction(0)),
+        1: (Fraction(1), Fraction(0), Fraction(0)),
+        2: (Fraction(0), Fraction(1), Fraction(0)),
+        3: (Fraction(0), Fraction(0), Fraction(1)),
+    }
+    return GeometricComplex(from_simplices([[0, 1, 2], [0, 1, 3]], coordinates=coords))
+
+
 _ORACLE_CASES = [
     (grid_square(3), [(1, -3), (3, 1), (-2, 5), (2, -1), (1, 1), (0, -1), (1, 2, 3)]),
     (interval(4), [(1,), (-1,), ("1/2",)]),
@@ -295,6 +309,7 @@ _ORACLE_CASES = [
     (_segment_in_plane().complex, [(0, 1), (1, 1)]),
     (_sheared_grid().complex, [("1/3", "-2/7"), (5, "3/11"), (-1, -1), (2, -1), ("-7/5", 3)]),
     (_tilted_grid().complex, [(1, -3, "3/2"), (2, 1, "2/3"), (1, -3, 1)]),
+    (_bent_pair().complex, [(0, 1, 0), (1, 1, 0), (1, 0, 0)]),
 ]
 
 

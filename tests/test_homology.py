@@ -490,19 +490,63 @@ def _stdout_under_optimize(body: str) -> str:
     return result.stdout
 
 
-def test_postcondition_raises_under_optimize():
+# Per construction: the text of its post-condition, and a script that sets
+# X to the complex of its final check and `run` to the construction.
+_POSTCONDITIONS = {
+    "acyclic": (
+        "acyclic-pair matching failed validation",
+        "X = simplex(2)\n"
+        "run = lambda: cellmatch.match_acyclic_pair(SubcomplexPair(X, ['0']))\n",
+    ),
+    "sphere": (
+        "sphere pipeline output invalid",
+        "X = sphere_boundary(4)\n"
+        "run = lambda: cellmatch.match_sphere_pipeline(X)\n",
+    ),
+    "loop": (
+        "loop pipeline output invalid",
+        "X = sphere_boundary(3)\n"
+        "loop = cellmatch.star_cycle(X, '0')\n"
+        "run = lambda: cellmatch.match_loop_pipeline(X, loop, base=['0', '1'])\n",
+    ),
+    "propagation": (
+        "propagated matching failed validation",
+        "smap = cellmatch.barycentric(circle(3))\n"
+        "pair = SubcomplexPair(smap.source)\n"
+        "X, m = smap.subdivided, cellmatch.complete_matching(pair)\n"
+        "run = lambda: cellmatch.propagate_matching(smap, pair, m)\n",
+    ),
+    "flow": (
+        "flow matching failed validation",
+        "X = interval(4)\n"
+        "fs = cellmatch.flow_structure(cellmatch.GeometricComplex(X), (1,))\n"
+        "run = lambda: cellmatch.flow_matching(fs)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("construction", list(_POSTCONDITIONS))
+def test_postcondition_raises_under_optimize(construction):
+    """Each construction's final check fails on its own complex X, with
+    every inner check left real, and raises its own text."""
+    text, script = _POSTCONDITIONS[construction]
     stdout = _stdout_under_optimize(
-        "import cellmatch.homology as homology\n"
+        "import cellmatch\n"
+        "import cellmatch.matching as matching\n"
         "from cellmatch import SubcomplexPair\n"
-        "from cellmatch.generators import simplex\n"
+        "from cellmatch.generators import circle, interval, simplex, sphere_boundary\n"
         "from cellmatch.matching import MatchingReport\n"
-        "homology.validate_matching = lambda pair, m: MatchingReport(False, ('forced',))\n"
+        + script
+        + "real = matching.validate_matching\n"
+        "matching.validate_matching = lambda pair, m: (\n"
+        "    MatchingReport(False, ('forced',)) if pair.complex is X else real(pair, m)\n"
+        ")\n"
         "try:\n"
-        "    homology.match_acyclic_pair(SubcomplexPair(simplex(2), ['0']))\n"
+        "    run()\n"
         "except AssertionError as err:\n"
         "    print('raised:', err)\n"
     )
-    assert "raised: acyclic-pair matching failed validation" in stdout
+    assert f"raised: {text}" in stdout
 
 
 def test_layer_check_raises_under_optimize():

@@ -72,6 +72,26 @@ def test_reduce_columns_is_called_only_by_the_chain_complex():
     assert sites == ["homology.py: ChainComplex"], sites
 
 
+def test_validate_matching_is_called_only_by_the_checks():
+    """Every construction ends in ``matching._checked``; the other callers
+    check a matching handed in, or report on it for ``cellmatch validate``."""
+    package = Path(cellmatch.__file__).resolve().parent
+    sites = [
+        f"{path.name}: {getattr(top, 'name', None)}"
+        for path in sorted(package.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and "validate_matching" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert sites == [
+        "cli.py: _cmd_validate",
+        "matching.py: _checked",
+        "matching.py: orbit_analysis",
+        "subdivision.py: propagate_matching",
+    ], sites
+
+
 _CELL_COMPLEX_TABLES = {
     "_dim", "_hyperfaces", "_facets", "_cofaces", "_verts", "_rank", "_sorted_cells"
 }
@@ -121,9 +141,7 @@ def test_package_has_no_assert_statements():
 
 
 # Functions that may call themselves, each with the bound on its depth.
-_BOUNDED_RECURSION = {
-    "pipelines.match_sphere_pipeline": "(dim + 1) / 2: each call is two dimensions down",
-}
+_BOUNDED_RECURSION: dict[str, str] = {}
 
 
 def _calls_itself(function: ast.FunctionDef) -> bool:

@@ -27,7 +27,7 @@ from cellmatch.cli import main
 from cellmatch.generators import circle, product, simplex, sphere_boundary, torus7
 from cellmatch.subdivision import barycentric
 
-from conftest import dual_loops_by_rewalk, relabeled
+from conftest import dual_loops_by_rewalk, relabeled, sphere_pipeline_by_recursion
 
 
 def _annulus_complement(pair) -> bool:
@@ -85,6 +85,37 @@ def test_sphere_pipeline_rejects_non_sphere():
     figure8 = from_simplices([[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4]])
     with pytest.raises(HomologyNonzeroError):
         match_sphere_pipeline(figure8)
+
+
+def _cw_three_sphere():
+    """A 3-sphere with two cells in each dimension, each pair glued along
+    the two cells below; with no sign table it is matched over f2."""
+    return build_cw([
+        ("v0", 0, []), ("v1", 0, []),
+        ("e0", 1, ["v0", "v1"]), ("e1", 1, ["v0", "v1"]),
+        ("f0", 2, ["e0", "e1"]), ("f1", 2, ["e0", "e1"]),
+        ("t0", 3, ["f0", "f1"]), ("t1", 3, ["f0", "f1"]),
+    ])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: circle(6),
+        lambda: sphere_boundary(4),
+        lambda: sphere_boundary(6),
+        lambda: relabeled(barycentric(sphere_boundary(4)).subdivided, 3)[0],
+        _cw_three_sphere,
+    ],
+    ids=["circle6", "sphere4", "sphere6", "bary_sphere4_relabeled", "cw_three_sphere"],
+)
+def test_sphere_pipeline_equals_recursion_oracle(make):
+    """The loop down the dimensions matches the recursive construction
+    pair for pair; sphere_boundary(6) takes three steps."""
+    X = make()
+    m = match_sphere_pipeline(X)
+    assert m == sphere_pipeline_by_recursion(X)
+    assert 2 * len(m) == len(X)
 
 
 def test_find_dual_loop_torus_annulus():
