@@ -14,6 +14,7 @@ and reports through stable exit codes for scripting:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -220,12 +221,12 @@ def _cmd_pipeline(args) -> int:
     loop_only = (args.loop, args.circle, args.base)
     if args.kind == "sphere" and any(f is not None for f in loop_only):
         raise _UsageError("--loop, --circle and --base require pipeline loop")
+    if args.kind == "loop" and not args.loop:
+        raise _UsageError("pipeline loop requires --loop")
     complex = io.load_complex(args.complex)
     if args.kind == "sphere":
         matching = match_sphere_pipeline(complex)
     else:
-        if not args.loop:
-            raise _UsageError("pipeline loop requires --loop")
         loop = io.load_loop(args.loop)
         base = _sub_cells(complex, args.base) if args.base else ()
         circle_cells = _sub_cells(complex, args.circle) if args.circle else None
@@ -380,8 +381,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser: parsing reads it and never changes it, so
+    every call gets a fresh namespace filled from the same defaults."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.formats:

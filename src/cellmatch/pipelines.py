@@ -90,7 +90,8 @@ def match_loop_pipeline(
     The loop cells get the cycle matching; the complement relative to the
     base together with the optional circle subcomplex must be acyclic (the
     Betti vector travels with the error when not); the circle, when given,
-    gets its own cycle matching.
+    gets its own cycle matching. A loop through every cell leaves an
+    empty complement, and its cycle matching is the whole answer.
     """
     cycle_part = match_dual_cycle(complex, loop, 0)
     loop_cells = set(loop.cells)
@@ -108,18 +109,17 @@ def match_loop_pipeline(
             raise PreconditionError("circle must be disjoint from the base")
 
     inner_base = base_set | circle_set if circle_set is not None else base_set
-    rest = complex.restrict(cycle_part.relative_to)
-    inner_pair = SubcomplexPair(rest, inner_base)
-    try:
-        middle_part = match_acyclic_pair(inner_pair)
-    except HomologyNonzeroError as err:
-        raise HomologyNonzeroError(
-            "loop complement is not acyclic relative to the base: "
-            f"betti {err.betti.betti}",
-            betti=err.betti,
-        ) from err
-
-    parts = [cycle_part, middle_part]
+    parts = [cycle_part]
+    if cycle_part.relative_to:  # else the loop covers every cell
+        rest = complex.restrict(cycle_part.relative_to)
+        try:
+            parts.append(match_acyclic_pair(SubcomplexPair(rest, inner_base)))
+        except HomologyNonzeroError as err:
+            raise HomologyNonzeroError(
+                "loop complement is not acyclic relative to the base: "
+                f"betti {err.betti.betti}",
+                betti=err.betti,
+            ) from err
     if circle_set is not None:
         parts.append(circle_part)
 

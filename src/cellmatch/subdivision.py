@@ -7,14 +7,28 @@ the maximal flags. The carrier of a subdivided cell is the largest
 original cell in its chain, i.e. the smallest original cell containing
 it, read off its vertex tuple as the vertex of highest source dimension.
 
-Propagation matches one acyclic block per matched pair, and most blocks
-are one block under a renaming of cells that keeps their order. A block
-is keyed by its indexed structure: its cells in the subdivided complex's
-order, each as the positions of its facets in that list, and the
-positions of its base cells. The block's matching depends on nothing
-else (the complex is simplicial, so the field is q and each sign is the
-parity of a facet position), so each distinct key is matched once and
-its pairs are renamed onto every block that shares it.
+Propagation matches one acyclic block per matched pair (lower, upper):
+the chains of the closed source cell ``upper``, relative to the chains
+that avoid both ``upper`` and ``lower``. Most blocks are one block under
+a renaming of cells that keeps their order, and each distinct block is
+matched once. The key is read off the source alone: the closed cell
+sorted by id, each of its cells as the positions of its facets in that
+list, and the positions of ``lower`` and ``upper``. This is exact. The
+vertices are "b"+id tokens, so a chain's vertex tuple follows the id
+order of its source cells, and the block's cells, their rank order,
+their facets and its base depend only on the key. The block's matching
+reads nothing else (the complex is simplicial, so the field is q and
+each sign is the parity of a facet position). A solved block keeps each
+cell as its carrier's position in the key's list and its index among
+the cells that carrier carries, in the subdivided order; a block with
+the same key reads its own cells off those pairs.
+
+Maps, like complexes, are immutable once built. A map that
+:func:`barycentric` returns is correct by construction and carries a
+private mark, so :func:`propagate_matching` does not validate it again.
+Any other map, decoded from a file or built by a caller, is validated,
+and each of its blocks is matched on its own: nothing ties its vertex
+names to the source ids, so two blocks of one source shape may differ.
 """
 
 from __future__ import annotations
@@ -38,10 +52,13 @@ class SubdivisionMap:
 
     @cached_property
     def _carried(self) -> dict[str, list[str]]:
-        """Source cell -> the subdivided cells it carries; built once."""
+        """Source cell -> the subdivided cells it carries, in the subdivided
+        cell order (not the carrier dict's, which a caller may choose);
+        built once."""
         out: dict[str, list[str]] = {}
-        for c, s in self.carrier.items():
-            out.setdefault(s, []).append(c)
+        carrier = self.carrier
+        for c in self.subdivided.cells():
+            out.setdefault(carrier[c], []).append(c)
         return out
 
     def cells_over(self, source_cells) -> frozenset[str]:
@@ -100,7 +117,9 @@ def barycentric(complex: CellComplex) -> SubdivisionMap:
         s: max(subdivided.vertices(s), key=depth.__getitem__)[1:]
         for s in subdivided.cells()
     }
-    return SubdivisionMap(complex, subdivided, carrier)
+    smap = SubdivisionMap(complex, subdivided, carrier)
+    object.__setattr__(smap, "_from_barycentric", True)
+    return smap
 
 
 def propagate_matching(
@@ -114,45 +133,46 @@ def propagate_matching(
     matched constructively. The blocks compose to a complete matching
     relative to the subdivided base.
 
-    Blocks are keyed by their cells in the subdivided order, each as the
-    tuple of its facets' positions in that list, together with the sorted
-    positions of the base cells. The first block with a key is restricted
-    and matched, and its pairs are kept as positions; a later block with
-    the same key takes those pairs renamed onto its own cells. This is
-    exact: ``match_acyclic_pair`` on a simplicial block reads only the cell
-    order, the facet positions (the signs and the cofaces) and the base, so
-    a repeated key repeats both its result and every check it passed. The
-    composition and the final validation still cover every cell.
+    When :func:`barycentric` built ``smap`` from ``pair.complex`` itself,
+    a block is keyed by its closed upper cell in source terms and matched
+    only at its key's first visit; its pairs are kept as (source position,
+    carried index) and read back as the complex's own ids. The module
+    docstring gives why this is exact and why such a map is not validated
+    again. Any other map is validated, with the same errors as ever, and
+    each of its blocks is matched on its own: a caller's map may subdivide
+    two cells of one shape differently, and a copy of the source need not
+    share its faces. The composition and the final validation still cover
+    every cell.
     """
     if set(pair.complex.cells()) != set(smap.source.cells()):
         raise InvalidSubdivisionError("subdivision map does not cover the pair's complex")
-    smap.validate()
+    from_barycentric = getattr(smap, "_from_barycentric", False)
+    if not from_barycentric:
+        smap.validate()
     report = validate_matching(pair, matching)
     if not report.ok:
         raise InvalidMatchingError("; ".join(report.violations[:5]))
     complex = pair.complex
-    subdivided = smap.subdivided
+    shared = from_barycentric and complex is smap.source
+    carried = smap._carried
     sub_base = smap.cells_over(pair.sub)
-    solved: dict[tuple, tuple[tuple[int, int], ...]] = {}
+    solved: dict[object, tuple[tuple[int, int, int, int], ...]] = {}
     parts = []
     for lower, upper in _lower_upper_pairs(pair, matching):
-        closed = complex.faces(upper) | {upper}
-        rim = closed - {upper, lower}
-        inside = sorted(smap.cells_over(closed), key=subdivided.sort_key)
-        rel = smap.cells_over(rim)
-        position = dict(zip(inside, range(len(inside))))
-        at = position.__getitem__
-        key = (
-            tuple(tuple(map(at, subdivided.facets(c))) for c in inside),
-            tuple(sorted(map(at, rel))),
-        )
+        closed = sorted(complex.faces(upper) | {upper})
+        key = upper  # unique: this block is matched on its own
+        if shared:
+            at = dict(zip(closed, range(len(closed)))).__getitem__
+            key = (tuple(tuple(map(at, complex.facets(c))) for c in closed), at(lower), at(upper))
         matched = solved.get(key)
         if matched is None:
-            block = SubcomplexPair(subdivided.restrict(inside), rel)
-            matched = tuple((at(x), at(y)) for x, y in match_acyclic_pair(block).pairs)
-            solved[key] = matched
-        renamed = ((inside[i], inside[j]) for i, j in matched)
+            where = {c: (p, i) for p, s in enumerate(closed) for i, c in enumerate(carried[s])}
+            rim = set(closed) - {upper, lower}
+            block = SubcomplexPair(smap.subdivided.restrict(where), smap.cells_over(rim))
+            pairs = match_acyclic_pair(block).pairs
+            matched = solved[key] = tuple(where[x] + where[y] for x, y in pairs)
+        renamed = ((carried[closed[p]][i], carried[closed[q]][j]) for p, i, q, j in matched)
         parts.append(sorted((x, y) if x <= y else (y, x) for x, y in renamed))
     result = compose_matchings(parts, relative_to=sub_base)
-    target = SubcomplexPair(subdivided, sub_base)
+    target = SubcomplexPair(smap.subdivided, sub_base)
     return _checked(target, result, "propagated matching failed validation")

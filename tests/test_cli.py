@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cellmatch import io
+from cellmatch import cli, io
 from cellmatch.cli import main
 
 from conftest import shuffled_path_rel_end, subprocess_env
@@ -340,6 +340,22 @@ def test_dualloop_find_and_loop_pipeline(tmp_path):
                "--budget", "10000") == 2
 
 
+def test_pipeline_loop_through_every_cell(tmp_path, capsys):
+    c, loop, m = (str(tmp_path / name) for name in ("c.json", "loop.json", "m.json"))
+    assert run("generate", "circle", "--params", "5", "-o", c) == 0
+    assert run("dualloop", "find", c, "--complement-empty", "-o", loop) == 0
+    assert run("pipeline", "loop", c, "--loop", loop, "-o", m) == 0
+    assert len(io.read_json(m)["pairs"]) == 5
+    capsys.readouterr()
+    assert run("validate", c, "--matching", m) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+
+def test_pipeline_loop_requires_loop_before_reading_the_complex(tmp_path, capsys):
+    assert run("pipeline", "loop", str(tmp_path / "missing.json")) == 1
+    assert capsys.readouterr().err == "cellmatch: pipeline loop requires --loop\n"
+
+
 def test_dualloop_usage_errors_are_exit_1(tmp_path, capsys):
     t = tmp_path / "t.json"
     loop = tmp_path / "loop.json"
@@ -373,6 +389,46 @@ def test_usage_errors_are_exit_1(tmp_path, capsys):
     assert run("generate", "circle", "--params", "2") == 1  # bad parameter value
     assert run("flow", str(tmp_path / "missing.json"), "--field", "bogus") == 1
     assert run() == 1  # no subcommand
+
+
+def test_one_parser_serves_every_call_as_if_fresh(tmp_path, capsys, monkeypatch):
+    """``main`` builds its parser once per process. A usage error, then calls
+    that rely on the defaults, and calls with other flags, in one process,
+    each give the exit code, output and files of a call in a fresh one."""
+    c = str(tmp_path / "c.json")
+    assert run("generate", "grid_square", "--params", "2", "-o", c) == 0
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    calls = [
+        ["enumerate", c, "--limit", "x"],
+        ["match", c, "--method", "bogus"],
+        ["enumerate", c, "--bound", "30"],
+        ["enumerate", c, "--limit", "2", "-o", "e.json"],
+        ["enumerate", c, "-o", "e0.json"],
+        ["homology", c, "--field", "f2"],
+        ["homology", c],
+        ["match", c, "--method", "hall", "-o", "m1.json"],
+        ["match", c, "-o", "m0.json"],
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    capsys.readouterr()
+    for argv in calls:
+        code = run(*argv)
+        out, err = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cellmatch.cli", *argv], cwd=fresh,
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert built == [1]
+    assert sorted(p.name for p in here.iterdir()) == ["e.json", "e0.json", "m0.json", "m1.json"]
+    for path in here.iterdir():
+        assert path.read_bytes() == (fresh / path.name).read_bytes(), path.name
 
 
 def test_version_and_formats(capsys):

@@ -24,7 +24,7 @@ from cellmatch import (
     match_sphere_pipeline,
     validate_matching,
 )
-from cellmatch import Matching, io, pipelines, subdivision
+from cellmatch import Matching, SubdivisionMap, io, pipelines, subdivision
 from cellmatch.generators import (
     apex_of,
     circle,
@@ -404,24 +404,38 @@ def test_match_acyclic_pair_equals_layer_complex_oracle():
 
 def test_propagate_matching_equals_blockwise_matching(monkeypatch):
     """Blocks that share an indexed shape are matched once and renamed; the
-    result must be every block matched on its own, then put together."""
+    result must be every block matched on its own, then put together. Maps
+    that do not come from ``barycentric`` (a shuffled carrier dict, a map
+    read back from its file), and a pair over a copy of the map's source,
+    match every block."""
     B = barycentric(torus7()).subdivided
     shared = [SubcomplexPair(relabeled(B, seed)[0]) for seed in (1, 2, 3)]
     cases = [SubcomplexPair(relabeled(torus7(), seed)[0]) for seed in (1, 2, 3)] + shared
     S = sphere_boundary(4)
     cases += [SubcomplexPair(relabeled(X, 5)[0]) for X in (S, barycentric(S).subdivided)]
     cases.append(SubcomplexPair(simplex(3), ["0"]))
+    cases.append(SubcomplexPair(grid_square(3), ["0"]))  # ids "10" < "9"
     cases.append(SubcomplexPair(_cw_square_grid(3)[0], ["v0_0"]))
     cases.append(SubcomplexPair(_mixed_dimensions(), ["1.8.9"], close=True))
+    runs = [(pair, barycentric(pair.complex)) for pair in cases]
+    smap = barycentric(shared[0].complex)
+    items = list(smap.carrier.items())
+    random.Random(4).shuffle(items)
+    shuffled = SubdivisionMap(smap.source, smap.subdivided, dict(items))
+    decoded = io.decode_subdivision(io.encode_subdivision(smap), smap.source, smap.subdivided)
+    assert list(shuffled.carrier) != list(smap.carrier) != list(decoded.carrier)
+    foreign = [shuffled, decoded]
+    runs += [(shared[0], other) for other in foreign]
+    copy = io.decode_complex(io.encode_complex(smap.source))
+    runs.append((SubcomplexPair(copy), smap))
     calls = []
     real = subdivision.match_acyclic_pair
     monkeypatch.setattr(
         subdivision, "match_acyclic_pair", lambda pair: calls.append(pair) or real(pair)
     )
-    for pair in cases:
+    for pair, smap in runs:
         matching = complete_matching(pair)
         assert isinstance(matching, Matching), pair
-        smap = barycentric(pair.complex)
         blocks = propagation_blocks(smap, pair, matching)
         want = Matching(
             [p for block in blocks for p in match_acyclic_pair(block).pairs],
@@ -432,7 +446,9 @@ def test_propagate_matching_equals_blockwise_matching(monkeypatch):
         assert json.dumps(io.encode_matching(got)) == json.dumps(
             io.encode_matching(want)
         ), pair
-        if pair in shared:
+        if any(smap is other for other in foreign) or pair.complex is not smap.source:
+            assert len(calls) == len(blocks)
+        elif pair in shared:
             assert 0 < len(calls) < len(blocks), (len(calls), len(blocks))
 
 

@@ -92,6 +92,34 @@ def test_validate_matching_is_called_only_by_the_checks():
     ], sites
 
 
+def _writes_marker(node: ast.AST, marker: str) -> bool:
+    """Whether ``node`` sets attribute ``marker``: as a store to
+    ``x.marker``, or by a ``setattr``/``__setattr__`` call naming it."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == marker and isinstance(node.ctx, ast.Store)
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        return name in ("setattr", "__setattr__") and any(
+            isinstance(arg, ast.Constant) and arg.value == marker for arg in node.args
+        )
+    return False
+
+
+def test_only_barycentric_marks_a_subdivision_map_as_trusted():
+    """``propagate_matching`` skips validating a map only when it carries
+    the mark that ``barycentric`` gives the map it builds; nothing else in
+    the package writes that mark."""
+    package = Path(cellmatch.__file__).resolve().parent
+    sites = [
+        f"{path.name}: {getattr(top, 'name', None)}"
+        for path in sorted(package.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if _writes_marker(node, "_from_barycentric")
+    ]
+    assert sites == ["subdivision.py: barycentric"], sites
+
+
 _CELL_COMPLEX_TABLES = {
     "_dim", "_hyperfaces", "_facets", "_cofaces", "_verts", "_rank", "_sorted_cells"
 }

@@ -17,6 +17,7 @@ from cellmatch import (
     complement_of_dual_loop,
     find_dual_loop,
     from_simplices,
+    match_dual_cycle,
     match_loop_pipeline,
     match_sphere_pipeline,
     spanning_dual_loop,
@@ -368,6 +369,18 @@ def test_loop_pipeline_torus():
     m = match_loop_pipeline(X, loop, base=(), circle_cells=core)
     assert len(m) == 21  # all 42 cells
     assert validate_matching(SubcomplexPair(X), m).ok
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_loop_pipeline_loop_through_every_cell(n):
+    """The loop that ``--complement-empty`` finds on a circle leaves no
+    complement: its cycle matching is the whole answer."""
+    X = circle(n)
+    loop = find_dual_loop(X, lambda pair: len(pair.rel_cells) == len(X))
+    assert set(loop.cells) == set(X.cells())
+    m = match_loop_pipeline(X, loop)
+    assert m == match_dual_cycle(X, loop, 0)
+    assert len(m) == n and validate_matching(SubcomplexPair(X), m).ok
 
 
 def test_loop_pipeline_rejects_bad_complement():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cellmatch import (
+    io,
     HallCertificate,
     InvalidMatchingError,
     InvalidSubdivisionError,
@@ -16,6 +17,7 @@ from cellmatch import (
     complete_matching,
     euler_characteristic,
     from_simplices,
+    match_acyclic_pair,
     match_dual_cycle,
     spanning_dual_loop,
     validate_matching,
@@ -23,7 +25,7 @@ from cellmatch import (
 from cellmatch.generators import circle, interval, simplex, sphere_boundary, torus7, wedge
 from cellmatch.subdivision import barycentric, propagate_matching
 
-from conftest import face_poset_chains
+from conftest import face_poset_chains, propagation_blocks
 
 
 def test_barycentric_circle():
@@ -210,6 +212,58 @@ def test_propagate_block_betti_zero_at_runtime():
     pm = propagate_matching(smap, pair, m)
     target = SubcomplexPair(smap.subdivided, smap.cells_over(pair.sub))
     assert validate_matching(target, pm).ok
+
+
+def test_propagate_validates_only_maps_from_elsewhere(monkeypatch):
+    """A map from ``barycentric`` is correct by construction and is not
+    validated again; a map read back from its file is, inside the call."""
+    runs = []
+    real = SubdivisionMap.validate
+    monkeypatch.setattr(SubdivisionMap, "validate", lambda smap: runs.append(smap) or real(smap))
+    X = torus7()
+    pair = SubcomplexPair(X)
+    matching = complete_matching(pair)
+    smap = barycentric(X)
+    built = propagate_matching(smap, pair, matching)
+    assert runs == []
+    decoded = io.decode_subdivision(io.encode_subdivision(smap), X, smap.subdivided)
+    runs.clear()
+    assert propagate_matching(decoded, pair, matching) == built
+    assert runs == [decoded]
+
+
+def test_propagate_rejects_a_non_monotone_caller_map():
+    smap = barycentric(simplex(1))
+    bad = dict(smap.carrier)
+    bad["b0.b0.1"] = "0"
+    pair = SubcomplexPair(smap.source, ["0"])
+    matching = Matching([("1", "0.1")], relative_to=pair.sub)
+    caller_map = SubdivisionMap(smap.source, smap.subdivided, bad)
+    with pytest.raises(InvalidSubdivisionError) as err:
+        propagate_matching(caller_map, pair, matching)
+    assert str(err.value) == "carrier not monotone at b0.1 < b0.b0.1"
+
+
+def test_propagate_on_a_subdivision_that_is_not_barycentric():
+    """Edge 0.1 cut in two and edge 1.2 in three: a valid carrier map whose
+    two blocks have the same source shape but different cells, so each is
+    matched on its own."""
+    X = interval(2)
+    Y = from_simplices([("0", "a"), ("a", "1"), ("1", "b"), ("b", "c"), ("c", "2")])
+    carrier = {c: c for c in ("0", "1", "2")}
+    carrier.update({c: "0.1" for c in ("a", "0.a", "1.a")})
+    carrier.update({c: "1.2" for c in ("b", "c", "1.b", "b.c", "2.c")})
+    smap = SubdivisionMap(X, Y, carrier)
+    smap.validate()
+    pair = SubcomplexPair(X, ["0"])
+    matching = Matching([("1", "0.1"), ("2", "1.2")], relative_to=pair.sub)
+    want = Matching(
+        [p for block in propagation_blocks(smap, pair, matching)
+         for p in match_acyclic_pair(block).pairs],
+        relative_to=["0"],
+    )
+    assert propagate_matching(smap, pair, matching) == want
+    assert len(want) == 5
 
 
 def test_propagate_empty_matching():
