@@ -66,10 +66,21 @@ def _simplex_id(sorted_tokens) -> str:
     return ".".join(map(str, sorted_tokens))
 
 
+_FRACTION = frozenset((Fraction,))
+
+
 def _coerce_coordinates(coordinates) -> dict[Token, tuple[Fraction, ...]] | None:
+    """The points as tuples of Fractions. A point that already is one, as
+    the file decoder makes them, is kept; any other goes through
+    ``_exact``, which rejects floats."""
     if coordinates is None:
         return None
-    return {token: tuple(map(_exact, point)) for token, point in coordinates.items()}
+    return {
+        token: point
+        if type(point) is tuple and _FRACTION.issuperset(map(type, point))
+        else tuple(map(_exact, point))
+        for token, point in coordinates.items()
+    }
 
 
 def _exact(value) -> Fraction:

@@ -29,12 +29,11 @@ subcomplex built per layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from . import linalg
 from .complexes import CW, SIMPLICIAL, CellComplex, SubcomplexPair
 from .errors import HomologyNonzeroError, PreconditionError
-from .matching import Matching, _checked, _hopcroft_karp
+from .matching import Matching, _checked, _hopcroft_karp, _positions
 
 
 def _default_field(complex: CellComplex) -> str:
@@ -240,14 +239,9 @@ def match_acyclic_pair(pair: SubcomplexPair, field: str | None = None, signs=Non
     pairs = []
     for d, upper, lower in _acyclic_layers(pair, field, signs):
         left, right = (upper, lower) if d % 2 == 0 else (lower, upper)
-        right_set = frozenset(right)
-        adjacency = {
-            c: tuple(
-                x for x in chain(reversed(complex.facets(c)), complex.cofacets(c))
-                if x in right_set
-            )
-            for c in left
-        }
-        pairs.extend(_hopcroft_karp(left, adjacency)[0].items())
+        mate, _ = _hopcroft_karp(_positions(complex, left, right), len(right))
+        # An unmatched cell (-1) would take right[-1]: a repeated or
+        # non-incident pair, which _checked rejects.
+        pairs.extend(zip(left, map(right.__getitem__, mate)))
     result = Matching(pairs, relative_to=pair.sub)
     return _checked(pair, result, "acyclic-pair matching failed validation")

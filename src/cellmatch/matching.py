@@ -6,14 +6,22 @@ rank-ordered adjacency, so results are deterministic. When no complete
 matching exists the matcher returns a deficiency certificate: a set A of
 cells on one side with fewer incident cells than members, obtained by
 alternating-path reachability from the unmatched cells.
+
+Inside, the search works on positions: ``_positions`` lists each left
+cell's neighbours as positions in the right side, in the order of
+:func:`incidence_graph`, and the mates and layer distances are int lists.
+Ids come back once, when the matching or certificate is built. Each
+phase's breadth-first search walks the whole layer graph and does not
+stop at the first layer with a free cell: the depth-first search takes a
+free cell at whatever layer it meets one, so stopping early would cut
+off the longer augmenting paths it takes now and change the matching.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 
 from .complexes import CellComplex, DualLoop, SubcomplexPair, complement_of_dual_loop
 from .errors import BruteForceBoundError, InvalidMatchingError
@@ -131,44 +139,58 @@ class OrbitReport:
     collapse_order: tuple[tuple[str, str], ...] | None = None
 
 
-def _hopcroft_karp(left, adjacency):
-    """Maximum matching; returns (mate_left, mate_right) dicts."""
-    mate_left: dict[str, str] = {}
-    mate_right: dict[str, str] = {}
-    dist: dict[str, int] = {}
+def _positions(complex: CellComplex, left, right) -> list[list[int]]:
+    """For each cell of ``left``, the positions in ``right`` of its
+    neighbours that lie in ``right``, in the cell order of
+    :func:`incidence_graph`: facets read backwards, then cofacets."""
+    place = {c: i for i, c in enumerate(right)}.get
+    facets, cofacets = complex.facets, complex.cofacets
+    return [
+        [j for x in chain(reversed(facets(c)), cofacets(c)) if (j := place(x)) is not None]
+        for c in left
+    ]
+
+
+def _hopcroft_karp(adj: list[list[int]], n_right: int):
+    """Maximum matching of left positions ``0..len(adj)-1`` with right
+    positions ``0..n_right-1``; returns the mate lists (left, right), -1
+    for unmatched. Each phase's BFS walks the whole layer graph."""
+    mate_left = [-1] * len(adj)
+    mate_right = [-1] * n_right
+    dist = [_UNREACHED] * len(adj)
 
     def bfs() -> bool:
-        queue = deque()
-        for u in left:
-            if u not in mate_left:
+        queue = []
+        for u, v in enumerate(mate_left):
+            if v < 0:
                 dist[u] = 0
                 queue.append(u)
             else:
                 dist[u] = _UNREACHED
         found = False
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                w = mate_right.get(v)
-                if w is None:
+        for u in queue:  # read while it grows: first in, first out
+            step = dist[u] + 1
+            for v in adj[u]:
+                w = mate_right[v]
+                if w < 0:
                     found = True
                 elif dist[w] == _UNREACHED:
-                    dist[w] = dist[u] + 1
+                    dist[w] = step
                     queue.append(w)
         return found
 
-    def augment(root) -> None:
+    def augment(root: int) -> None:
         """Depth-first search for an augmenting path from ``root`` along
         the BFS layers, with an explicit stack; ``path[k]`` is the right
         vertex taken from ``stack[k]``. A vertex whose search fails is
         marked unreached."""
-        stack = [(root, iter(adjacency[root]))]
-        path: list[str] = []
+        stack = [(root, iter(adj[root]))]
+        path: list[int] = []
         while stack:
             u, nbrs = stack[-1]
             for v in nbrs:
-                w = mate_right.get(v)
-                if w is None:
+                w = mate_right[v]
+                if w < 0:
                     path.append(v)
                     for (x, _), y in zip(stack, path):
                         mate_left[x] = y
@@ -176,7 +198,7 @@ def _hopcroft_karp(left, adjacency):
                     return
                 if dist[w] == dist[u] + 1:
                     path.append(v)
-                    stack.append((w, iter(adjacency[w])))
+                    stack.append((w, iter(adj[w])))
                     break
             else:
                 dist[u] = _UNREACHED
@@ -185,36 +207,30 @@ def _hopcroft_karp(left, adjacency):
                     path.pop()
 
     while bfs():
-        for u in left:
-            if u not in mate_left:
+        for u in range(len(adj)):
+            if mate_left[u] < 0:
                 augment(u)
     return mate_left, mate_right
 
 
-def _koenig_certificate(graph: IncidenceGraph, side: str, mate_side, mate_other):
-    """Alternating reachability from the unmatched cells of ``side``."""
-    side_cells = graph.even if side == "even" else graph.odd
-    reached_side = {u for u in side_cells if u not in mate_side}
-    reached_other: set[str] = set()
-    frontier = list(reached_side)
-    while frontier:
-        new_side: list[str] = []
-        for u in frontier:
-            for v in graph.adjacency[u]:
-                if v in reached_other:
-                    continue
-                reached_other.add(v)
-                w = mate_other.get(v)
-                if w is not None and w not in reached_side:
-                    reached_side.add(w)
-                    new_side.append(w)
-        frontier = new_side
-    return HallCertificate(
-        side,
-        frozenset(reached_side),
-        frozenset(reached_other),
-        len(reached_side) - len(reached_other),
-    )
+def _koenig_certificate(side: str, cells, others, adj, mate_side, mate_other):
+    """Alternating reachability from the unmatched positions of ``side``:
+    ``adj`` and ``mate_side`` run from ``cells`` to ``others``, and
+    ``mate_other`` back."""
+    reached = [v < 0 for v in mate_side]
+    reached_other = [False] * len(others)
+    queue = [u for u, free in enumerate(reached) if free]
+    for u in queue:  # read while it grows
+        for v in adj[u]:
+            if not reached_other[v]:
+                reached_other[v] = True
+                w = mate_other[v]
+                if w >= 0 and not reached[w]:
+                    reached[w] = True
+                    queue.append(w)
+    a = frozenset(compress(cells, reached))
+    nbhd = frozenset(compress(others, reached_other))
+    return HallCertificate(side, a, nbhd, len(a) - len(nbhd))
 
 
 def complete_matching(pair: SubcomplexPair, use_parity_shortcut: bool = True):
@@ -224,20 +240,26 @@ def complete_matching(pair: SubcomplexPair, use_parity_shortcut: bool = True):
     certified directly by the larger side; otherwise Hopcroft-Karp runs and
     an imperfect matching yields the alternating-reachability certificate.
     """
-    graph = incidence_graph(pair)
-    n_even, n_odd = len(graph.even), len(graph.odd)
+    even, odd = pair.rel_even, pair.rel_odd
+    n_even, n_odd = len(even), len(odd)
     if use_parity_shortcut and n_even != n_odd:
+        graph = incidence_graph(pair)
         side = "even" if n_even > n_odd else "odd"
         cells = frozenset(graph.even if side == "even" else graph.odd)
         nbhd = graph.neighborhood(cells)
         return HallCertificate(side, cells, nbhd, len(cells) - len(nbhd))
-    mate_even, mate_odd = _hopcroft_karp(graph.even, graph.adjacency)
-    if len(mate_even) == n_even and len(mate_odd) == n_odd:
-        return Matching(mate_even.items(), relative_to=pair.sub)
+    adj = _positions(pair.complex, even, odd)
+    mate_even, mate_odd = _hopcroft_karp(adj, n_odd)
+    if n_even == n_odd and -1 not in mate_even:
+        return Matching(zip(even, map(odd.__getitem__, mate_even)), relative_to=pair.sub)
     if n_odd > n_even:
-        cert = _koenig_certificate(graph, "odd", mate_odd, mate_even)
+        transpose: list[list[int]] = [[] for _ in odd]
+        for u, nbrs in enumerate(adj):
+            for v in nbrs:
+                transpose[v].append(u)
+        cert = _koenig_certificate("odd", odd, even, transpose, mate_odd, mate_even)
     else:  # more even cells, or balanced with unmatched cells on both sides
-        cert = _koenig_certificate(graph, "even", mate_even, mate_odd)
+        cert = _koenig_certificate("even", even, odd, adj, mate_even, mate_odd)
     if not cert.verify(pair):
         raise AssertionError("internal error: certificate failed verification")
     return cert
@@ -304,9 +326,7 @@ def enumerate_matchings(
         )
     if len(pair.rel_even) != len(pair.rel_odd):
         return 0, []
-    graph = incidence_graph(pair)
-    place = {c: i for i, c in enumerate(cells)}
-    neighbours = [[place[v] for v in graph.adjacency[c]] for c in cells]
+    neighbours = _positions(pair.complex, cells, cells)
     masks = [sum(1 << j for j in nbrs) for nbrs in neighbours]
     memo = {0: 1}
 

@@ -10,7 +10,10 @@ algebra works on dense lists of rows with plain ``Fraction``/mod-2
 arithmetic. The backtracking enumerator recurses over every choice, with
 no memo or pruning, on the library's incidence graph. It lists matchings
 in the order ``enumerate_matchings`` documents, but counts them by a
-different search.
+different search. The Hopcroft-Karp oracle runs the search that
+``complete_matching`` documents on dicts keyed by cell id, over the public
+incidence graph, with its deficiency certificate by alternating
+reachability.
 
 The layer-by-layer acyclic matching builds every layer as a complex of
 its own (a restricted stage paired with the stage below) and matches it
@@ -47,6 +50,7 @@ descending ``sort_key``, sorted afresh.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 import os
 import random
@@ -58,6 +62,7 @@ import pytest
 
 from cellmatch import (
     CellComplex,
+    HallCertificate,
     Matching,
     SubcomplexPair,
     acyclic_filtration,
@@ -159,6 +164,96 @@ def matchings_by_backtracking(pair: SubcomplexPair, limit: int):
     if len(order) % 2 == 0:
         backtrack(0)
     return count, found
+
+
+def hopcroft_karp_by_ids(pair: SubcomplexPair, use_parity_shortcut: bool = True):
+    """``complete_matching`` on dicts keyed by cell id: Hopcroft-Karp over
+    the public incidence graph, even cells on the left, with a deque for
+    each phase's breadth-first search over the whole layer graph, then a
+    depth-first augmenting search from each free even cell in order, in
+    adjacency order. An imperfect matching gives the alternating
+    reachability from the free cells of the larger side, the even side
+    when balanced, layer by layer."""
+    graph = incidence_graph(pair)
+    adjacency = graph.adjacency
+    n_even, n_odd = len(graph.even), len(graph.odd)
+    if use_parity_shortcut and n_even != n_odd:
+        side = "even" if n_even > n_odd else "odd"
+        cells = frozenset(graph.even if side == "even" else graph.odd)
+        nbhd = graph.neighborhood(cells)
+        return HallCertificate(side, cells, nbhd, len(cells) - len(nbhd))
+    mate_even: dict[str, str] = {}
+    mate_odd: dict[str, str] = {}
+    dist: dict[str, int | None] = {}
+
+    def layers() -> bool:
+        queue = deque()
+        for u in graph.even:
+            dist[u] = None if u in mate_even else 0
+            if u not in mate_even:
+                queue.append(u)
+        found = False
+        while queue:
+            u = queue.popleft()
+            for v in adjacency[u]:
+                w = mate_odd.get(v)
+                if w is None:
+                    found = True
+                elif dist[w] is None:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    def augment(root: str) -> None:
+        stack = [(root, iter(adjacency[root]))]
+        path: list[str] = []
+        while stack:
+            u, nbrs = stack[-1]
+            for v in nbrs:
+                w = mate_odd.get(v)
+                if w is None:
+                    path.append(v)
+                    for (x, _), y in zip(stack, path):
+                        mate_even[x] = y
+                        mate_odd[y] = x
+                    return
+                if dist[w] == dist[u] + 1:
+                    path.append(v)
+                    stack.append((w, iter(adjacency[w])))
+                    break
+            else:
+                dist[u] = None
+                stack.pop()
+                if path:
+                    path.pop()
+
+    while layers():
+        for u in graph.even:
+            if u not in mate_even:
+                augment(u)
+    if len(mate_even) == n_even == n_odd:
+        return Matching(mate_even.items(), relative_to=pair.sub)
+    side = "odd" if n_odd > n_even else "even"
+    side_cells, mate_side, mate_other = (
+        (graph.odd, mate_odd, mate_even) if side == "odd" else (graph.even, mate_even, mate_odd)
+    )
+    reached = {u for u in side_cells if u not in mate_side}
+    reached_other: set[str] = set()
+    frontier = list(reached)
+    while frontier:
+        next_frontier = []
+        for u in frontier:
+            for v in adjacency[u]:
+                if v not in reached_other:
+                    reached_other.add(v)
+                    w = mate_other.get(v)
+                    if w is not None and w not in reached:
+                        reached.add(w)
+                        next_frontier.append(w)
+        frontier = next_frontier
+    return HallCertificate(
+        side, frozenset(reached), frozenset(reached_other), len(reached) - len(reached_other)
+    )
 
 
 def match_acyclic_pair_by_layer_complexes(pair: SubcomplexPair, field=None, signs=None):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 import random
 import re
 import subprocess
@@ -270,6 +271,7 @@ def test_subcomplex_pair_rejects_on_either_side(sub, message):
 
 _SEEDED_ERRORS = """
 import json
+from fractions import Fraction
 from cellmatch import SubcomplexPair, build_cw, from_simplices
 from cellmatch.generators import torus7
 from cellmatch.subdivision import barycentric
@@ -451,6 +453,25 @@ def test_geometric_complex_rejects_non_pure():
     X = from_simplices([[0, 1, 2], [2, 3]], coordinates=coords)
     with pytest.raises(PreconditionError, match="must be pure-dimensional"):
         GeometricComplex(X)
+
+
+def test_from_simplices_makes_coordinates_exact():
+    """Ints and texts become Fractions, a float anywhere in a point is
+    refused, and a point that already is a tuple of Fractions is kept."""
+    kept = (Fraction(1, 3), Fraction(2))
+    X = from_simplices([[0, 1, 2]], coordinates={0: kept, 1: [1, "1/2"], 2: ("3", 4)})
+    assert X.coordinates == {
+        0: kept, 1: (Fraction(1), Fraction(1, 2)), 2: (Fraction(3), Fraction(4))
+    }
+    assert X.coordinates[0] is kept
+    assert {type(x) for p in X.coordinates.values() for x in p} == {Fraction}
+    assert all(type(p) is tuple for p in X.coordinates.values())
+    for bad in [(0.5, Fraction(1)), (Fraction(1), 0.5), [0.5], (1, 2.0)]:
+        with pytest.raises(InvalidComplexError) as err:
+            from_simplices([[0, 1]], coordinates={0: (Fraction(0),), 1: bad})
+        assert str(err.value) == "exact rational coordinates required; got a float"
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        from_simplices([[0, 1]], coordinates={0: ("x",), 1: (1,)})
 
 
 def test_dual_graph_edge_count_matches_interior():

@@ -13,6 +13,7 @@ from cellmatch import (
     InvalidMatchingError,
     Matching,
     SubcomplexPair,
+    barycentric,
     build_cw,
     cell_id,
     complete_matching,
@@ -45,6 +46,7 @@ from cellmatch.generators import (
 from conftest import (
     count_matchings_by_permutations,
     greedy_collapse_order,
+    hopcroft_karp_by_ids,
     matchings_by_backtracking,
     relabeled,
     replay_collapse,
@@ -332,7 +334,9 @@ def test_oracle_equivalence_small_pairs():
         assert isinstance(outcome, Matching) == (count >= 1)
 
 
-def test_complete_matching_agrees_with_permutation_oracle_on_shuffled_pairs():
+def _shuffled_small_pairs():
+    """120 small pairs: relabelled bundled complexes relative to the
+    closure of a few random cells."""
     rng = random.Random(314)
     figure_eight_and_point = from_simplices(
         [[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4], [5]]
@@ -341,11 +345,15 @@ def test_complete_matching_agrees_with_permutation_oracle_on_shuffled_pairs():
         circle(5), circle(6), simplex(2), simplex(3), sphere_boundary(3), wedge(),
         figure_eight_and_point,
     ]
-    kinds = set()
     for _ in range(120):
         X, _ = relabeled(rng.choice(bundled), rng.randrange(1 << 30))
         seeds = rng.sample(list(X.cells()), rng.randint(0, 5))
-        pair = SubcomplexPair(X, X.closure(seeds))
+        yield SubcomplexPair(X, X.closure(seeds))
+
+
+def test_complete_matching_agrees_with_permutation_oracle_on_shuffled_pairs():
+    kinds = set()
+    for pair in _shuffled_small_pairs():
         graph = incidence_graph(pair)
         balanced = len(graph.even) == len(graph.odd)
         if balanced and len(graph.even) > 7:
@@ -361,6 +369,38 @@ def test_complete_matching_agrees_with_permutation_oracle_on_shuffled_pairs():
                 assert isinstance(outcome, HallCertificate)
                 assert outcome.verify(pair)
     assert kinds == {(True, True), (True, False), (False, False)}
+
+
+def _hopcroft_karp_cases():
+    """(pair, parity shortcut) cases for the id-keyed Hopcroft-Karp oracle.
+    The figure eight has more odd cells than even, so without the shortcut
+    its certificate is read off the odd side."""
+    for pair in _shuffled_small_pairs():
+        yield pair, True
+        yield pair, False
+    for seed in (1, 2):
+        X, _ = relabeled(grid_square(6), seed)
+        yield SubcomplexPair(X, [X.cells_of_dim(0)[seed]]), True
+        B, _ = relabeled(barycentric(barycentric(torus7()).subdivided).subdivided, seed)
+        yield SubcomplexPair(B), True
+    yield shuffled_path_rel_end(5000, seed=3), True
+    figure_eight = from_simplices([[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4]])
+    yield SubcomplexPair(figure_eight), False
+
+
+def test_complete_matching_equals_id_keyed_hopcroft_karp():
+    """Pair for pair, and field for field on certificates: the search on
+    positions keeps the id-keyed search's phases, neighbour order and
+    augmenting paths."""
+    kinds = set()
+    for pair, shortcut in _hopcroft_karp_cases():
+        outcome = complete_matching(pair, use_parity_shortcut=shortcut)
+        expected = hopcroft_karp_by_ids(pair, use_parity_shortcut=shortcut)
+        assert type(outcome) is type(expected)
+        assert outcome == expected
+        if isinstance(outcome, HallCertificate):
+            kinds.add((outcome.side, shortcut))
+    assert kinds == {("even", True), ("odd", True), ("even", False), ("odd", False)}
 
 
 def test_orbit_circle_is_cyclic_length6():

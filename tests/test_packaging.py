@@ -57,39 +57,52 @@ def test_simplex_ids_are_written_only_in_complexes():
     assert users == {"complexes.py"}, users
 
 
-def test_reduce_columns_is_called_only_by_the_chain_complex():
-    """Ranks, pivot columns, Betti numbers and the acyclic layers all read
-    the one reduction per dimension that ``homology.ChainComplex`` runs."""
+def _call_sites(name: str) -> list[str]:
+    """``file: top-level definition`` of every call of ``name`` in the
+    package, in file order."""
     package = Path(cellmatch.__file__).resolve().parent
-    sites = [
+    return [
         f"{path.name}: {getattr(top, 'name', None)}"
         for path in sorted(package.glob("*.py"))
         for top in ast.parse(path.read_text(encoding="utf-8")).body
         for node in ast.walk(top)
         if isinstance(node, ast.Call)
-        and "reduce_columns" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
+
+
+def test_reduce_columns_is_called_only_by_the_chain_complex():
+    """Ranks, pivot columns, Betti numbers and the acyclic layers all read
+    the one reduction per dimension that ``homology.ChainComplex`` runs."""
+    sites = _call_sites("reduce_columns")
     assert sites == ["homology.py: ChainComplex"], sites
 
 
 def test_validate_matching_is_called_only_by_the_checks():
     """Every construction ends in ``matching._checked``; the other callers
     check a matching handed in, or report on it for ``cellmatch validate``."""
-    package = Path(cellmatch.__file__).resolve().parent
-    sites = [
-        f"{path.name}: {getattr(top, 'name', None)}"
-        for path in sorted(package.glob("*.py"))
-        for top in ast.parse(path.read_text(encoding="utf-8")).body
-        for node in ast.walk(top)
-        if isinstance(node, ast.Call)
-        and "validate_matching" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-    ]
+    sites = _call_sites("validate_matching")
     assert sites == [
         "cli.py: _cmd_validate",
         "matching.py: _checked",
         "matching.py: orbit_analysis",
         "subdivision.py: propagate_matching",
     ], sites
+
+
+def test_hopcroft_karp_runs_on_positions_from_one_builder():
+    """The search runs on the int adjacency that ``matching._positions``
+    builds, and only the complete matching and the acyclic layers run it;
+    the enumerator reads the same adjacency."""
+    assert _call_sites("_hopcroft_karp") == [
+        "homology.py: match_acyclic_pair",
+        "matching.py: complete_matching",
+    ]
+    assert _call_sites("_positions") == [
+        "homology.py: match_acyclic_pair",
+        "matching.py: complete_matching",
+        "matching.py: enumerate_matchings",
+    ]
 
 
 def _writes_marker(node: ast.AST, marker: str) -> bool:
