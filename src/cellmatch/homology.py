@@ -235,13 +235,19 @@ def match_acyclic_pair(pair: SubcomplexPair, field: str | None = None, signs=Non
     filtration. Each layer is matched by Hopcroft-Karp on the parent
     complex, even-dimensional cells on the left; its boundary is square and
     injective, so Hall's condition holds and the matching is complete."""
+    result = Matching(_acyclic_pairs(pair, field, signs), relative_to=pair.sub)
+    return _checked(pair, result, "acyclic-pair matching failed validation")
+
+
+def _acyclic_pairs(pair: SubcomplexPair, field: str | None = None, signs=None):
+    """The pairs of :func:`match_acyclic_pair`, unchecked: the caller's
+    final check covers them."""
     complex = pair.complex
     pairs = []
     for d, upper, lower in _acyclic_layers(pair, field, signs):
         left, right = (upper, lower) if d % 2 == 0 else (lower, upper)
         mate, _ = _hopcroft_karp(_positions(complex, left, right), len(right))
         # An unmatched cell (-1) would take right[-1]: a repeated or
-        # non-incident pair, which _checked rejects.
+        # non-incident pair, which the caller's final check rejects.
         pairs.extend(zip(left, map(right.__getitem__, mate)))
-    result = Matching(pairs, relative_to=pair.sub)
-    return _checked(pair, result, "acyclic-pair matching failed validation")
+    return pairs

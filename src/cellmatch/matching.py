@@ -10,11 +10,14 @@ alternating-path reachability from the unmatched cells.
 Inside, the search works on positions: ``_positions`` lists each left
 cell's neighbours as positions in the right side, in the order of
 :func:`incidence_graph`, and the mates and layer distances are int lists.
-Ids come back once, when the matching or certificate is built. Each
-phase's breadth-first search walks the whole layer graph and does not
-stop at the first layer with a free cell: the depth-first search takes a
-free cell at whatever layer it meets one, so stopping early would cut
-off the longer augmenting paths it takes now and change the matching.
+Ids come back once, when the matching or certificate is built; the
+parity shortcut reads the same positions. :meth:`HallCertificate.verify`
+reads only its own cells' facets and cofacets, with no code from the
+search. Each phase's breadth-first search walks the whole layer graph
+and does not stop at the first layer with a free cell: the depth-first
+search takes a free cell at whatever layer it meets one, so stopping
+early would cut off the longer augmenting paths it takes now and change
+the matching.
 """
 
 from __future__ import annotations
@@ -111,11 +114,16 @@ class HallCertificate:
     deficiency: int
 
     def verify(self, pair: SubcomplexPair) -> bool:
-        graph = incidence_graph(pair)
-        side_cells = set(graph.even if self.side == "even" else graph.odd)
-        if not self.cells <= side_cells:
+        """Whether the cells are rel cells of the side's parity, their rel
+        facets and cofacets are the neighbourhood, and the deficiency, at
+        least 1, is how many fewer. Reads only these cells' incidences."""
+        complex, sub = pair.complex, pair.sub
+        odd = self.side != "even"
+        own = (c in complex and c not in sub and complex.dim_of(c) % 2 == odd for c in self.cells)
+        if not all(own):
             return False
-        recomputed = graph.neighborhood(self.cells)
+        recomputed = {x for c in self.cells for x in chain(complex.facets(c), complex.cofacets(c))}
+        recomputed -= sub
         return (
             recomputed == self.neighborhood
             and self.deficiency == len(self.cells) - len(recomputed)
@@ -243,11 +251,10 @@ def complete_matching(pair: SubcomplexPair, use_parity_shortcut: bool = True):
     even, odd = pair.rel_even, pair.rel_odd
     n_even, n_odd = len(even), len(odd)
     if use_parity_shortcut and n_even != n_odd:
-        graph = incidence_graph(pair)
-        side = "even" if n_even > n_odd else "odd"
-        cells = frozenset(graph.even if side == "even" else graph.odd)
-        nbhd = graph.neighborhood(cells)
-        return HallCertificate(side, cells, nbhd, len(cells) - len(nbhd))
+        side, cells, others = ("even", even, odd) if n_even > n_odd else ("odd", odd, even)
+        reached = set(chain.from_iterable(_positions(pair.complex, cells, others)))
+        nbhd = frozenset(map(others.__getitem__, reached))
+        return HallCertificate(side, frozenset(cells), nbhd, len(cells) - len(nbhd))
     adj = _positions(pair.complex, even, odd)
     mate_even, mate_odd = _hopcroft_karp(adj, n_odd)
     if n_even == n_odd and -1 not in mate_even:
@@ -430,13 +437,13 @@ def match_dual_cycle(complex: CellComplex, loop: DualLoop, orientation: int) -> 
 
 
 def compose_matchings(parts, relative_to=()) -> Matching:
-    """Union of partial matchings with pairwise-disjoint coverage. A part is
-    a Matching or, to skip building one, the list its ``sorted_pairs``
-    would give."""
+    """Union of Matchings with pairwise-disjoint coverage; raises
+    InvalidMatchingError at the first cell covered twice. The package's
+    constructions instead check their whole output once."""
     pairs: list[tuple[str, str]] = []
     seen: set[str] = set()
     for part in parts:
-        for a, b in part.sorted_pairs() if isinstance(part, Matching) else part:
+        for a, b in part.sorted_pairs():
             for c in (a, b):
                 if c in seen:
                     raise InvalidMatchingError(f"duplicated: {c}")

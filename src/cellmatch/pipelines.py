@@ -1,6 +1,17 @@
 """Composite matching pipelines: odd-dimensional rational homology
 spheres, matched in one loop down their dimensions, loop-based
-constructions, and bounded dual-loop search."""
+constructions, and bounded dual-loop search.
+
+A pipeline hands the pairs of all its parts, cycle matchings and
+acyclic pairs, to one ``Matching`` checked once against the whole
+output; no part is checked alone. The parts are disjoint: at a sphere
+step the star cycle holds the cells containing the codimension-2 cell,
+and the acyclic pair the rest outside the rim, the codimension-1 cell's
+boundary, which is the next step's sphere; the loop pipeline checks that
+circle and base avoid the loop, and the circle is in the acyclic step's
+base. So the one check sees every pair a check per part would, and
+reports a cell in two different pairs as duplicated.
+"""
 
 from __future__ import annotations
 
@@ -19,8 +30,8 @@ from .errors import (
     PreconditionError,
     SearchBudgetExceededError,
 )
-from .homology import betti_numbers, match_acyclic_pair
-from .matching import Matching, _checked, compose_matchings, match_dual_cycle
+from .homology import _acyclic_pairs, betti_numbers
+from .matching import Matching, _checked, match_dual_cycle
 
 
 def match_sphere_pipeline(complex: CellComplex) -> Matching:
@@ -34,10 +45,10 @@ def match_sphere_pipeline(complex: CellComplex) -> Matching:
     the rest of the sphere relative to that cell's boundary is an acyclic
     pair; the boundary, an (n-2)-sphere, is the next step's sphere. At
     the circle, the cells of its spanning dual loop get the cycle
-    matching. The parts are composed once and checked once against the
-    whole complex.
+    matching. The parts' pairs go into one matching, checked once against
+    the whole complex.
     """
-    parts = []
+    pairs = []
     sphere = complex
     while True:
         n = sphere.dim
@@ -55,10 +66,11 @@ def match_sphere_pipeline(complex: CellComplex) -> Matching:
         cycle_part = match_dual_cycle(sphere, star_cycle(sphere, tau), 0)
         rest = sphere.restrict(cycle_part.relative_to)
         rim = sphere.faces(sigma)
-        parts += [cycle_part, match_acyclic_pair(SubcomplexPair(rest, rim))]
+        pairs += cycle_part.pairs
+        pairs += _acyclic_pairs(SubcomplexPair(rest, rim))
         sphere = sphere.restrict(rim)
-    parts.append(match_dual_cycle(sphere, spanning_dual_loop(sphere), 0))
-    result = compose_matchings(parts)
+    pairs += match_dual_cycle(sphere, spanning_dual_loop(sphere), 0).pairs
+    result = Matching(pairs)
     return _checked(SubcomplexPair(complex), result, "sphere pipeline output invalid")
 
 
@@ -109,11 +121,11 @@ def match_loop_pipeline(
             raise PreconditionError("circle must be disjoint from the base")
 
     inner_base = base_set | circle_set if circle_set is not None else base_set
-    parts = [cycle_part]
+    pairs = list(cycle_part.pairs)
     if cycle_part.relative_to:  # else the loop covers every cell
         rest = complex.restrict(cycle_part.relative_to)
         try:
-            parts.append(match_acyclic_pair(SubcomplexPair(rest, inner_base)))
+            pairs += _acyclic_pairs(SubcomplexPair(rest, inner_base))
         except HomologyNonzeroError as err:
             raise HomologyNonzeroError(
                 "loop complement is not acyclic relative to the base: "
@@ -121,9 +133,9 @@ def match_loop_pipeline(
                 betti=err.betti,
             ) from err
     if circle_set is not None:
-        parts.append(circle_part)
+        pairs += circle_part.pairs
 
-    result = compose_matchings(parts, relative_to=base_set)
+    result = Matching(pairs, relative_to=base_set)
     return _checked(SubcomplexPair(complex, base_set), result, "loop pipeline output invalid")
 
 

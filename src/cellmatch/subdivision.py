@@ -38,10 +38,8 @@ from functools import cached_property
 
 from .complexes import CellComplex, SubcomplexPair, from_simplices
 from .errors import InvalidMatchingError, InvalidSubdivisionError
-from .homology import match_acyclic_pair
-from .matching import (
-    Matching, _checked, _lower_upper_pairs, compose_matchings, validate_matching,
-)
+from .homology import _acyclic_pairs
+from .matching import Matching, _checked, _lower_upper_pairs, validate_matching
 
 
 @dataclass(frozen=True)
@@ -141,8 +139,12 @@ def propagate_matching(
     again. Any other map is validated, with the same errors as ever, and
     each of its blocks is matched on its own: a caller's map may subdivide
     two cells of one shape differently, and a copy of the source need not
-    share its faces. The composition and the final validation still cover
-    every cell.
+    share its faces.
+
+    The blocks' pairs go into one matching, checked once. A block's rel
+    cells are those carried by its own ``lower`` and ``upper``; each source
+    cell is in one matched pair and a carrier is a function, so blocks are
+    disjoint, and the one check sees every pair a check per block would.
     """
     if set(pair.complex.cells()) != set(smap.source.cells()):
         raise InvalidSubdivisionError("subdivision map does not cover the pair's complex")
@@ -157,7 +159,7 @@ def propagate_matching(
     carried = smap._carried
     sub_base = smap.cells_over(pair.sub)
     solved: dict[object, tuple[tuple[int, int, int, int], ...]] = {}
-    parts = []
+    pairs = []
     for lower, upper in _lower_upper_pairs(pair, matching):
         closed = sorted(complex.faces(upper) | {upper})
         key = upper  # unique: this block is matched on its own
@@ -169,10 +171,8 @@ def propagate_matching(
             where = {c: (p, i) for p, s in enumerate(closed) for i, c in enumerate(carried[s])}
             rim = set(closed) - {upper, lower}
             block = SubcomplexPair(smap.subdivided.restrict(where), smap.cells_over(rim))
-            pairs = match_acyclic_pair(block).pairs
-            matched = solved[key] = tuple(where[x] + where[y] for x, y in pairs)
-        renamed = ((carried[closed[p]][i], carried[closed[q]][j]) for p, i, q, j in matched)
-        parts.append(sorted((x, y) if x <= y else (y, x) for x, y in renamed))
-    result = compose_matchings(parts, relative_to=sub_base)
+            matched = solved[key] = tuple(where[x] + where[y] for x, y in _acyclic_pairs(block))
+        pairs += ((carried[closed[p]][i], carried[closed[q]][j]) for p, i, q, j in matched)
+    result = Matching(pairs, relative_to=sub_base)
     target = SubcomplexPair(smap.subdivided, sub_base)
     return _checked(target, result, "propagated matching failed validation")

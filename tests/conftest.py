@@ -128,6 +128,22 @@ def count_matchings_by_permutations(pair: SubcomplexPair) -> int:
     return count
 
 
+def verify_by_incidence_graph(cert: HallCertificate, pair: SubcomplexPair) -> bool:
+    """Whether ``cert`` holds on ``pair``, read off the whole public
+    incidence graph: its cells lie on its side, its neighbourhood is their
+    adjacency, and its deficiency is the difference, at least 1."""
+    graph = incidence_graph(pair)
+    side_cells = set(graph.even if cert.side == "even" else graph.odd)
+    if not cert.cells <= side_cells:
+        return False
+    recomputed = graph.neighborhood(cert.cells)
+    return (
+        recomputed == cert.neighborhood
+        and cert.deficiency == len(cert.cells) - len(recomputed)
+        and cert.deficiency >= 1
+    )
+
+
 def matchings_by_backtracking(pair: SubcomplexPair, limit: int):
     """The number of complete matchings and the first ``limit`` of them, by
     recursion: match the first uncovered cell in ``rel_cells`` order with

@@ -21,10 +21,13 @@ from cellmatch import (
     euler_characteristic,
     from_simplices,
     match_acyclic_pair,
+    match_loop_pipeline,
     match_sphere_pipeline,
+    star_cycle,
     validate_matching,
 )
 from cellmatch import Matching, SubdivisionMap, io, pipelines, subdivision
+from cellmatch import matching as matching_module
 from cellmatch.generators import (
     apex_of,
     circle,
@@ -98,9 +101,9 @@ def test_boundary_squared_zero_both_fields(monkeypatch):
         SubcomplexPair(_mixed_dimensions(), ["1.8.9"], close=True),
     ]
     middles = []
-    real = pipelines.match_acyclic_pair
+    real = pipelines._acyclic_pairs
     monkeypatch.setattr(
-        pipelines, "match_acyclic_pair", lambda pair: middles.append(pair) or real(pair)
+        pipelines, "_acyclic_pairs", lambda pair: middles.append(pair) or real(pair)
     )
     match_sphere_pipeline(sphere_boundary(6))
     assert [pair.complex.dim for pair in middles] == [5, 3]
@@ -429,9 +432,9 @@ def test_propagate_matching_equals_blockwise_matching(monkeypatch):
     copy = io.decode_complex(io.encode_complex(smap.source))
     runs.append((SubcomplexPair(copy), smap))
     calls = []
-    real = subdivision.match_acyclic_pair
+    real = subdivision._acyclic_pairs
     monkeypatch.setattr(
-        subdivision, "match_acyclic_pair", lambda pair: calls.append(pair) or real(pair)
+        subdivision, "_acyclic_pairs", lambda pair: calls.append(pair) or real(pair)
     )
     for pair, smap in runs:
         matching = complete_matching(pair)
@@ -563,6 +566,43 @@ def test_postcondition_raises_under_optimize(construction):
         "    print('raised:', err)\n"
     )
     assert f"raised: {text}" in stdout
+
+
+def _sphere_output():
+    X = sphere_boundary(6)
+    return SubcomplexPair(X), match_sphere_pipeline(X)
+
+
+def _loop_output():
+    X = sphere_boundary(3)
+    m = match_loop_pipeline(X, star_cycle(X, "0"), base=["0", "1"])
+    return SubcomplexPair(X, ["0", "1"]), m
+
+
+def _propagation_output():
+    smap = barycentric(torus7())
+    pair = SubcomplexPair(smap.source)
+    m = subdivision.propagate_matching(smap, pair, complete_matching(pair))
+    return SubcomplexPair(smap.subdivided, m.relative_to), m
+
+
+@pytest.mark.parametrize("run", [_sphere_output, _loop_output, _propagation_output])
+def test_each_construction_checks_its_output_once(monkeypatch, run):
+    """A construction that glues parts checks no part on its own: its one
+    ``validate_matching`` call is on the output pair and its matching."""
+    seen = []
+    real = matching_module.validate_matching
+    monkeypatch.setattr(
+        matching_module,
+        "validate_matching",
+        lambda pair, m: seen.append((pair, m)) or real(pair, m),
+    )
+    pair, m = run()
+    assert len(seen) == 1, len(seen)
+    checked_pair, checked = seen[0]
+    assert checked is m
+    assert checked_pair.complex is pair.complex
+    assert checked_pair.sub == pair.sub
 
 
 def test_layer_check_raises_under_optimize():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -51,6 +52,7 @@ from conftest import (
     relabeled,
     replay_collapse,
     shuffled_path_rel_end,
+    verify_by_incidence_graph,
 )
 
 
@@ -116,6 +118,71 @@ def test_certificate_without_parity_shortcut():
     cert = complete_matching(pair, use_parity_shortcut=False)
     assert isinstance(cert, HallCertificate)
     assert cert.verify(pair)
+
+
+def _grown(cert: HallCertificate, pair: SubcomplexPair, x: str) -> HallCertificate:
+    """``cert`` with cell ``x`` added, its rel facets and cofacets added to
+    the neighbourhood, and the deficiency to match."""
+    X = pair.complex
+    cells = cert.cells | {x}
+    nbhd = cert.neighborhood | {y for y in (*X.facets(x), *X.cofacets(x)) if y not in pair.sub}
+    return HallCertificate(cert.side, cells, nbhd, len(cells) - len(nbhd))
+
+
+def _certificates_and_tampered_copies():
+    """(certificate, pair, whether it holds) cases: certificates from
+    ``complete_matching`` on both sides, which hold; tampered copies of
+    each, which do not: a cell from the other side, from the base or
+    unknown, a neighbour dropped or added, the deficiency off by one or 0,
+    and the empty set; and subsets one cell short with their own
+    neighbourhoods, which hold when still deficient (None: the oracle
+    decides)."""
+    figure_eight = from_simplices([[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4]])
+    W = wedge()
+    runs = [
+        (SubcomplexPair(W), True),
+        (SubcomplexPair(barycentric(barycentric(W).subdivided).subdivided), True),
+        (SubcomplexPair(figure_eight), False),  # the odd side
+        (SubcomplexPair(W, W.closure(["0.1"])), False),
+    ]
+    for pair, shortcut in runs:
+        cert = complete_matching(pair, use_parity_shortcut=shortcut)
+        assert isinstance(cert, HallCertificate)
+        yield cert, pair, True
+        own, other = pair.rel_even, pair.rel_odd
+        if cert.side == "odd":
+            own, other = other, own
+        for strays in (other, sorted(pair.sub)):
+            if strays:  # the most deficient copy: it may fail the side test alone
+                grown = (_grown(cert, pair, x) for x in strays)
+                yield max(grown, key=lambda c: c.deficiency), pair, False
+        unknown = cert.cells | {"no.such"}
+        yield replace(cert, cells=unknown, deficiency=cert.deficiency + 1), pair, False
+        nbhd = cert.neighborhood
+        outside = [c for c in other if c not in nbhd] or list(own)
+        for tampered in (nbhd - {min(nbhd)}, nbhd | {outside[0]}):
+            yield replace(cert, neighborhood=tampered), pair, False
+        for deficiency in (cert.deficiency - 1, cert.deficiency + 1, 0):
+            yield replace(cert, deficiency=deficiency), pair, False
+        yield HallCertificate(cert.side, frozenset(), frozenset(), 0), pair, False
+        graph = incidence_graph(pair)
+        for c in sorted(cert.cells)[:3]:
+            cells = cert.cells - {c}
+            nbhd = graph.neighborhood(cells)
+            yield HallCertificate(cert.side, cells, nbhd, len(cells) - len(nbhd)), pair, None
+
+
+def test_verify_agrees_with_the_incidence_graph_oracle():
+    """``verify`` reads only the certificate's own cells; on good and
+    tampered certificates it must give the answer read off the whole
+    incidence graph."""
+    kinds = set()
+    for cert, pair, holds in _certificates_and_tampered_copies():
+        expected = verify_by_incidence_graph(cert, pair)
+        assert holds in (None, expected), (cert, pair)
+        assert cert.verify(pair) == expected, (cert, pair)
+        kinds.add((holds, expected))
+    assert kinds == {(True, True), (False, False), (None, True), (None, False)}, kinds
 
 
 def test_validate_roundtrip_and_violations():

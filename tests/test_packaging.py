@@ -4,6 +4,8 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 import cellmatch
 
 
@@ -93,15 +95,36 @@ def test_validate_matching_is_called_only_by_the_checks():
 def test_hopcroft_karp_runs_on_positions_from_one_builder():
     """The search runs on the int adjacency that ``matching._positions``
     builds, and only the complete matching and the acyclic layers run it;
-    the enumerator reads the same adjacency."""
+    the parity shortcut's certificate and the enumerator read the same
+    adjacency."""
     assert _call_sites("_hopcroft_karp") == [
-        "homology.py: match_acyclic_pair",
+        "homology.py: _acyclic_pairs",
         "matching.py: complete_matching",
     ]
     assert _call_sites("_positions") == [
-        "homology.py: match_acyclic_pair",
+        "homology.py: _acyclic_pairs",
+        "matching.py: complete_matching",
         "matching.py: complete_matching",
         "matching.py: enumerate_matchings",
+    ]
+
+
+@pytest.mark.parametrize("name", ["compose_matchings", "incidence_graph"])
+def test_no_construction_composes_parts_or_builds_the_incidence_graph(name):
+    """Constructions hand their parts' pairs to one ``Matching`` and check
+    it once, and certificates read their own cells; both public functions
+    stay for callers and for the test oracles."""
+    assert _call_sites(name) == []
+
+
+def test_acyclic_pairs_feed_only_checked_constructions():
+    """The unchecked acyclic-pair list goes only into constructions that
+    end in one check of their whole output."""
+    assert _call_sites("_acyclic_pairs") == [
+        "homology.py: match_acyclic_pair",
+        "pipelines.py: match_sphere_pipeline",
+        "pipelines.py: match_loop_pipeline",
+        "subdivision.py: propagate_matching",
     ]
 
 
