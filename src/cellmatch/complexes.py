@@ -536,19 +536,22 @@ class DualLoop:
 
 
 def complement_of_dual_loop(complex: CellComplex, loop: DualLoop) -> SubcomplexPair:
-    """The pair whose subcomplex holds every cell not on the loop.
-
-    The pair is built from its rel side, the loop's cells, so it costs work
-    on those cells only, not on the complex: the loop is validated, and the
-    loop cells are put in the cell order and split by parity. The rest is
-    closed without a check, since validating proves it: a valid loop's tops
-    have no cofaces, and each link's only cofaces are two of its tops.
-    ``sub``, which holds almost every cell, is derived when it is first
-    read."""
+    """The pair whose subcomplex holds every cell not on the loop, after
+    validating the loop; :func:`_loop_pair` builds it."""
     loop.validate(complex)
+    return _loop_pair(complex, loop.cells)
+
+
+def _loop_pair(complex: CellComplex, cells) -> SubcomplexPair:
+    """The complement pair of a valid dual loop's ``cells``, built from its
+    rel side, so it costs work on those cells only, not on the complex: the
+    loop cells are put in the cell order and split by parity. The rest is
+    closed without a check, since the loop is valid: its tops have no
+    cofaces, and each link's only cofaces are two of its tops. ``sub``,
+    which holds almost every cell, is derived when it is first read."""
     pair = SubcomplexPair.__new__(SubcomplexPair)
     pair.complex = complex
-    pair._set_rel(sorted(loop.cells, key=complex._rank.__getitem__))
+    pair._set_rel(sorted(cells, key=complex._rank.__getitem__))
     return pair
 
 

@@ -235,8 +235,8 @@ def match_acyclic_pair(pair: SubcomplexPair, field: str | None = None, signs=Non
     filtration. Each layer is matched by Hopcroft-Karp on the parent
     complex, even-dimensional cells on the left; its boundary is square and
     injective, so Hall's condition holds and the matching is complete."""
-    result = Matching(_acyclic_pairs(pair, field, signs), relative_to=pair.sub)
-    return _checked(pair, result, "acyclic-pair matching failed validation")
+    pairs = _acyclic_pairs(pair, field, signs)
+    return _checked(pair, pairs, "acyclic-pair matching failed validation")
 
 
 def _acyclic_pairs(pair: SubcomplexPair, field: str | None = None, signs=None):

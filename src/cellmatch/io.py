@@ -20,6 +20,7 @@ from .complexes import (
     SIMPLICIAL,
     CellComplex,
     DualLoop,
+    _token_key,
     build_cw,
     from_simplices,
 )
@@ -141,7 +142,10 @@ def encode_complex(complex: CellComplex) -> dict:
             for c in complex.cells()
             if not complex.cofacets(c)
         ]
-        obj["simplices"] = sorted(maximal)
+        try:
+            obj["simplices"] = sorted(maximal)
+        except TypeError:  # an int and a str token met; ints go first
+            obj["simplices"] = sorted(maximal, key=lambda s: list(map(_token_key, s)))
     else:
         obj["cells"] = [
             {

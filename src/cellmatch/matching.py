@@ -260,11 +260,8 @@ def complete_matching(pair: SubcomplexPair, use_parity_shortcut: bool = True):
     if n_even == n_odd and -1 not in mate_even:
         return Matching(zip(even, map(odd.__getitem__, mate_even)), relative_to=pair.sub)
     if n_odd > n_even:
-        transpose: list[list[int]] = [[] for _ in odd]
-        for u, nbrs in enumerate(adj):
-            for v in nbrs:
-                transpose[v].append(u)
-        cert = _koenig_certificate("odd", odd, even, transpose, mate_odd, mate_even)
+        back = _positions(pair.complex, odd, even)
+        cert = _koenig_certificate("odd", odd, even, back, mate_odd, mate_even)
     else:  # more even cells, or balanced with unmatched cells on both sides
         cert = _koenig_certificate("even", even, odd, adj, mate_even, mate_odd)
     if not cert.verify(pair):
@@ -296,11 +293,13 @@ def validate_matching(pair: SubcomplexPair, matching: Matching) -> MatchingRepor
     return MatchingReport(not violations, tuple(violations))
 
 
-def _checked(pair: SubcomplexPair, matching: Matching, what: str) -> Matching:
-    """``matching``, after checking that it is a complete matching of
-    ``pair``. A construction ends with this call, and a failure is a bug in
-    the construction ``what`` names; it raises explicitly, so the check
-    still runs under ``python -O``."""
+def _checked(pair: SubcomplexPair, pairs, what: str) -> Matching:
+    """The matching of ``pairs`` relative to ``pair.sub``, after checking
+    that it is a complete matching of ``pair``. A construction hands its
+    pair list to this call, which builds its one ``Matching``; a failure is
+    a bug in the construction ``what`` names. It raises explicitly, so the
+    check still runs under ``python -O``."""
+    matching = Matching(pairs, relative_to=pair.sub)
     report = validate_matching(pair, matching)
     if not report.ok:
         raise AssertionError(f"{what}: {report.violations[:3]}")

@@ -11,6 +11,13 @@ boundary, which is the next step's sphere; the loop pipeline checks that
 circle and base avoid the loop, and the circle is in the acyclic step's
 base. So the one check sees every pair a check per part would, and
 reports a cell in two different pairs as duplicated.
+
+Each fact is checked once. The sphere pipeline checks that its input is
+a sphere before its loop; each later sphere is one by the exact
+sequences of a pair and a triple (see :func:`match_sphere_pipeline`).
+The dual-loop search checks no loop it builds itself, since the walk
+makes every candidate valid (see :func:`find_dual_loop`); a loop handed
+in by a caller is validated.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from .complexes import (
     CellComplex,
     DualLoop,
     SubcomplexPair,
-    complement_of_dual_loop,
+    _loop_pair,
     dual_graph,
     spanning_dual_loop,
     star_cycle,
@@ -38,30 +45,43 @@ def match_sphere_pipeline(complex: CellComplex) -> Matching:
     """Complete matching of an odd-dimensional rational-homology-sphere
     cellulation, in one loop down its dimensions.
 
-    Each step first checks that its sphere has odd dimension n and the
-    Betti numbers of an n-sphere. For n >= 3, around the lowest
-    codimension-2 cell of the lowest codimension-1 cell, the cells
-    containing it form an alternating cycle and get the cycle matching;
-    the rest of the sphere relative to that cell's boundary is an acyclic
-    pair; the boundary, an (n-2)-sphere, is the next step's sphere. At
-    the circle, the cells of its spanning dual loop get the cycle
-    matching. The parts' pairs go into one matching, checked once against
-    the whole complex.
+    X, the input, is checked once, before the loop: odd dimension n and
+    the Betti numbers of an n-sphere. While the sphere has dimension
+    n >= 3, around the lowest codimension-2 cell tau of the lowest
+    codimension-1 cell sigma, the cells containing tau form an alternating
+    cycle and get the cycle matching; the rest of the sphere relative to
+    ``rim``, sigma's boundary, is an acyclic pair; ``rim`` is the next
+    sphere. At the circle, the cells of its spanning dual loop get the
+    cycle matching. The parts' pairs go into one matching, checked once
+    against the whole complex.
+
+    Why each later sphere needs no check, by induction from X's. Let the
+    sphere be a homology n-sphere, n >= 3 odd. No cell of the star cycle,
+    k top cells and k links, has dimension below n - 1, so ``rim`` lies
+    in ``rest``. Let (``rest``, ``rim``) be acyclic; ``_acyclic_pairs``
+    raises before the next step if it is not. The triple (sphere,
+    ``rest``, ``rim``) gives H(sphere, ``rim``) = H(sphere, ``rest``), the
+    homology of the 2k cycle cells, whose boundary is a k-by-k cycle: 0,
+    or F in degrees n and n - 1. Were it 0, H(sphere) = H(``rim``) and
+    b_n would be 0. So it is F in n and n - 1, and the sequence of the
+    pair (sphere, ``rim``) gives ``rim`` the Betti numbers of an
+    (n - 2)-sphere, with n - 2 odd (Hatcher 2002, section 2.1). This
+    holds over q and over f2, for both kinds, so a check of each later
+    sphere would pass whenever it is reached, and every input raises
+    what a check per step would.
     """
+    n = complex.dim
+    if n % 2 == 0:
+        raise PreconditionError("odd dimension required")
+    bv = betti_numbers(SubcomplexPair(complex))
+    if bv.betti != (1, *[0] * (n - 1), 1):
+        raise HomologyNonzeroError(
+            f"not a rational homology sphere: betti {bv.betti}", betti=bv
+        )
     pairs = []
     sphere = complex
-    while True:
-        n = sphere.dim
-        if n % 2 == 0:
-            raise PreconditionError("odd dimension required")
-        bv = betti_numbers(SubcomplexPair(sphere))
-        if bv.betti != (1, *[0] * (n - 1), 1):
-            raise HomologyNonzeroError(
-                f"not a rational homology sphere: betti {bv.betti}", betti=bv
-            )
-        if n == 1:
-            break
-        sigma = sphere.cells_of_dim(n - 1)[0]
+    while sphere.dim > 1:
+        sigma = sphere.cells_of_dim(sphere.dim - 1)[0]
         tau = sphere.facets(sigma)[-1]
         cycle_part = match_dual_cycle(sphere, star_cycle(sphere, tau), 0)
         rest = sphere.restrict(cycle_part.relative_to)
@@ -70,8 +90,7 @@ def match_sphere_pipeline(complex: CellComplex) -> Matching:
         pairs += _acyclic_pairs(SubcomplexPair(rest, rim))
         sphere = sphere.restrict(rim)
     pairs += match_dual_cycle(sphere, spanning_dual_loop(sphere), 0).pairs
-    result = Matching(pairs)
-    return _checked(SubcomplexPair(complex), result, "sphere pipeline output invalid")
+    return _checked(SubcomplexPair(complex), pairs, "sphere pipeline output invalid")
 
 
 def _circle_cycle_matching(complex: CellComplex, cells: frozenset[str]) -> Matching:
@@ -135,8 +154,7 @@ def match_loop_pipeline(
     if circle_set is not None:
         pairs += circle_part.pairs
 
-    result = Matching(pairs, relative_to=base_set)
-    return _checked(SubcomplexPair(complex, base_set), result, "loop pipeline output invalid")
+    return _checked(SubcomplexPair(complex, base_set), pairs, "loop pipeline output invalid")
 
 
 def find_dual_loop(
@@ -171,11 +189,17 @@ def find_dual_loop(
     two-coloured dual graph has no odd cycle, so its odd lengths are
     skipped. The search uses no recursion.
 
-    Each candidate's pair comes from :func:`complement_of_dual_loop`,
-    which works on the loop's own cells only, so a candidate costs time
+    Every candidate is a valid dual loop by construction: its nodes are
+    distinct top cells, each link is a dual-graph edge, a codimension-1
+    cell whose only two cofaces are the nodes it joins, and the two
+    half-paths share no link, as their first nodes differ and their
+    interiors are disjoint. So a candidate is not validated: its pair is
+    the complement of :func:`complement_of_dual_loop` without the check,
+    built from the loop's own cells only, and a candidate costs time
     linear in its length, not in the complex, until ``predicate`` reads
-    ``pair.sub``. A predicate that needs only the complement's size can
-    read ``len(pair.complex) - len(pair.rel_cells)``.
+    ``pair.sub``. Only the loop returned becomes a ``DualLoop``. A
+    predicate that needs only the complement's size can read
+    ``len(pair.complex) - len(pair.rel_cells)``.
 
     Returns None when the enumeration finishes with no hit; raises
     SearchBudgetExceededError when ``budget`` candidates were tested
@@ -193,9 +217,7 @@ def find_dual_loop(
                 f"no dual loop found within budget {budget}"
             )
         remaining -= 1
-        loop = DualLoop(tuple(sequence))
-        pair = complement_of_dual_loop(complex, loop)
-        return loop if predicate(pair) else None
+        return DualLoop(tuple(sequence)) if predicate(_loop_pair(complex, sequence)) else None
 
     for start in nodes:
         by_other: dict[str, list[str]] = {}

@@ -146,7 +146,8 @@ def propagate_matching(
     cell is in one matched pair and a carrier is a function, so blocks are
     disjoint, and the one check sees every pair a check per block would.
     """
-    if set(pair.complex.cells()) != set(smap.source.cells()):
+    complex = pair.complex
+    if complex is not smap.source and set(complex.cells()) != set(smap.source.cells()):
         raise InvalidSubdivisionError("subdivision map does not cover the pair's complex")
     from_barycentric = getattr(smap, "_from_barycentric", False)
     if not from_barycentric:
@@ -154,7 +155,6 @@ def propagate_matching(
     report = validate_matching(pair, matching)
     if not report.ok:
         raise InvalidMatchingError("; ".join(report.violations[:5]))
-    complex = pair.complex
     shared = from_barycentric and complex is smap.source
     carried = smap._carried
     sub_base = smap.cells_over(pair.sub)
@@ -173,6 +173,5 @@ def propagate_matching(
             block = SubcomplexPair(smap.subdivided.restrict(where), smap.cells_over(rim))
             matched = solved[key] = tuple(where[x] + where[y] for x, y in _acyclic_pairs(block))
         pairs += ((carried[closed[p]][i], carried[closed[q]][j]) for p, i, q, j in matched)
-    result = Matching(pairs, relative_to=sub_base)
     target = SubcomplexPair(smap.subdivided, sub_base)
-    return _checked(target, result, "propagated matching failed validation")
+    return _checked(target, pairs, "propagated matching failed validation")

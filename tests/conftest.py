@@ -41,7 +41,9 @@ subdivision afresh, with nothing shared between blocks.
 The sphere pipeline by recursion is the construction as the paper states
 it: the star cycle and the acyclic pair, then the boundary sphere matched
 by a call of its own, each level composing its three parts. It is built
-from public names only and checks no precondition.
+from public names only and checks no precondition. The sphere pipeline
+checking every step is the loop with the check of each sphere that the
+library makes only of its input.
 
 An autouse fixture checks every cw complex a test builds, and a piece of
 it, against the facet order the library documents: hyperfaces by
@@ -66,6 +68,7 @@ from cellmatch import (
     Matching,
     SubcomplexPair,
     acyclic_filtration,
+    betti_numbers,
     complete_matching,
     compose_matchings,
     from_simplices,
@@ -76,7 +79,12 @@ from cellmatch import (
     spanning_dual_loop,
     star_cycle,
 )
-from cellmatch.errors import InvalidComplexError, NotTransverseError, PreconditionError
+from cellmatch.errors import (
+    HomologyNonzeroError,
+    InvalidComplexError,
+    NotTransverseError,
+    PreconditionError,
+)
 from cellmatch.flow import BoundarySplit, FlowStructure, direction
 
 
@@ -655,6 +663,34 @@ def sphere_pipeline_by_recursion(complex) -> Matching:
     middle_part = match_acyclic_pair(SubcomplexPair(rest, rim))
     boundary_part = sphere_pipeline_by_recursion(complex.restrict(rim))
     return compose_matchings([cycle_part, middle_part, boundary_part])
+
+
+def sphere_pipeline_checking_every_step(complex) -> Matching:
+    """The sphere pipeline with every sphere checked, the input and each
+    boundary sphere alike: odd dimension and the Betti numbers of a
+    sphere, with the pipeline's error texts. Each step's parts are matched
+    and composed as in ``sphere_pipeline_by_recursion``, in a loop."""
+    parts = []
+    sphere = complex
+    while True:
+        n = sphere.dim
+        if n % 2 == 0:
+            raise PreconditionError("odd dimension required")
+        bv = betti_numbers(SubcomplexPair(sphere))
+        if bv.betti != (1,) + (0,) * (n - 1) + (1,):
+            raise HomologyNonzeroError(
+                f"not a rational homology sphere: betti {bv.betti}", betti=bv
+            )
+        if n == 1:
+            parts.append(match_dual_cycle(sphere, spanning_dual_loop(sphere), 0))
+            return compose_matchings(parts)
+        sigma = sphere.cells_of_dim(n - 1)[0]
+        tau = sphere.facets(sigma)[-1]
+        parts.append(match_dual_cycle(sphere, star_cycle(sphere, tau), 0))
+        rest = sphere.restrict(parts[-1].relative_to)
+        rim = sphere.faces(sigma)
+        parts.append(match_acyclic_pair(SubcomplexPair(rest, rim)))
+        sphere = sphere.restrict(rim)
 
 
 def relabeled(complex, seed: int):

@@ -70,6 +70,10 @@ def test_flow_matching_written(tmp_path):
 @pytest.mark.parametrize("flag, message", [
     (("--field", "bogus"), "bad direction component 'bogus'"),
     (("--field", "1,-3", "--base", "random:x"), "bad --base value 'random:x'"),
+    (
+        ("--field", "1,-3", "--base", "highest"),
+        "bad --base value 'highest'; expected lowest or random:SEED",
+    ),
 ])
 def test_flow_flags_checked_before_the_complex_is_read(tmp_path, capsys, flag, message):
     assert run("flow", str(tmp_path / "missing.json"), *flag) == 1
@@ -145,6 +149,21 @@ def test_validate_and_orbits(tmp_path, capsys):
     assert run("validate", str(c), "--matching", str(m)) == 3
     err = capsys.readouterr().err
     assert "uncovered" in err
+
+
+def test_orbits_of_an_acyclic_matching_write_its_collapse_order(tmp_path, capsys):
+    c, sub, m = (str(tmp_path / f"{name}.json") for name in ("c", "sub", "m"))
+    assert run("generate", "interval", "--params", "2", "-o", c) == 0
+    io.save_subcomplex(["0"], sub)
+    assert run("match", c, "--rel", sub, "-o", m) == 0
+    capsys.readouterr()
+    assert run("orbits", c, "--rel", sub, "--matching", m) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {
+        "format": io.ORBIT_FORMAT,
+        "classification": "acyclic",
+        "collapse_order": [["2", "1.2"], ["1", "0.1"]],
+    }
 
 
 def test_subdivide_and_propagate(tmp_path):
@@ -372,6 +391,11 @@ def test_dualloop_usage_errors_are_exit_1(tmp_path, capsys):
                "-o", str(loop)) == 1
     err = capsys.readouterr().err
     assert "bad --complement-betti value '1,x'; expected integers" in err
+    assert not loop.exists()
+    assert run("dualloop", "find", str(t), "-o", str(loop)) == 1
+    assert capsys.readouterr().err == (
+        "cellmatch: dualloop find needs --complement-betti or --complement-empty\n"
+    )
     assert not loop.exists()
     # a zero budget is a search that tests nothing: exit 2, no loop
     assert run("dualloop", "find", str(t), "--complement-empty",

@@ -166,6 +166,7 @@ _CW_GOOD = [
     ("d", 2, ["e", "f"]),
 ]
 _CW_MALFORMED = {
+    "no_records": ([], "empty complex"),
     "id_not_str": ([(5, 0, [])] + _CW_GOOD, "bad cell id 5"),
     "id_empty": ([("", 0, [])] + _CW_GOOD, "bad cell id ''"),
     "dim_negative": ([("x", -1, [])] + _CW_GOOD, "cell x: bad dimension -1"),
@@ -603,6 +604,38 @@ def test_star_cycle_wrong_codimension():
     X = sphere_boundary(3)
     with pytest.raises(PreconditionError, match="dimension"):
         star_cycle(X, "0.1")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: torus7().restrict(()), InvalidSubcomplexError,
+         "cannot restrict to an empty cell set"),
+        (lambda: build_cw(_CW_GOOD).vertices("a"), InvalidComplexError,
+         "cw-kind cells carry no vertex tuples"),
+        (lambda: DualLoop(("0.1", "0")), InvalidLoopError,
+         "loop needs an alternating sequence of >= 4 cells, got 2"),
+        (lambda: spanning_dual_loop(from_simplices([[0, 1, 2], [0, 1, 3], [0, 1, 4]])),
+         InvalidLoopError, "dual graph has boundary or non-manifold cells"),
+        (lambda: spanning_dual_loop(sphere_boundary(3)), InvalidLoopError,
+         "dual graph is not a single cycle"),
+        (lambda: star_cycle(torus7(), "nope"), InvalidSubcomplexError, "unknown cell 'nope'"),
+    ],
+    ids=["restrict_empty", "cw_vertices", "two_cell_loop", "non_manifold_edge",
+         "sphere_dual_graph", "star_of_unknown_cell"],
+)
+def test_input_checks_raise_their_texts(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_cw_vertex_tokens_are_the_vertex_ids():
+    assert build_cw(_CW_GOOD).vertex_tokens() == ("a", "b")
+
+
+def test_repr_lists_the_f_vector():
+    assert repr(torus7()) == "CellComplex(kind='simplicial', f=(7, 21, 14))"
 
 
 def test_restrict_roundtrip():

@@ -214,6 +214,49 @@ def test_degenerate_simplex_rejected():
         assert str(err.value) == f"degenerate top simplex {X.top_cells()[0]}"
 
 
+_SPACE = {0: (0, 0, 0), 1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1), 4: (0, -1, 0)}
+
+
+@pytest.mark.parametrize(
+    "simplices, coords, message",
+    [
+        ([[0, 1]], None, "geometric complexes require coordinates"),
+        ([[0, 1, 2]], {0: (0, 0), 2: (0, 1)}, "missing coordinates for vertices [1]"),
+        ([[0, 1]], {0: (0,), 1: (1, 0)}, "all coordinates must have the same length"),
+        ([[0, 1, 2]], {0: (0,), 1: (1,), 2: (2,)}, "ambient dimension 1 below complex dimension 2"),
+        (
+            [[0, 1, 2], [0, 1, 3], [0, 1, 4]], _SPACE,
+            "codimension-1 simplex 0.1 bounds more than two top simplices",
+        ),
+    ],
+    ids=["no_coordinates", "vertex_without", "two_lengths", "ambient_below", "three_tops"],
+)
+def test_geometric_complex_rejects_bad_embeddings(simplices, coords, message):
+    X = from_simplices(simplices, coordinates=coords)
+    with pytest.raises(InvalidComplexError) as err:
+        GeometricComplex(X)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "make, rule, seed, error, message",
+    [
+        (_triangle, "highest", None, ValueError, "base_rule must be 'lowest' or 'random'"),
+        (_triangle, "random", None, ValueError, "base_rule 'random' requires a seed"),
+        (
+            lambda: GeometricComplex(from_simplices([[0]], coordinates={0: (0,)})),
+            "lowest", None, PreconditionError, "flow structures need dimension at least 1",
+        ),
+    ],
+    ids=["unknown_rule", "random_without_seed", "zero_dimensional"],
+)
+def test_flow_structure_rejects_bad_arguments(make, rule, seed, error, message):
+    geom = make()
+    with pytest.raises(error) as err:
+        flow_structure(geom, (1,) * geom.ambient_dim, base_rule=rule, seed=seed)
+    assert str(err.value) == message
+
+
 def test_float_coordinates_rejected():
     with pytest.raises(InvalidComplexError, match="float"):
         from_simplices([[0, 1]], coordinates={0: (0.0,), 1: (1.0,)})

@@ -142,6 +142,9 @@ def test_betti_torsion_differs_between_fields():
     pair = SubcomplexPair(_rp2())
     assert betti_numbers(pair, field="q").betti == (1, 0, 0)
     assert betti_numbers(pair, field="f2").betti == (1, 1, 1)
+    with pytest.raises(ValueError) as err:
+        betti_numbers(pair, field="z")
+    assert str(err.value) == "unknown field 'z'; expected 'q' or 'f2'"
 
 
 def test_betti_alternating_sum_equals_chi():

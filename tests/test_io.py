@@ -65,6 +65,16 @@ def test_complex_roundtrip_subdivided(tmp_path):
     assert Y.cells() == X2.cells()
 
 
+def test_complex_roundtrip_mixed_int_and_str_tokens(tmp_path):
+    X = from_simplices([[0, "a"], ["b", "c"], [2, 1, "a"]])
+    assert io.encode_complex(X)["simplices"] == [[0, "a"], [1, 2, "a"], ["b", "c"]]
+    path = tmp_path / "mixed.json"
+    io.save_complex(X, str(path))
+    Y = io.load_complex(str(path))
+    assert Y.cells() == X.cells()
+    assert [Y.vertices(c) for c in Y.cells()] == [X.vertices(c) for c in X.cells()]
+
+
 @pytest.mark.parametrize("token", ["7", "\u00b2"])
 def test_coordinates_keep_str_tokens_that_read_as_digits(tmp_path, token):
     X = from_simplices(

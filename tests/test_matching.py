@@ -305,6 +305,9 @@ def test_match_dual_cycle_two_orientations():
     assert validate_matching(pair, m1).ok
     assert not (m0.pairs & m1.pairs)
     assert m0.pairs == {("0", "0.1"), ("0.2", "2"), ("1", "1.2")}
+    with pytest.raises(ValueError) as err:
+        match_dual_cycle(X, loop, 2)
+    assert str(err.value) == "orientation must be 0 or 1"
 
 
 def test_match_dual_cycle_torus():

@@ -95,14 +95,15 @@ def test_validate_matching_is_called_only_by_the_checks():
 def test_hopcroft_karp_runs_on_positions_from_one_builder():
     """The search runs on the int adjacency that ``matching._positions``
     builds, and only the complete matching and the acyclic layers run it;
-    the parity shortcut's certificate and the enumerator read the same
-    adjacency."""
+    the parity shortcut's certificate, the odd-side certificate and the
+    enumerator read the same adjacency."""
     assert _call_sites("_hopcroft_karp") == [
         "homology.py: _acyclic_pairs",
         "matching.py: complete_matching",
     ]
     assert _call_sites("_positions") == [
         "homology.py: _acyclic_pairs",
+        "matching.py: complete_matching",
         "matching.py: complete_matching",
         "matching.py: complete_matching",
         "matching.py: enumerate_matchings",
@@ -115,6 +116,21 @@ def test_no_construction_composes_parts_or_builds_the_incidence_graph(name):
     it once, and certificates read their own cells; both public functions
     stay for callers and for the test oracles."""
     assert _call_sites(name) == []
+
+
+def test_constructions_hand_their_pairs_to_checked():
+    """No construction builds its own ``Matching``: ``_checked`` builds the
+    output from the pair list and checks it. The other sites build a
+    search's result, an enumerated or cycle matching, a union of parts
+    or a matching read from a file."""
+    assert _call_sites("Matching") == [
+        "io.py: decode_matching",
+        "matching.py: complete_matching",
+        "matching.py: _checked",
+        "matching.py: enumerate_matchings",
+        "matching.py: match_dual_cycle",
+        "matching.py: compose_matchings",
+    ]
 
 
 def test_acyclic_pairs_feed_only_checked_constructions():

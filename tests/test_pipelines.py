@@ -21,6 +21,7 @@ from cellmatch import (
     match_loop_pipeline,
     match_sphere_pipeline,
     spanning_dual_loop,
+    star_cycle,
     validate_matching,
 )
 from cellmatch import homology, io, pipelines
@@ -28,7 +29,12 @@ from cellmatch.cli import main
 from cellmatch.generators import circle, product, simplex, sphere_boundary, torus7
 from cellmatch.subdivision import barycentric
 
-from conftest import dual_loops_by_rewalk, relabeled, sphere_pipeline_by_recursion
+from conftest import (
+    dual_loops_by_rewalk,
+    relabeled,
+    sphere_pipeline_by_recursion,
+    sphere_pipeline_checking_every_step,
+)
 
 
 def _annulus_complement(pair) -> bool:
@@ -99,17 +105,20 @@ def _cw_three_sphere():
     ])
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: circle(6),
-        lambda: sphere_boundary(4),
-        lambda: sphere_boundary(6),
-        lambda: relabeled(barycentric(sphere_boundary(4)).subdivided, 3)[0],
-        _cw_three_sphere,
-    ],
-    ids=["circle6", "sphere4", "sphere6", "bary_sphere4_relabeled", "cw_three_sphere"],
-)
+# Each sphere, and the chain complexes its pipeline builds: one for the
+# input's Betti numbers and one per acyclic step.
+_SPHERES = {
+    "circle6": (lambda: circle(6), 1),
+    "sphere4": (lambda: sphere_boundary(4), 2),
+    "sphere6": (lambda: sphere_boundary(6), 3),
+    "bary_sphere4_relabeled": (
+        lambda: relabeled(barycentric(sphere_boundary(4)).subdivided, 3)[0], 2
+    ),
+    "cw_three_sphere": (_cw_three_sphere, 2),
+}
+
+
+@pytest.mark.parametrize("make", [make for make, _ in _SPHERES.values()], ids=list(_SPHERES))
 def test_sphere_pipeline_equals_recursion_oracle(make):
     """The loop down the dimensions matches the recursive construction
     pair for pair; sphere_boundary(6) takes three steps."""
@@ -117,6 +126,58 @@ def test_sphere_pipeline_equals_recursion_oracle(make):
     m = match_sphere_pipeline(X)
     assert m == sphere_pipeline_by_recursion(X)
     assert 2 * len(m) == len(X)
+
+
+@pytest.mark.parametrize("make, chain_complexes", list(_SPHERES.values()), ids=list(_SPHERES))
+def test_sphere_pipeline_checks_its_input_sphere_once(monkeypatch, make, chain_complexes):
+    """Betti numbers are computed once, for the input; every other chain
+    complex is the acyclic pair of one step."""
+    X = make()
+    calls, built = [], []
+    real_betti, real_init = pipelines.betti_numbers, homology.ChainComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(
+        pipelines, "betti_numbers", lambda pair: calls.append(pair) or real_betti(pair)
+    )
+    monkeypatch.setattr(homology.ChainComplex, "__init__", counting_init)
+    m = match_sphere_pipeline(X)
+    assert [pair.complex for pair in calls] == [X]
+    assert len(built) == chain_complexes
+    assert m == sphere_pipeline_checking_every_step(X)
+
+
+def _two_three_spheres():
+    tops = [sphere_boundary(4).vertices(c) for c in sphere_boundary(4).top_cells()]
+    return from_simplices(tops + [[v + 5 for v in t] for t in tops])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: from_simplices([[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4]]),
+        lambda: product(circle(4), sphere_boundary(3)),
+        lambda: product(circle(3), torus7()),
+        _two_three_spheres,
+        lambda: sphere_boundary(3),
+        lambda: _pillow(),
+    ],
+    ids=["figure8", "circle_x_sphere2", "circle_x_torus", "two_three_spheres",
+         "sphere2", "pillow"],
+)
+def test_sphere_pipeline_raises_as_a_check_of_every_step(make):
+    """On non-spheres the pipeline raises what a check of every sphere
+    raises: the same type, text and Betti numbers."""
+    X = make()
+    with pytest.raises((PreconditionError, HomologyNonzeroError)) as expected:
+        sphere_pipeline_checking_every_step(X)
+    with pytest.raises(expected.type) as err:
+        match_sphere_pipeline(X)
+    assert str(err.value) == str(expected.value)
+    assert getattr(err.value, "betti", None) == getattr(expected.value, "betti", None)
 
 
 def test_find_dual_loop_torus_annulus():
@@ -192,13 +253,13 @@ def _search(monkeypatch, X, predicate, budget):
     """find_dual_loop's result, or "over budget", and the loops it tried,
     in the order it tried them."""
     tried = []
-    complement = pipelines.complement_of_dual_loop
+    complement = pipelines._loop_pair
 
-    def recording(complex, loop):
-        tried.append(loop.cells)
-        return complement(complex, loop)
+    def recording(complex, cells):
+        tried.append(tuple(cells))
+        return complement(complex, cells)
 
-    monkeypatch.setattr(pipelines, "complement_of_dual_loop", recording)
+    monkeypatch.setattr(pipelines, "_loop_pair", recording)
     try:
         return pipelines.find_dual_loop(X, predicate, budget=budget), tried
     except SearchBudgetExceededError:
@@ -235,6 +296,26 @@ def test_find_dual_loop_candidates_equal_rewalk_oracle(monkeypatch, make, budget
     )
     assert tried == expected
     assert outcome == ("over budget" if budget else None)
+
+
+@pytest.mark.parametrize(
+    "make", [torus7, lambda: circle(12), _pillow, _bary_torus7, _bary_mobius,
+             _bary_torus7_and_k4],
+    ids=["torus7", "circle12", "pillow", "bary_torus7", "bary_mobius", "bary_torus7_and_k4"],
+)
+def test_find_dual_loop_trusts_the_loops_it_builds(monkeypatch, make):
+    """The search validates no candidate; each one it tries is valid."""
+    X = make()
+    validated = []
+    real = DualLoop.validate
+    monkeypatch.setattr(
+        DualLoop, "validate", lambda loop, complex: validated.append(loop) or real(loop, complex)
+    )
+    _, tried = _search(monkeypatch, X, lambda pair: False, 2000)
+    assert tried and validated == []
+    for sequence in tried:
+        DualLoop(sequence).validate(X)
+    assert len(validated) == len(tried)
 
 
 def _pair_fields(pair):
@@ -384,8 +465,6 @@ def test_loop_pipeline_loop_through_every_cell(n):
 
 
 def test_loop_pipeline_rejects_bad_complement():
-    from cellmatch import star_cycle
-
     X = torus7()
     # the cycle around vertex 0 is contractible: its complement is a
     # punctured torus plus a stranded vertex, never acyclic rel a circle
@@ -397,8 +476,6 @@ def test_loop_pipeline_rejects_bad_complement():
 
 
 def test_loop_pipeline_reduces_once(monkeypatch):
-    from cellmatch import homology, star_cycle
-
     X = torus7()
     loop = find_dual_loop(X, _annulus_complement, budget=3000)
     core = _find_core_circle(X.restrict(complement_of_dual_loop(X, loop).sub))
@@ -510,6 +587,30 @@ def test_loop_pipeline_disjointness_checks():
     loop = find_dual_loop(X, _annulus_complement, budget=3000)
     with pytest.raises(PreconditionError, match="disjoint"):
         match_loop_pipeline(X, loop, base=X.closure([loop.cells[0]]))
+
+
+def _triangle_rim(X, top):
+    return X.closure(X.facets(top))
+
+
+@pytest.mark.parametrize(
+    "base, circle, message",
+    [
+        (["1.2"], None, "base is not a subcomplex"),
+        ((), lambda X: {"1.2"}, "circle subcomplex is not closed under hyperfaces"),
+        ((), lambda X: X.closure(["1.2.4"]), "circle subcomplex must consist of vertices and edges"),
+        ((), lambda X: _triangle_rim(X, "0.1.3"), "circle must be disjoint from the loop cells"),
+        (["1"], lambda X: _triangle_rim(X, "1.2.4"), "circle must be disjoint from the base"),
+    ],
+    ids=["base_not_closed", "circle_not_closed", "circle_with_2_cell", "circle_meets_loop",
+         "circle_meets_base"],
+)
+def test_loop_pipeline_rejects_bad_base_and_circle(base, circle, message):
+    X = torus7()
+    loop = star_cycle(X, "0")
+    with pytest.raises(PreconditionError) as err:
+        match_loop_pipeline(X, loop, base=base, circle_cells=circle and circle(X))
+    assert str(err.value) == message
 
 
 def test_loop_pipeline_annulus_with_boundary_base():

@@ -72,6 +72,35 @@ def test_carrier_validation_catches_corruption():
         SubdivisionMap(smap.source, smap.subdivided, bad).validate()
 
 
+def _without_b0(carrier):
+    return {c: s for c, s in carrier.items() if c != "b0"}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_without_b0, "no carrier recorded for b0"),
+        (lambda carrier: {**carrier, "bx": "0"}, "carrier names unknown cell bx"),
+        (lambda carrier: {**carrier, "b0": "x"}, "carrier of b0 names unknown cell x"),
+    ],
+    ids=["no_carrier", "unknown_subdivided_cell", "unknown_source_cell"],
+)
+def test_carrier_validation_names_unknown_cells(change, message):
+    smap = barycentric(simplex(1))
+    bad = SubdivisionMap(smap.source, smap.subdivided, change(dict(smap.carrier)))
+    with pytest.raises(InvalidSubdivisionError) as err:
+        bad.validate()
+    assert str(err.value) == message
+
+
+def test_propagate_rejects_a_map_of_another_complex():
+    smap = barycentric(circle(3))
+    pair = SubcomplexPair(circle(4))
+    with pytest.raises(InvalidSubdivisionError) as err:
+        propagate_matching(smap, pair, complete_matching(pair))
+    assert str(err.value) == "subdivision map does not cover the pair's complex"
+
+
 def _two_disc_sphere():
     return build_cw([
         ("u", 0, []), ("v", 0, []),
