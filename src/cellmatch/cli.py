@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import __version__, io
@@ -63,8 +62,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(obj, path: str | None) -> None:
     if path is None:
-        json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(io._json_text(obj) + "\n")
     else:
         io.write_json(path, obj)
 

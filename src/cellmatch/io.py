@@ -108,14 +108,114 @@ def _decode_coordinates(points, tokens):
     return out
 
 
+# -- writing ------------------------------------------------------------------
+#
+# ``json.dumps`` with an indent always runs the pure-Python encoder, one
+# generator step per value. The artifacts are nearly all lists of ids,
+# lists of such lists, and dicts of them, so ``_json_pieces`` joins those
+# from the C escaper's texts and ``int.__repr__``, the texts the encoder
+# itself writes, and hands any other value to ``json.dumps`` with its
+# lines moved to the value's indent. That is exact: JSON escapes every
+# newline inside a string, so each "\n" of the text starts a line. A
+# long list or dict is joined ``_BLOCK`` items at a time, so a writer
+# never holds the text of a whole large artifact at once.
+
+_escape = json.encoder.encode_basestring_ascii
+_BLOCK = 4096
+
+
+def _leaf(value) -> str:
+    return _escape(value) if type(value) is str else int.__repr__(value)
+
+
+def _leaf_text(kinds):
+    """The text function for leaves of the types ``kinds``: str, or int
+    but not bool (a subclass); None for any other type."""
+    if kinds <= {str}:
+        return _escape
+    if kinds <= {int}:
+        return int.__repr__
+    if kinds <= {str, int}:
+        return _leaf
+    return None
+
+
+def _item_texts(values: list, indent: str):
+    """A function from a slice of ``values`` to its items' texts, each to
+    start a line at ``indent``, when all are leaves or all are lists of
+    leaves; else None."""
+    kinds = set(map(type, values))
+    text = _leaf_text(kinds)
+    if text is not None:
+        return lambda block: map(text, block)
+    if kinds != {list}:
+        return None
+    text = _leaf_text(set(map(type, chain.from_iterable(values))))
+    if text is None:
+        return None
+    head, sep, tail = f"[\n{indent}  ", f",\n{indent}  ", f"\n{indent}]"
+    return lambda block: [head + sep.join(map(text, v)) + tail if v else "[]" for v in block]
+
+
+def _pieces(value, indent: str):
+    """The text of one value on a line at ``indent``, in pieces: a leaf; a
+    non-empty list, or str-keyed dict, of leaves or of lists of leaves,
+    ``_BLOCK`` items a piece; else the text of ``json.dumps`` moved to
+    the indent."""
+    kind = type(value)
+    if kind is str or kind is int:
+        yield _leaf(value)
+        return
+    keys = items = texts = None
+    if kind is dict and value and set(map(type, value)) == {str}:
+        keys = sorted(value)
+        items = list(map(value.__getitem__, keys))
+    elif kind is list and value:
+        items = value
+    if items is not None:
+        texts = _item_texts(items, indent + "  ")
+    if texts is None:
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+        return
+    sep = f",\n{indent}  "
+    yield ("[" if keys is None else "{") + f"\n{indent}  "
+    for start in range(0, len(items), _BLOCK):
+        block = texts(items[start:start + _BLOCK])
+        if keys is not None:
+            block = map(": ".join, zip(map(_escape, keys[start:start + _BLOCK]), block))
+        yield sep.join(block) if not start else sep + sep.join(block)
+    yield f"\n{indent}" + ("]" if keys is None else "}")
+
+
+def _json_pieces(obj):
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, in
+    pieces: a non-empty str-keyed dict member by member, each value by
+    ``_pieces``; any other value by ``_pieces`` alone. Nothing here calls
+    itself, so no depth grows with the input."""
+    if type(obj) is dict and obj and set(map(type, obj)) == {str}:
+        for i, key in enumerate(sorted(obj)):
+            yield ",\n  " if i else "{\n  "
+            yield _escape(key) + ": "
+            yield from _pieces(obj[key], "  ")
+        yield "\n}"
+    else:
+        yield from _pieces(obj, "")
+
+
+def _json_text(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``."""
+    return "".join(_json_pieces(obj))
+
+
 def write_json(path: str, obj) -> None:
-    """Serialize atomically: write to a temp file, then rename."""
+    """Write ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline
+    atomically: its pieces from ``_json_pieces`` go to a temp file in one
+    ``writelines`` call, and the file is renamed into place."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(obj, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.writelines(chain(_json_pieces(obj), "\n"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -381,7 +481,8 @@ def encode_subdivision(smap: SubdivisionMap) -> dict:
 
 def decode_subdivision(obj, source: CellComplex, subdivided: CellComplex) -> SubdivisionMap:
     """Rebuild a subdivision map from its carrier table and the two
-    complexes (stored in their own complex files); validates the result."""
+    complexes (stored in their own complex files); validates the result,
+    and the map keeps the mark, so propagation does not validate it again."""
     _require_format(obj, SUBDIV_FORMAT)
     carrier = obj.get("carrier")
     if not isinstance(carrier, dict):

@@ -162,7 +162,8 @@ def _positions(complex: CellComplex, left, right) -> list[list[int]]:
 def _hopcroft_karp(adj: list[list[int]], n_right: int):
     """Maximum matching of left positions ``0..len(adj)-1`` with right
     positions ``0..n_right-1``; returns the mate lists (left, right), -1
-    for unmatched. Each phase's BFS walks the whole layer graph."""
+    for unmatched. The first phase runs as a greedy pass with no BFS;
+    each later phase's BFS walks the whole layer graph."""
     mate_left = [-1] * len(adj)
     mate_right = [-1] * n_right
     dist = [_UNREACHED] * len(adj)
@@ -214,6 +215,14 @@ def _hopcroft_karp(adj: list[list[int]], n_right: int):
                 if path:
                     path.pop()
 
+    # Phase 1: every left position is free, so each has distance 0 and
+    # the search takes only free neighbours: the first-free greedy pass.
+    for u, nbrs in enumerate(adj):
+        for v in nbrs:
+            if mate_right[v] < 0:
+                mate_left[u] = v
+                mate_right[v] = u
+                break
     while bfs():
         for u in range(len(adj)):
             if mate_left[u] < 0:
@@ -293,16 +302,34 @@ def validate_matching(pair: SubcomplexPair, matching: Matching) -> MatchingRepor
     return MatchingReport(not violations, tuple(violations))
 
 
+def _covers(pair: SubcomplexPair, matching: Matching) -> bool:
+    """``validate_matching(pair, matching).ok``, in one pass and with no
+    report. No cell is in two pairs (or paired with itself) exactly when
+    the mate table has two entries per pair; the matched cells are then
+    the rel cells exactly when the table has as many entries and holds
+    each rel cell, so none is unknown or in the base; and each pair is
+    incident. The checks call :func:`validate_matching` only when this
+    fails, to report why."""
+    mate, rel = matching._mate, pair.rel_cells
+    if len(mate) != 2 * len(matching.pairs) or len(mate) != len(rel):
+        return False
+    if not all(map(mate.__contains__, rel)):
+        return False
+    facets = pair.complex.facets
+    return all(a in facets(b) or b in facets(a) for a, b in matching.pairs)
+
+
 def _checked(pair: SubcomplexPair, pairs, what: str) -> Matching:
     """The matching of ``pairs`` relative to ``pair.sub``, after checking
     that it is a complete matching of ``pair``. A construction hands its
     pair list to this call, which builds its one ``Matching``; a failure is
-    a bug in the construction ``what`` names. It raises explicitly, so the
-    check still runs under ``python -O``."""
+    a bug in the construction ``what`` names. The check is :func:`_covers`;
+    only a failure builds the :func:`validate_matching` report for the
+    message. It raises explicitly, so the check still runs under
+    ``python -O``."""
     matching = Matching(pairs, relative_to=pair.sub)
-    report = validate_matching(pair, matching)
-    if not report.ok:
-        raise AssertionError(f"{what}: {report.violations[:3]}")
+    if not _covers(pair, matching):
+        raise AssertionError(f"{what}: {validate_matching(pair, matching).violations[:3]}")
     return matching
 
 
@@ -471,10 +498,13 @@ def orbit_analysis(pair: SubcomplexPair, matching: Matching) -> OrbitReport:
     the sort key of its lower cell. A heap of free pairs with live-cofacet
     counters finds it, so the replay costs O(sum |facets| + n log n) over
     the n matched pairs.
+
+    The matching is checked by :func:`_covers`; only an invalid one builds
+    the :func:`validate_matching` report, whose first five violations the
+    error lists.
     """
-    report = validate_matching(pair, matching)
-    if not report.ok:
-        raise InvalidMatchingError("; ".join(report.violations[:5]))
+    if not _covers(pair, matching):
+        raise InvalidMatchingError("; ".join(validate_matching(pair, matching).violations[:5]))
     complex = pair.complex
     pairs = _lower_upper_pairs(pair, matching)
     index = {lower: i for i, (lower, _) in enumerate(pairs)}

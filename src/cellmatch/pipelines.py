@@ -53,7 +53,9 @@ def match_sphere_pipeline(complex: CellComplex) -> Matching:
     ``rim``, sigma's boundary, is an acyclic pair; ``rim`` is the next
     sphere. At the circle, the cells of its spanning dual loop get the
     cycle matching. The parts' pairs go into one matching, checked once
-    against the whole complex.
+    against the whole complex. A homology sphere of cw cells may have no
+    codimension-1 cell, or sigma may have no hyperface; either raises
+    PreconditionError at the step it reaches.
 
     Why each later sphere needs no check, by induction from X's. Let the
     sphere be a homology n-sphere, n >= 3 odd. No cell of the star cycle,
@@ -81,7 +83,13 @@ def match_sphere_pipeline(complex: CellComplex) -> Matching:
     pairs = []
     sphere = complex
     while sphere.dim > 1:
-        sigma = sphere.cells_of_dim(sphere.dim - 1)[0]
+        step = f"{sphere.dim}-sphere step"
+        codim1 = sphere.cells_of_dim(sphere.dim - 1)
+        if not codim1:
+            raise PreconditionError(f"{step}: no cell of dimension {sphere.dim - 1}")
+        sigma = codim1[0]
+        if not sphere.facets(sigma):
+            raise PreconditionError(f"{step}: {sigma} has no hyperfaces")
         tau = sphere.facets(sigma)[-1]
         cycle_part = match_dual_cycle(sphere, star_cycle(sphere, tau), 0)
         rest = sphere.restrict(cycle_part.relative_to)

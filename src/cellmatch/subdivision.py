@@ -23,12 +23,15 @@ cell as its carrier's position in the key's list and its index among
 the cells that carrier carries, in the subdivided order; a block with
 the same key reads its own cells off those pairs.
 
-Maps, like complexes, are immutable once built. A map that
-:func:`barycentric` returns is correct by construction and carries a
+Maps, like complexes, are immutable once built, so a map is validated
+at most once. A map that :func:`barycentric` returns is correct by
+construction, and one that passed :meth:`SubdivisionMap.validate` (as
+every map :func:`cellmatch.io.decode_subdivision` returns has) carries a
 private mark, so :func:`propagate_matching` does not validate it again.
-Any other map, decoded from a file or built by a caller, is validated,
-and each of its blocks is matched on its own: nothing ties its vertex
-names to the source ids, so two blocks of one source shape may differ.
+Only a map that :func:`barycentric` built shares blocks. Each block of
+any other map, decoded from a file or built by a caller, is matched on
+its own: nothing ties its vertex names to the source ids, so two blocks
+of one source shape may differ.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from functools import cached_property
 from .complexes import CellComplex, SubcomplexPair, from_simplices
 from .errors import InvalidMatchingError, InvalidSubdivisionError
 from .homology import _acyclic_pairs
-from .matching import Matching, _checked, _lower_upper_pairs, validate_matching
+from .matching import Matching, _checked, _covers, _lower_upper_pairs, validate_matching
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,9 @@ class SubdivisionMap:
         return frozenset(c for s in set(source_cells) for c in carried.get(s, ()))
 
     def validate(self) -> None:
+        """Raise InvalidSubdivisionError unless every subdivided cell has a
+        known carrier, carriers are monotone and each source cell's carried
+        cells have its interior Euler count; mark the map as validated."""
         source, sub = self.source, self.subdivided
         for c in sub.cells():
             if c not in self.carrier:
@@ -95,6 +101,7 @@ class SubdivisionMap:
                     f"cells carried by {s} have interior Euler count {chi}, "
                     f"expected {(-1) ** source.dim_of(s)}"
                 )
+        object.__setattr__(self, "_validated", True)
 
 
 def barycentric(complex: CellComplex) -> SubdivisionMap:
@@ -117,6 +124,7 @@ def barycentric(complex: CellComplex) -> SubdivisionMap:
     }
     smap = SubdivisionMap(complex, subdivided, carrier)
     object.__setattr__(smap, "_from_barycentric", True)
+    object.__setattr__(smap, "_validated", True)
     return smap
 
 
@@ -135,8 +143,8 @@ def propagate_matching(
     a block is keyed by its closed upper cell in source terms and matched
     only at its key's first visit; its pairs are kept as (source position,
     carried index) and read back as the complex's own ids. The module
-    docstring gives why this is exact and why such a map is not validated
-    again. Any other map is validated, with the same errors as ever, and
+    docstring gives why this is exact. Any other map is validated, with
+    the same errors as ever, unless it has passed validation already, and
     each of its blocks is matched on its own: a caller's map may subdivide
     two cells of one shape differently, and a copy of the source need not
     share its faces.
@@ -149,13 +157,11 @@ def propagate_matching(
     complex = pair.complex
     if complex is not smap.source and set(complex.cells()) != set(smap.source.cells()):
         raise InvalidSubdivisionError("subdivision map does not cover the pair's complex")
-    from_barycentric = getattr(smap, "_from_barycentric", False)
-    if not from_barycentric:
+    if not getattr(smap, "_validated", False):
         smap.validate()
-    report = validate_matching(pair, matching)
-    if not report.ok:
-        raise InvalidMatchingError("; ".join(report.violations[:5]))
-    shared = from_barycentric and complex is smap.source
+    if not _covers(pair, matching):
+        raise InvalidMatchingError("; ".join(validate_matching(pair, matching).violations[:5]))
+    shared = getattr(smap, "_from_barycentric", False) and complex is smap.source
     carried = smap._carried
     sub_base = smap.cells_over(pair.sub)
     solved: dict[object, tuple[tuple[int, int, int, int], ...]] = {}

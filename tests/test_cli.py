@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cellmatch import cli, io
+from cellmatch import build_cw, cli, io
 from cellmatch.cli import main
 
 from conftest import shuffled_path_rel_end, subprocess_env
@@ -308,6 +308,21 @@ def test_pipeline_sphere(tmp_path):
     s2 = tmp_path / "s2.json"
     assert run("generate", "sphere_boundary", "--params", "3", "-o", str(s2)) == 0
     assert run("pipeline", "sphere", str(s2)) == 3
+
+
+def test_pipeline_sphere_step_without_a_hyperface_is_exit_3_without_traceback(tmp_path):
+    """The f2 homology 3-sphere whose only 2-cell has no hyperface."""
+    s = tmp_path / "s.json"
+    io.save_complex(
+        build_cw([("v0", 0, []), ("f", 2, []), ("t0", 3, ["f"]), ("t1", 3, ["f"])]), str(s)
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "cellmatch.cli", "pipeline", "sphere", str(s)],
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "cellmatch: 3-sphere step: f has no hyperfaces\n"
 
 
 def test_pipeline_sphere_rejects_loop_flags(tmp_path, capsys):

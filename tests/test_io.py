@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -293,3 +294,139 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     assert io.read_json(str(path)) == {"x": 2}
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert not leftovers
+
+
+def _random_value(rng: random.Random, depth: int = 0):
+    """A nested JSON-able value: str (unicode, escapes, newlines), int,
+    bool, None and float leaves, lists of one leaf kind, and nested lists
+    and dicts, empty ones included."""
+    r = rng.random()
+    if depth > 3 or r < 0.3:
+        return rng.choice([
+            lambda: "".join(rng.choice('ab0é\n"\\ \x00\x7f😀/') for _ in range(rng.randint(0, 4))),
+            lambda: rng.randint(-10**6, 10**6),
+            lambda: rng.choice([True, False, None, 0.5, -1e300]),
+        ])()
+    if r < 0.45:
+        leaf = rng.choice([lambda: str(rng.randint(0, 99)), lambda: rng.randint(-5, 5)])
+        return [leaf() for _ in range(rng.randint(0, 5))]
+    if r < 0.7:
+        return [_random_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return {
+        "".join(rng.choice('ab"\n') for _ in range(rng.randint(0, 3))): _random_value(rng, depth + 1)
+        for _ in range(rng.randint(0, 4))
+    }
+
+
+@pytest.mark.parametrize("block", [None, 1, 2])
+def test_json_text_equals_json_dumps_on_random_values(monkeypatch, block):
+    """Also with lists and dicts cut into pieces of one or two items."""
+    if block is not None:
+        monkeypatch.setattr(io, "_BLOCK", block)
+    rng = random.Random(20)
+    for _ in range(2000):
+        value = _random_value(rng)
+        if rng.random() < 0.5:
+            value = {f"k{i}": _random_value(rng, 1) for i in range(rng.randint(0, 4))}
+        assert io._json_text(value) == json.dumps(value, indent=2, sort_keys=True), value
+
+
+def test_json_text_of_values_longer_than_a_piece():
+    n = 2 * io._BLOCK + 5
+    ids = [f"c{i}\u00e9" for i in range(n)]
+    value = {
+        "ints": list(range(-n, n)),
+        "ids": ids,
+        "pairs": [[a, b] for a, b in zip(ids, ids[1:])],
+        "table": {a: b for a, b in zip(ids, reversed(ids))},
+        "rows": {a: [i, a] for i, a in enumerate(ids)},
+    }
+    assert io._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def _artifacts():
+    """The object of every artifact kind the package writes."""
+    from cellmatch import orbit_analysis, spanning_dual_loop
+    from cellmatch.matching import enumerate_matchings
+
+    grid = grid_square(3)
+    yield "int tokens, coordinates", io.encode_complex(grid)
+    yield "str tokens", io.encode_complex(from_simplices([["a", "b"], ["b", "c"], ["a", "c"]]))
+    yield "mixed tokens", io.encode_complex(from_simplices([[0, "a"], ["a", 1], [0, 1]]))
+    yield "str tokens, coordinates", io.encode_complex(
+        from_simplices([["p", "q"]], coordinates={"p": (Fraction(1, 3),), "q": (Fraction(-2),)})
+    )
+    yield "cw", io.encode_complex(build_cw([
+        ("u", 0, []), ("v", 0, []), ("e", 1, ["u", "v"]), ("f", 1, ["u", "v"]),
+    ]))
+    smap = barycentric(torus7())
+    yield "subdivided", io.encode_complex(smap.subdivided)
+    yield "carrier", io.encode_subdivision(smap)
+    pair = SubcomplexPair(grid, ["0"])
+    m = complete_matching(pair)
+    yield "matching", io.encode_matching(m)
+    yield "certificate", io.encode_certificate(complete_matching(SubcomplexPair(grid)))
+    yield "betti", io.encode_betti(betti_numbers(SubcomplexPair(torus7())))
+    yield "filtration", io.encode_filtration(Filtration((frozenset(), frozenset({"0", "0.1"}))))
+    X = circle(4)
+    yield "loop", io.encode_loop(spanning_dual_loop(X))
+    yield "subcomplex", io.encode_subcomplex(["0", "1", "0.1"], closure=True)
+    count, found = enumerate_matchings(SubcomplexPair(circle(3)), limit=2)
+    yield "enumeration", {
+        "format": io.ENUMERATION_FORMAT,
+        "count": count,
+        "matchings": [io.encode_matching(x) for x in found],
+    }
+    report = orbit_analysis(pair, m)
+    yield "orbit", {
+        "format": io.ORBIT_FORMAT,
+        "classification": report.classification,
+        "collapse_order": [list(p) for p in report.collapse_order],
+    }
+
+
+def test_json_text_equals_json_dumps_on_every_artifact(tmp_path, capsys):
+    """Every encoder's output, as ``write_json`` writes it, is the text of
+    ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline."""
+    kinds = []
+    for kind, obj in _artifacts():
+        expected = json.dumps(obj, indent=2, sort_keys=True)
+        assert io._json_text(obj) == expected, kind
+        path = tmp_path / "a.json"
+        io.write_json(str(path), obj)
+        assert path.read_text(encoding="utf-8") == expected + "\n", kind
+        kinds.append(kind)
+    assert len(kinds) == 15
+    # Standard output takes the same text: the capabilities object, and an
+    # artifact written without -o.
+    from cellmatch.cli import main
+
+    assert main(["--formats"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert main(["generate", "grid_square", "--params", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(io.encode_complex(grid_square(2)), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value, error", [
+    ({"a": {1: "x", "b": "y"}}, TypeError),
+    ({"a": [object()]}, TypeError),
+    ({"a": [1, 2], "b": {"c": float("nan")}}, None),
+])
+def test_json_text_raises_what_json_dumps_raises(value, error):
+    if error is None:
+        assert io._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+        return
+    with pytest.raises(error) as expected:
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(error) as got:
+        io._json_text(value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_json_text_reports_a_circular_reference():
+    looped: dict = {"a": []}
+    looped["a"].append(looped)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        io._json_text(looped)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 
@@ -43,6 +44,7 @@ from cellmatch.generators import (
     torus7,
     wedge,
 )
+from cellmatch.matching import _covers
 
 from conftest import (
     count_matchings_by_permutations,
@@ -202,6 +204,63 @@ def test_validate_reports_every_uncovered_cell():
     report = validate_matching(pair, Matching([("0", "0.1")]))
     uncovered = {v.split(": ")[1] for v in report.violations if v.startswith("uncovered")}
     assert uncovered == {"1", "2", "0.2", "1.2"}
+
+
+def _covers_cases():
+    """Complete matchings on several complexes and bases."""
+    yield SubcomplexPair(circle(5))
+    yield SubcomplexPair(torus7())
+    yield SubcomplexPair(grid_square(3), ["0"])
+    yield SubcomplexPair(interval(6), ["0"])
+    yield SubcomplexPair(cone(circle(4)), ["0"])
+    smap = barycentric(grid_square(2))
+    source = SubcomplexPair(smap.source, ["0"])
+    yield SubcomplexPair(smap.subdivided, smap.cells_over(source.sub))
+
+
+def _tampered(pair: SubcomplexPair, m: Matching):
+    """(fault, matching) for ``m`` and copies of it with one fault each."""
+    X = pair.complex
+    rel = m.relative_to
+    pairs = [(a, b) if X.dim_of(a) < X.dim_of(b) else (b, a) for a, b in m.sorted_pairs()]
+    (a, b), rest = pairs[0], pairs[1:]
+    yield "valid", m
+    yield "dropped pair", Matching(rest, rel)
+    other = next(x for x in chain(X.facets(a), X.cofacets(a)) if x != b)
+    yield "duplicated cell", Matching([*pairs, (a, other)], rel)
+    yield "self-pair", Matching([*rest, (a, a), (b, b)], rel)
+    yield "unknown cell", Matching([*rest, ("no such cell", b)], rel)
+    yield "extra pair", Matching([*pairs, ("no such cell", "nor this")], rel)
+    for lower, upper in pairs:
+        base = [x for x in X.facets(upper) if x in pair.sub]
+        if base:
+            swapped = [(base[0], upper) if p == (lower, upper) else p for p in pairs]
+            yield "base cell", Matching(swapped, rel)
+            break
+    for i, j in itertools.combinations(range(len(pairs)), 2):
+        (a, b), (c, d) = pairs[i], pairs[j]
+        if X.dim_of(a) == X.dim_of(c) and a not in X.facets(d):
+            swapped = [*pairs[:i], (a, d), *pairs[i + 1:j], (c, b), *pairs[j + 1:]]
+            yield "non-incident swap", Matching(swapped, rel)
+            break
+
+
+def test_covers_equals_validate_matching_on_tampered_matchings():
+    """The one-pass check gives ``validate_matching``'s verdict on complete
+    matchings and on copies with each kind of fault."""
+    faults = set()
+    for pair in _covers_cases():
+        m = complete_matching(pair)
+        assert isinstance(m, Matching)
+        for fault, tampered in _tampered(pair, m):
+            expected = validate_matching(pair, tampered).ok
+            assert expected == (fault == "valid"), fault
+            assert _covers(pair, tampered) == expected, fault
+            faults.add(fault)
+    assert faults == {
+        "valid", "dropped pair", "duplicated cell", "self-pair", "unknown cell",
+        "extra pair", "base cell", "non-incident swap",
+    }
 
 
 def test_enumerate_circle_counts():
@@ -451,6 +510,9 @@ def _hopcroft_karp_cases():
     for seed in (1, 2):
         X, _ = relabeled(grid_square(6), seed)
         yield SubcomplexPair(X, [X.cells_of_dim(0)[seed]]), True
+        G, _ = relabeled(grid_square(20), seed)
+        yield SubcomplexPair(G), False
+        yield SubcomplexPair(G, [G.cells_of_dim(0)[seed]]), True
         B, _ = relabeled(barycentric(barycentric(torus7()).subdivided).subdivided, seed)
         yield SubcomplexPair(B), True
     yield shuffled_path_rel_end(5000, seed=3), True

@@ -82,7 +82,9 @@ def test_reduce_columns_is_called_only_by_the_chain_complex():
 
 def test_validate_matching_is_called_only_by_the_checks():
     """Every construction ends in ``matching._checked``; the other callers
-    check a matching handed in, or report on it for ``cellmatch validate``."""
+    check a matching handed in, or report on it for ``cellmatch validate``.
+    The checks run the one-pass ``_covers`` and build the report only in
+    the branch where it failed."""
     sites = _call_sites("validate_matching")
     assert sites == [
         "cli.py: _cmd_validate",
@@ -90,6 +92,39 @@ def test_validate_matching_is_called_only_by_the_checks():
         "matching.py: orbit_analysis",
         "subdivision.py: propagate_matching",
     ], sites
+    assert _call_sites("_covers") == [
+        "matching.py: _checked",
+        "matching.py: orbit_analysis",
+        "subdivision.py: propagate_matching",
+    ]
+    package = Path(cellmatch.__file__).resolve().parent
+    guarded = []
+    for name in ("matching.py", "subdivision.py"):
+        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.If) and isinstance(node.test, ast.UnaryOp)):
+                continue
+            test = node.test
+            if (
+                isinstance(test.op, ast.Not)
+                and isinstance(test.operand, ast.Call)
+                and getattr(test.operand.func, "id", None) == "_covers"
+            ):
+                guarded += [
+                    f"{name}: validate_matching"
+                    for stmt in node.body
+                    for call in ast.walk(stmt)
+                    if isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "validate_matching"
+                ]
+    assert len(guarded) == 3, guarded
+
+
+def test_json_is_written_only_by_the_joined_formatter():
+    """Artifacts go through ``io._json_pieces``, which joins the C
+    escaper's texts; ``json.dumps`` runs only in its fallback for other
+    values, and nothing streams through the pure-Python ``json.dump``."""
+    assert _call_sites("dump") == []
+    assert _call_sites("dumps") == ["io.py: _pieces"]
 
 
 def test_hopcroft_karp_runs_on_positions_from_one_builder():
@@ -170,6 +205,21 @@ def test_only_barycentric_marks_a_subdivision_map_as_trusted():
         if _writes_marker(node, "_from_barycentric")
     ]
     assert sites == ["subdivision.py: barycentric"], sites
+
+
+def test_only_validation_and_barycentric_mark_a_subdivision_map_as_validated():
+    """``propagate_matching`` validates a map unless it carries the mark
+    that a passed ``SubdivisionMap.validate`` or ``barycentric`` gives it;
+    nothing else in the package writes that mark."""
+    package = Path(cellmatch.__file__).resolve().parent
+    sites = [
+        f"{path.name}: {getattr(top, 'name', None)}"
+        for path in sorted(package.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if _writes_marker(node, "_validated")
+    ]
+    assert sites == ["subdivision.py: SubdivisionMap", "subdivision.py: barycentric"], sites
 
 
 _CELL_COMPLEX_TABLES = {

@@ -94,6 +94,47 @@ def test_sphere_pipeline_rejects_non_sphere():
         match_sphere_pipeline(figure8)
 
 
+# Homology spheres over f2 whose pipeline meets, at some step, a cell of
+# codimension 1 with no hyperface or no such cell at all, with the error
+# each raises. The third passes its 5-sphere step; its rim is the 3-sphere
+# of ``_cw_three_sphere`` with one edge pair and a cancelling disk "a".
+_STEP_FAULTS = {
+    "no_hyperface": (
+        [("v0", 0, []), ("f", 2, []), ("t0", 3, ["f"]), ("t1", 3, ["f"])],
+        "3-sphere step: f has no hyperfaces",
+    ),
+    "no_codimension_1_cell": (
+        [("v0", 0, []), ("t", 3, [])],
+        "3-sphere step: no cell of dimension 2",
+    ),
+    "second_step": (
+        [
+            ("v0", 0, []), ("v1", 0, []),
+            ("e0", 1, ["v0", "v1"]), ("e1", 1, ["v0", "v1"]),
+            ("a", 2, []), ("f0", 2, ["e0", "e1"]), ("f1", 2, ["e0", "e1"]),
+            ("s0", 3, ["a"]), ("s1", 3, ["a", "f0", "f1"]), ("t0", 3, ["f0", "f1"]),
+            ("g0", 4, ["s0", "s1", "t0"]), ("g1", 4, ["s0", "s1", "t0"]),
+            ("b0", 5, ["g0", "g1"]), ("b1", 5, ["g0", "g1"]),
+        ],
+        "3-sphere step: a has no hyperfaces",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STEP_FAULTS))
+def test_sphere_pipeline_step_without_a_hyperface_is_a_precondition_error(case):
+    """A cw homology sphere need not have a codimension-1 cell with a
+    hyperface at every step; the step names its cell in a
+    PreconditionError instead of failing on an empty tuple."""
+    records, message = _STEP_FAULTS[case]
+    X = build_cw(records)
+    n = X.dim
+    assert betti_numbers(SubcomplexPair(X)).betti == (1, *[0] * (n - 1), 1)
+    with pytest.raises(PreconditionError) as err:
+        match_sphere_pipeline(X)
+    assert str(err.value) == message
+
+
 def _cw_three_sphere():
     """A 3-sphere with two cells in each dimension, each pair glued along
     the two cells below; with no sign table it is matched over f2."""

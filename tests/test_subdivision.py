@@ -245,7 +245,9 @@ def test_propagate_block_betti_zero_at_runtime():
 
 def test_propagate_validates_only_maps_from_elsewhere(monkeypatch):
     """A map from ``barycentric`` is correct by construction and is not
-    validated again; a map read back from its file is, inside the call."""
+    validated again. A map from elsewhere is validated once: a map read
+    back from its file when it is decoded, and a caller's map inside the
+    first call that propagates on it."""
     runs = []
     real = SubdivisionMap.validate
     monkeypatch.setattr(SubdivisionMap, "validate", lambda smap: runs.append(smap) or real(smap))
@@ -256,9 +258,13 @@ def test_propagate_validates_only_maps_from_elsewhere(monkeypatch):
     built = propagate_matching(smap, pair, matching)
     assert runs == []
     decoded = io.decode_subdivision(io.encode_subdivision(smap), X, smap.subdivided)
-    runs.clear()
     assert propagate_matching(decoded, pair, matching) == built
     assert runs == [decoded]
+    runs.clear()
+    caller_map = SubdivisionMap(X, smap.subdivided, dict(smap.carrier))
+    assert propagate_matching(caller_map, pair, matching) == built
+    assert propagate_matching(caller_map, pair, matching) == built
+    assert runs == [caller_map]
 
 
 def test_propagate_rejects_a_non_monotone_caller_map():
