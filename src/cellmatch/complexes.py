@@ -293,13 +293,9 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
     duplicate input simplices are harmless. The distinct tokens are checked
     and sorted once (ints first, smallest first; natively when all are
     ints), and each simplex becomes the ascending tuple of its tokens'
-    places in that order. When the tokens are 0..n-1, a place tuple is the
-    vertex tuple itself. The faces are generated one dimension at a time,
+    places in that order. The faces are generated one dimension at a time,
     from the top down, as sets of such tuples; each dimension is sorted
-    natively, so cells are ordered by dimension, then by vertex tuple. One
-    pass in that order writes each id once and fills every table: a
-    simplex's i-th facet omits its i-th vertex, which is descending rank,
-    and its id is its last facet's id, a dot and its last token. Raises
+    natively, and :func:`_simplicial` writes the tables. Raises
     InvalidComplexError on the first bad input simplex, and when two
     distinct vertex sets would share an id (vertex ``"1.2"`` and edge
     ``{1, 2}``, or int ``1`` and str ``"1"``).
@@ -323,12 +319,34 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
     if isinstance(tokens[0], int) and tokens[0] < 0:
         _check_simplices(vertex_sets)
     index = dict(zip(tokens, range(len(tokens))))
-    levels: list[set[tuple[int, ...]]] = [set() for _ in range(max(map(len, vertex_sets)))]
+    levels: list = [set() for _ in range(max(map(len, vertex_sets)))]
     for v in vertex_sets:
         levels[len(v) - 1].add(tuple(sorted(map(index.__getitem__, v))))
     for d in range(len(levels) - 1, 0, -1):
         for t in levels[d]:
             levels[d - 1].update(combinations(t, d))
+    for d, level in enumerate(levels):
+        levels[d] = sorted(level)
+    return _simplicial(
+        levels, tokens,
+        lambda: (tuple(sorted(v, key=_token_key)) for v in vertex_sets),
+        coordinates,
+    )
+
+
+def _simplicial(levels, tokens, maximal, coordinates=None) -> CellComplex:
+    """The simplicial complex whose d-simplices are ``levels[d]``, a sorted
+    list of ascending tuples of places in ``tokens``, the distinct vertex
+    tokens in order; each simplex's facets lie in the level below. Cells
+    are ordered by dimension, then by place tuple. When the tokens are
+    0..n-1, a place tuple is the vertex tuple itself. One pass in that
+    order writes each id once and fills every table: a simplex's i-th
+    facet omits its i-th vertex, which is descending rank, and its id is
+    its last facet's id, a dot and its last token. Only the last level's
+    place-tuple-to-id map is kept, and each level is dropped from
+    ``levels`` once written. When two vertex tuples write one id, the
+    error names the first pair that :func:`_raise_shared_id` meets in the
+    ascending token tuples ``maximal()`` lists."""
     token = tokens.__getitem__
     text = list(map(str, tokens))
     plain = tokens == list(range(len(tokens)))  # each token is its own place
@@ -339,8 +357,8 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
     cofaces: dict[str, tuple[str, ...]] = {}
     order: list[str] = []
     below: dict[str, list[str]] = {}  # cofaces of the last dimension's cells, by rank
-    for d, level in enumerate(levels):
-        ts = sorted(level)
+    for d in range(len(levels)):
+        ts, levels[d] = levels[d], None
         if d:
             # combinations lists the facets by ascending rank; the last one
             # drops the last vertex, so its id is a prefix of the cell's
@@ -350,7 +368,7 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
             fs = [()] * len(ts)
             cids = [text[i] for i, in ts]
         vs = ts if plain else [tuple(map(token, t)) for t in ts]
-        ids.update(zip(ts, cids))
+        ids = dict(zip(ts, cids))
         verts.update(zip(cids, vs))
         dims.update(dict.fromkeys(cids, d))
         order += cids
@@ -361,12 +379,67 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
         cofaces.update(zip(below, map(tuple, below.values())))
         below = {c: [] for c in cids}
     cofaces.update(dict.fromkeys(below, ()))
-    if len(verts) < len(ids):  # two vertex tuples wrote one id
-        _raise_shared_id(tuple(sorted(v, key=_token_key)) for v in vertex_sets)
+    if len(verts) < len(order):  # two vertex tuples wrote one id
+        _raise_shared_id(maximal())
     return CellComplex(
         SIMPLICIAL, dims, facets, cofaces, tuple(order), verts,
         _coerce_coordinates(coordinates),
     )
+
+
+def _order_complex(complex: CellComplex) -> tuple[CellComplex, list[str]]:
+    """The order complex of the face poset of ``complex``, one vertex
+    "b"+id per cell and one simplex per chain of nested cells, with the
+    carrier of each of its cells in its cell order: the chain's top cell,
+    as ``complex`` names it.
+
+    One pass in the cell order, which lists faces first, gives each cell
+    its proper faces, from its facets' closures, and the chains it tops:
+    itself, and every chain a proper face tops, extended by the cell. So
+    each chain is made once, as the ascending tuple of its cells' places in
+    the id order, which is the "b"+id tokens' order, and the tables are
+    the ones :func:`from_simplices` builds from the maximal flags."""
+    cells = sorted(complex._dim)
+    at = dict(zip(cells, range(len(cells))))
+    facets = complex._facets
+    faces: dict[str, tuple[str, ...]] = {}
+    topped: dict[str, list[tuple[int, ...]]] = {}
+    # the chains of each length, and the top of each
+    chains_of: list[list[tuple[int, ...]]] = [[] for _ in range(complex.dim + 1)]
+    tops_of: list[list[str]] = [[] for _ in range(complex.dim + 1)]
+    for c in complex._sorted_cells:
+        fs = facets[c]
+        below = faces[c] = tuple(set(fs).union(*map(faces.__getitem__, fs)))
+        p = (at[c],)
+        chains = topped[c] = [p]
+        chains += [tuple(sorted(ch + p)) for f in below for ch in topped[f]]
+        for ch in chains:
+            chains_of[len(ch) - 1].append(ch)
+            tops_of[len(ch) - 1].append(c)
+    del faces, topped
+    levels: list = []
+    carriers: list[str] = []
+    for level in map(sorted, map(zip, chains_of, tops_of)):  # no two chains are equal
+        levels.append([ch for ch, _ in level])
+        carriers += [c for _, c in level]
+    del chains_of, tops_of, level
+    tokens = ["b" + c for c in cells]
+    subdivided = _simplicial(levels, tokens, lambda: _maximal_flags(complex))
+    return subdivided, carriers
+
+
+def _maximal_flags(complex: CellComplex):
+    """The maximal flags of ``complex``'s face poset as ascending "b"+id
+    token tuples: the flags of each cell without cofacets, in the cell
+    order, a cell's flags being those of each of its facets, extended by
+    the cell."""
+    flags: dict[str, list[tuple[str, ...]]] = {}
+    for c in complex._sorted_cells:
+        tip = ("b" + c,)
+        flags[c] = [flag + tip for f in complex._facets[c] for flag in flags[f]] or [tip]
+    for c in complex._sorted_cells:
+        if not complex._cofaces[c]:
+            yield from map(tuple, map(sorted, flags[c]))
 
 
 def build_cw(cell_records, coordinates=None) -> CellComplex:

@@ -2,10 +2,10 @@
 matching to the subdivided pair.
 
 The subdivision is the order complex of the face poset: one new vertex
-"b<cellid>" per cell, one simplex per chain of nested cells, spanned by
-the maximal flags. The carrier of a subdivided cell is the largest
-original cell in its chain, i.e. the smallest original cell containing
-it, read off its vertex tuple as the vertex of highest source dimension.
+"b<cellid>" per cell, one simplex per chain of nested cells. Each chain
+is made once, in one pass over the source cells, and keeps its top cell
+as its carrier: the largest original cell in the chain, i.e. the
+smallest original cell containing the subdivided cell.
 
 Propagation matches one acyclic block per matched pair (lower, upper):
 the chains of the closed source cell ``upper``, relative to the chains
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import CellComplex, SubcomplexPair, from_simplices
+from .complexes import CellComplex, SubcomplexPair, _order_complex
 from .errors import InvalidMatchingError, InvalidSubdivisionError
 from .homology import _acyclic_pairs
 from .matching import Matching, _checked, _covers, _lower_upper_pairs, validate_matching
@@ -107,22 +107,20 @@ class SubdivisionMap:
 def barycentric(complex: CellComplex) -> SubdivisionMap:
     """First barycentric subdivision with its carrier map.
 
-    One pass in the cell order, which lists hyperfaces first, gives each
-    cell its maximal flags: those of each hyperface, extended by the cell.
-    The flags of the cells without cofaces span the subdivision."""
-    flags: dict[str, list[tuple[str, ...]]] = {}
-    for c in complex.cells():
-        tip = ("b" + c,)
-        flags[c] = [flag + tip for f in complex.facets(c) for flag in flags[f]] or [tip]
-    subdivided = from_simplices(
-        flag for c in complex.cells() if not complex.cofacets(c) for flag in flags[c]
-    )
-    depth = {"b" + c: complex.dim_of(c) for c in complex.cells()}
-    carrier = {
-        s: max(subdivided.vertices(s), key=depth.__getitem__)[1:]
-        for s in subdivided.cells()
-    }
-    smap = SubdivisionMap(complex, subdivided, carrier)
+    The subdivision is the order complex of the face poset, which
+    ``complexes._order_complex`` builds one chain at a time, with each
+    cell's carrier, its chain's top cell, in the subdivided order. The
+    carried cells are read off that list. Every source cell's own vertex
+    "b"+id comes first, in id order, so the first carriers list each
+    source cell once, in the order in which the subdivided cells first
+    meet them."""
+    subdivided, carriers = _order_complex(complex)
+    cells = subdivided.cells()
+    carried: dict[str, list[str]] = {s: [] for s in carriers[:len(complex)]}
+    for c, s in zip(cells, carriers):
+        carried[s].append(c)
+    smap = SubdivisionMap(complex, subdivided, dict(zip(cells, carriers)))
+    object.__setattr__(smap, "_carried", carried)
     object.__setattr__(smap, "_from_barycentric", True)
     object.__setattr__(smap, "_validated", True)
     return smap

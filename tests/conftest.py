@@ -69,6 +69,7 @@ from cellmatch import (
     SubcomplexPair,
     acyclic_filtration,
     betti_numbers,
+    build_cw,
     complete_matching,
     compose_matchings,
     from_simplices,
@@ -783,3 +784,13 @@ def shuffled_path_rel_end(n_edges: int, seed: int) -> SubcomplexPair:
     labels = random.Random(seed).sample(range(n_edges + 1), n_edges + 1)
     X = from_simplices([labels[i], labels[i + 1]] for i in range(n_edges))
     return SubcomplexPair(X, [str(labels[0])])
+
+
+def two_disc_sphere() -> CellComplex:
+    """A cw 2-sphere: two vertices, two edges between them, and two discs
+    glued along both edges."""
+    return build_cw([
+        ("u", 0, []), ("v", 0, []),
+        ("e", 1, ["u", "v"]), ("f", 1, ["u", "v"]),
+        ("D1", 2, ["e", "f"]), ("D2", 2, ["e", "f"]),
+    ])

@@ -8,6 +8,7 @@ import pytest
 
 from cellmatch import build_cw, cli, io
 from cellmatch.cli import main
+from cellmatch.matching import validate_matching
 
 from conftest import shuffled_path_rel_end, subprocess_env
 
@@ -275,6 +276,32 @@ def test_validate_prints_each_violation_with_exit_3(tmp_path, capsys, case):
         argv += ["--rel", str(tmp_path / "r.json")]
     assert run(*argv) == 3
     assert violation in capsys.readouterr().err.splitlines()
+
+
+def test_validate_builds_its_report_only_for_an_invalid_matching(tmp_path, capsys, monkeypatch):
+    """A valid matching prints "ok" without the full report; an invalid one
+    prints every violation of the report, in its order, with exit 3."""
+    reports = []
+
+    def recording(pair, matching):
+        reports.append(matching)
+        return validate_matching(pair, matching)
+
+    monkeypatch.setattr(cli, "validate_matching", recording)
+    c = tmp_path / "c.json"
+    m = tmp_path / "m.json"
+    io.write_json(str(c), _CIRCLE)
+    io.write_json(str(m), _MATCHING)
+    assert run("validate", str(c), "--matching", str(m)) == 0
+    assert capsys.readouterr() == ("ok\n", "")
+    assert reports == []
+    pairs = [["0.1", "0"], ["0.2", "2"], ["1.2", "0"]]  # "0" twice, "1" left over
+    io.write_json(str(m), {**_MATCHING, "pairs": pairs})
+    assert run("validate", str(c), "--matching", str(m)) == 3
+    assert capsys.readouterr() == (
+        "", "duplicated: 0\nnot incident: 0 / 1.2\nuncovered: 1\n"
+    )
+    assert len(reports) == 1
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))

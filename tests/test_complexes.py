@@ -26,7 +26,7 @@ from cellmatch import (
     spanning_dual_loop,
     star_cycle,
 )
-from cellmatch import generators, subdivision
+from cellmatch import generators
 from cellmatch.complexes import _alternating_cycle
 from cellmatch.generators import (
     apex_of,
@@ -44,8 +44,10 @@ from cellmatch.subdivision import barycentric
 
 from conftest import (
     alternating_cycle_by_scan,
+    face_poset_chains,
     simplicial_tables_by_combinations,
     subprocess_env,
+    two_disc_sphere,
 )
 
 
@@ -473,6 +475,10 @@ def test_from_simplices_makes_coordinates_exact():
         assert str(err.value) == "exact rational coordinates required; got a float"
     with pytest.raises(ValueError, match="Invalid literal for Fraction"):
         from_simplices([[0, 1]], coordinates={0: ("x",), 1: (1,)})
+    # the coordinates are read only after every check on the simplices
+    with pytest.raises(InvalidComplexError) as err:
+        from_simplices([[1, 2], ["1.2"]], coordinates={1: (0.5,), 2: (1,), "1.2": (2,)})
+    assert str(err.value) == "vertex sets ('1.2',) and (1, 2) share the cell id '1.2'"
 
 
 def test_dual_graph_edge_count_matches_interior():
@@ -651,11 +657,13 @@ def test_restrict_roundtrip():
 def _assert_tables_equal(X, oracle):
     assert X.cells() == tuple(oracle["order"])
     assert sorted(X.cells(), key=X.sort_key) == list(X.cells())
+    rank = {c: i for i, c in enumerate(oracle["order"])}
     for c in X.cells():
         assert X.dim_of(c) == oracle["dims"][c], c
         assert X.vertices(c) == oracle["verts"][c], c
         assert X.hyperfaces(c) == oracle["hyperfaces"][c], c
         assert X.cofaces(c) == oracle["cofaces"][c], c
+        assert list(X.cofacets(c)) == sorted(oracle["cofaces"][c], key=rank.__getitem__), c
         v = oracle["verts"][c]
         dropped = [v[:i] + v[i + 1:] for i in range(len(v))] if len(v) > 1 else []
         assert [X.vertices(f) for f in X.facets(c)] == dropped, c
@@ -671,10 +679,18 @@ def _built_with_inputs(monkeypatch, make):
         return from_simplices(inputs[-1], coordinates=coordinates)
 
     monkeypatch.setattr(generators, "from_simplices", recording)
-    monkeypatch.setattr(subdivision, "from_simplices", recording)
     X = make()
     monkeypatch.undo()
     return X, inputs[-1]
+
+
+def _subdivided_with_chains(source):
+    """The barycentric subdivision of ``source``, with every chain of its
+    face poset as a list of "b"+id tokens, from ``face_poset_chains``."""
+    return (
+        barycentric(source).subdivided,
+        [["b" + c for c in ch] for ch in face_poset_chains(source)],
+    )
 
 
 def _mixed_shuffled_torus7(seed):
@@ -702,7 +718,6 @@ _TABLE_CASES = {
     "grid_square3": lambda: grid_square(3),
     "product": lambda: product(circle(3), sphere_boundary(2)),
     "cone": lambda: cone(circle(5)),
-    "barycentric_torus7": lambda: barycentric(torus7()).subdivided,
     # through the module attribute, so the recording hook sees the input
     "mixed_shuffled_torus7": lambda: generators.from_simplices(_mixed_shuffled_torus7(4)),
     # id-string order ("10" < "100" < "11" < "9") differs from token order
@@ -716,9 +731,20 @@ _TABLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+# subdivisions, checked against their source's chains
+_SUBDIVIDED_CASES = {
+    "barycentric_torus7": torus7,
+    "barycentric2_torus7": lambda: barycentric(torus7()).subdivided,
+    "barycentric_cw_two_disc_sphere": two_disc_sphere,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_CASES) + sorted(_SUBDIVIDED_CASES))
 def test_from_simplices_and_restrict_equal_combinations_oracle(monkeypatch, case):
-    X, maximal = _built_with_inputs(monkeypatch, _TABLE_CASES[case])
+    if case in _SUBDIVIDED_CASES:
+        X, maximal = _subdivided_with_chains(_SUBDIVIDED_CASES[case]())
+    else:
+        X, maximal = _built_with_inputs(monkeypatch, _TABLE_CASES[case])
     oracle = simplicial_tables_by_combinations(maximal)
     _assert_tables_equal(X, oracle)
     rng = random.Random(case)

@@ -83,8 +83,8 @@ def test_reduce_columns_is_called_only_by_the_chain_complex():
 def test_validate_matching_is_called_only_by_the_checks():
     """Every construction ends in ``matching._checked``; the other callers
     check a matching handed in, or report on it for ``cellmatch validate``.
-    The checks run the one-pass ``_covers`` and build the report only in
-    the branch where it failed."""
+    Each runs the one-pass ``_covers`` and builds the report only in the
+    branch where it failed."""
     sites = _call_sites("validate_matching")
     assert sites == [
         "cli.py: _cmd_validate",
@@ -93,13 +93,14 @@ def test_validate_matching_is_called_only_by_the_checks():
         "subdivision.py: propagate_matching",
     ], sites
     assert _call_sites("_covers") == [
+        "cli.py: _cmd_validate",
         "matching.py: _checked",
         "matching.py: orbit_analysis",
         "subdivision.py: propagate_matching",
     ]
     package = Path(cellmatch.__file__).resolve().parent
     guarded = []
-    for name in ("matching.py", "subdivision.py"):
+    for name in ("cli.py", "matching.py", "subdivision.py"):
         for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
             if not (isinstance(node, ast.If) and isinstance(node.test, ast.UnaryOp)):
                 continue
@@ -116,7 +117,7 @@ def test_validate_matching_is_called_only_by_the_checks():
                     if isinstance(call, ast.Call)
                     and getattr(call.func, "id", None) == "validate_matching"
                 ]
-    assert len(guarded) == 3, guarded
+    assert len(guarded) == 4, guarded
 
 
 def test_json_is_written_only_by_the_joined_formatter():

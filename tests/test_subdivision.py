@@ -7,6 +7,7 @@ import pytest
 from cellmatch import (
     io,
     HallCertificate,
+    InvalidComplexError,
     InvalidMatchingError,
     InvalidSubdivisionError,
     Matching,
@@ -25,7 +26,7 @@ from cellmatch import (
 from cellmatch.generators import circle, interval, simplex, sphere_boundary, torus7, wedge
 from cellmatch.subdivision import barycentric, propagate_matching
 
-from conftest import face_poset_chains, propagation_blocks
+from conftest import face_poset_chains, propagation_blocks, two_disc_sphere
 
 
 def test_barycentric_circle():
@@ -101,14 +102,6 @@ def test_propagate_rejects_a_map_of_another_complex():
     assert str(err.value) == "subdivision map does not cover the pair's complex"
 
 
-def _two_disc_sphere():
-    return build_cw([
-        ("u", 0, []), ("v", 0, []),
-        ("e", 1, ["u", "v"]), ("f", 1, ["u", "v"]),
-        ("D1", 2, ["e", "f"]), ("D2", 2, ["e", "f"]),
-    ])
-
-
 def _bare_2_cell():
     """An edge and a 2-cell with no hyperfaces (allowed for cw cells)."""
     return build_cw([("a", 0, []), ("b", 0, []), ("e", 1, ["a", "b"]), ("Z", 2, [])])
@@ -119,7 +112,7 @@ _CHAIN_CASES = {
     "sphere_boundary3": lambda: sphere_boundary(3),
     "torus7_piece": lambda: torus7().restrict(torus7().closure(["0.1.3", "0.2.3", "1.2.4"])),
     "mixed_tokens": lambda: from_simplices([[9, 10, "a"], ["a", 10, 11], ["b", 9], [100, "a"]]),
-    "cw_two_disc_sphere": _two_disc_sphere,
+    "cw_two_disc_sphere": two_disc_sphere,
     "cw_bare_2_cell": _bare_2_cell,
 }
 
@@ -136,6 +129,29 @@ def test_barycentric_equals_face_poset_chains(case):
     assert set(smap.carrier) == set(Y.cells())
     got = {frozenset(Y.vertices(c)): smap.carrier[c] for c in Y.cells()}
     assert got == {frozenset("b" + c for c in ch): ch[-1] for ch in chains}
+
+
+@pytest.mark.parametrize("case", sorted(_CHAIN_CASES))
+def test_barycentric_lists_carried_cells_as_a_fresh_map_does(case):
+    """The carried cells ``barycentric`` fills in equal, in order, those a
+    map built from its carrier dict alone derives."""
+    smap = barycentric(_CHAIN_CASES[case]())
+    fresh = SubdivisionMap(smap.source, smap.subdivided, dict(smap.carrier))
+    assert list(smap._carried.items()) == list(fresh._carried.items())
+
+
+@pytest.mark.parametrize("extra, message", [
+    ([], "vertex sets ('ba', 'bb') and ('ba.bb',) share the cell id 'ba.bb'"),
+    ([("b.bc", 0, [])], "vertex sets ('bb', 'bc') and ('bb.bc',) share the cell id 'bb.bc'"),
+], ids=["one_pair", "two_pairs"])
+def test_barycentric_names_the_first_vertex_sets_that_share_an_id(extra, message):
+    """The vertex "b"+"a.bb" and the chain of "a" and "b" get one id; with
+    "b.bc" too, two pairs do, and the one named is the one the maximal
+    flags, walked as ``from_simplices`` walks them, meet first."""
+    X = build_cw([("a", 0, []), ("c", 0, []), ("b", 1, ["a", "c"]), ("a.bb", 0, []), *extra])
+    with pytest.raises(InvalidComplexError) as err:
+        barycentric(X)
+    assert str(err.value) == message
 
 
 def test_cells_over_equals_carrier_scan():
