@@ -15,17 +15,24 @@ Only the signs of the c_i are read. Each vertex is written once as the
 integer homogeneous column (D, D*x_1, ..., D*x_k), D > 0 the lcm of its
 own denominators; with these columns the system is solved by c_i / D_i,
 which has the sign of c_i. When a GeometricComplex is built, the columns
-of each top simplex go through one fraction-free Gauss-Jordan elimination
+of a top simplex go through one fraction-free Gauss-Jordan elimination
 (Bareiss 1968), the method of exact orientation predicates, and the row
 operations on the coordinate rows are kept. Every division in it is
 exact, since every entry is a minor, and a column left without a pivot
-is a degenerate top simplex. A field, scaled to integers by the lcm of
-its denominators (again positive), then costs a few integer dot products
-per top simplex: the pivot rows give the signs, and the residual rows
-give zero exactly when the field is tangent.
+is a degenerate top simplex. The c_i depend only on the edge vectors
+p_j - p_0, so translates share one elimination: each top simplex is keyed
+by its edge vectors, written exactly in integers, and only a new key is
+eliminated. A field, scaled to integers by the lcm of its denominators
+(again positive), then costs a few integer dot products per shared
+elimination, memoised for all its translates: the pivot rows give the
+signs, and the residual rows give zero exactly when the field is tangent.
 
 The faces of a top simplex are read off its facets by vertex-position
-mask, and the mate of a cell off its own facets or cofacets.
+mask. One claim pass per top simplex writes it as the downstream (or
+upstream) simplex of each face holding its falling (or rising) vertices,
+and a face claimed twice is counted. Each pair of the matching is looked
+up once, from its cell that holds the base vertex, and the one check of
+the output covers the partner side.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import SIMPLICIAL, CellComplex, SubcomplexPair, Token, cell_id
+from .complexes import SIMPLICIAL, CellComplex, SubcomplexPair, Token
 from .errors import InvalidComplexError, NotTransverseError, PreconditionError
 from .matching import Matching, _checked
 
@@ -102,9 +109,19 @@ class GeometricComplex:
 
     Every top simplex must be non-degenerate and every codimension-1
     simplex must bound at most two top simplices. The constructor
-    eliminates each top simplex's homogeneous columns once and keeps, as
-    tuples, the last pivot d and the tracked row operations of the pivot
-    rows and of the residual rows, which every later field reads.
+    eliminates the homogeneous columns once per translate class of top
+    simplices and keeps, as tuples, the last pivot d and the tracked row
+    operations of the pivot rows and of the residual rows, which every
+    later field reads.
+
+    A top simplex with columns (D_j, N_j) is keyed, for each later vertex
+    j, by (D_0 * D_j, N_j * D_0 - N_0 * D_j): the edge vector p_j - p_0
+    as an integer vector over its integer denominator. The key is exact,
+    so equal keys mean equal edge vectors in the same vertex order, and
+    the derivatives c_i, hence their signs, degeneracy and tangency,
+    depend on the edge vectors alone. Every top with a key seen before
+    shares that key's one elimination tuple; a translate whose key comes
+    out differently is merely eliminated again.
     """
 
     def __init__(self, complex: CellComplex):
@@ -135,19 +152,37 @@ class GeometricComplex:
         # operations a field's right-hand side (0, u) needs, as its row 0 is 0.
         size = self.ambient_dim + 1
         track = [tuple(int(r == j) for r in range(size)) for j in range(1, size)]
+        column = columns.__getitem__
+        # Against (0, N_0), entry by entry, column j gives D_j * D_0 and
+        # then N_j * D_0 - N_0 * D_j.
+        zeroed = {t: (c[0], (0, *c[1:])) for t, c in columns.items()}
+        by_key: dict[tuple, tuple] = {}
         self._eliminated: dict[str, tuple] = {}
         for top in complex.top_cells():
             verts = complex.vertices(top)
-            solve = _eliminate([*map(columns.__getitem__, verts), *track], len(verts))
+            d0, z0 = zeroed[verts[0]]
+            key = tuple([
+                a * d0 - b * c[0] for c in map(column, verts[1:]) for a, b in zip(c, z0)
+            ])
+            solve = by_key.get(key)
             if solve is None:
-                raise InvalidComplexError(f"degenerate top simplex {top}")
+                solve = _eliminate([*map(column, verts), *track], len(verts))
+                if solve is None:
+                    raise InvalidComplexError(f"degenerate top simplex {top}")
+                by_key[key] = solve
             self._eliminated[top] = solve
+        # Each boundary facet, one with a single top coface, with that top
+        # and its position among the top's facets.
+        self._boundary: dict[str, tuple[str, int]] = {}
         if self.n >= 1:
             for f in complex.cells_of_dim(self.n - 1):
-                if len(complex.cofacets(f)) > 2:
+                tops = complex.cofacets(f)
+                if len(tops) > 2:
                     raise InvalidComplexError(
                         f"codimension-1 simplex {f} bounds more than two top simplices"
                     )
+                if len(tops) == 1:
+                    self._boundary[f] = (tops[0], complex.facets(tops[0]).index(f))
 
     def point(self, token: Token) -> tuple[Fraction, ...]:
         return self.coordinates[token]
@@ -172,7 +207,7 @@ def check_transverse(geom: GeometricComplex, field_vec) -> BoundarySplit:
 
 def _sign_split(geom: GeometricComplex, field_vec):
     """The boundary split, and per top simplex the vertex-position masks
-    of its rising and falling vertices (bit i for its i-th vertex).
+    of its rising, falling and zero vertices (bit i for its i-th vertex).
 
     The field is scaled to integers u = L * v, L > 0 the lcm of its
     denominators. With the homogeneous columns D_j * (1, p_j) the system
@@ -181,8 +216,10 @@ def _sign_split(geom: GeometricComplex, field_vec):
     on pivot row i, the dot product of that row's tracked operations with
     u, and into zero on every residual row exactly when the field is
     tangent. So each sign is that of d times one dot product, and nothing
-    is eliminated here. The first top simplex the field is not tangent to
-    raises at once; degenerate facets are gathered over all of them and
+    is eliminated here. The masks are computed once per shared
+    elimination, memoised by its ``id``, and every translate reads them.
+    The first top simplex the field is not tangent to raises at once;
+    degenerate facets, read per top, are gathered over all of them and
     raised after."""
     if geom.n < 1:
         raise PreconditionError("flow structures need dimension at least 1")
@@ -194,34 +231,42 @@ def _sign_split(geom: GeometricComplex, field_vec):
     scale = math.lcm(*(x.denominator for x in v))
     u = [x.numerator * (scale // x.denominator) for x in v]
     complex = geom.complex
+    memo: dict[int, tuple[int, int, int]] = {}
+    signs: dict[str, tuple[int, int, int]] = {}
     degenerate = set()
-    exiting = set()
-    entering = set()
-    signs: dict[str, tuple[int, int]] = {}
-    for top, (d, pivots, residuals) in geom._eliminated.items():
-        if any(sum(map(operator.mul, ops, u)) for ops in residuals):
-            raise NotTransverseError(
-                f"field is not tangent to top simplex {top}", simplices=(top,)
+    for top, solve in geom._eliminated.items():
+        masks = memo.get(id(solve))
+        if masks is None:
+            d, pivots, residuals = solve
+            if any(sum(map(operator.mul, ops, u)) for ops in residuals):
+                raise NotTransverseError(
+                    f"field is not tangent to top simplex {top}", simplices=(top,)
+                )
+            rise = fall = zero = 0
+            for i, ops in enumerate(pivots):
+                value = d * sum(map(operator.mul, ops, u))
+                if value > 0:
+                    rise |= 1 << i
+                elif value < 0:
+                    fall |= 1 << i
+                else:
+                    zero |= 1 << i
+            masks = memo[id(solve)] = (rise, fall, zero)
+        if masks[2]:
+            degenerate.update(
+                f for i, f in enumerate(complex.facets(top)) if masks[2] >> i & 1
             )
-        rise = fall = 0
-        for i, (ops, facet) in enumerate(zip(pivots, complex.facets(top))):
-            value = d * sum(map(operator.mul, ops, u))
-            if value == 0:
-                degenerate.add(facet)
-                continue
-            if value > 0:
-                rise |= 1 << i
-            else:
-                fall |= 1 << i
-            if len(complex.cofacets(facet)) == 1:
-                (exiting if value < 0 else entering).add(facet)
-        signs[top] = (rise, fall)
+        signs[top] = masks
     if degenerate:
         raise NotTransverseError(
             "field lies in the span of codimension-1 simplices: "
             + ", ".join(sorted(degenerate)),
             simplices=sorted(degenerate),
         )
+    exiting = set()
+    entering = set()
+    for facet, (top, i) in geom._boundary.items():
+        (exiting if signs[top][1] >> i & 1 else entering).add(facet)
     split = BoundarySplit(
         frozenset(exiting),
         frozenset(entering),
@@ -258,20 +303,32 @@ class FlowStructure:
         return self.split.exiting
 
 
-def _only(cell: str, candidates: list[str]) -> str:
-    if len(candidates) != 1:
-        raise PreconditionError(
-            f"degenerate configuration at {cell}: "
-            f"{len(candidates)} candidate top simplices"
-        )
-    return candidates[0]
+def _claim_error(cells, split, claims) -> PreconditionError:
+    """The error of the first cell, in cell order and downstream before
+    upstream, not claimed by exactly one top simplex. ``claims`` holds,
+    per direction, the first claimant of each cell and the count of each
+    cell claimed more than once."""
+    for c in cells:
+        for skip, (first, extra) in zip((split.exiting, split.entering), claims):
+            if c not in skip and (count := extra.get(c, int(c in first))) != 1:
+                return PreconditionError(
+                    f"degenerate configuration at {c}: {count} candidate top simplices"
+                )
+    raise AssertionError("no degenerate configuration found")
 
 
 def flow_structure(
     geom: GeometricComplex, field_vec, base_rule: str = "lowest", seed: int | None = None
 ) -> FlowStructure:
     """Compute downstream/upstream maps, stable/unstable faces, and base
-    vertices for a transverse constant field."""
+    vertices for a transverse constant field.
+
+    One claim pass per top simplex: it writes itself as the downstream
+    simplex of every face holding all its falling vertices and as the
+    upstream one of every face holding all its rising ones, and counts a
+    second claim of a face. Each face off the exiting (or entering)
+    closure must be claimed exactly once, and the faces a top claims,
+    less that closure, are its stable (or unstable) set."""
     if base_rule not in ("lowest", "random"):
         raise ValueError("base_rule must be 'lowest' or 'random'")
     if base_rule == "random" and seed is None:
@@ -279,52 +336,66 @@ def flow_structure(
     split, signs = _sign_split(geom, field_vec)
     complex = geom.complex
     facets = complex.facets
+    exiting, entering = split.exiting, split.entering
 
     # The faces of a top simplex by vertex-position mask (bit i for its
     # i-th vertex), filled from the full mask down: a mask's face is a facet
     # of its parent, the face with the mask's lowest unset bit added, and
-    # the i-th facet omits the i-th vertex.
+    # the i-th facet omits the i-th vertex. A parent holds every bit its
+    # mask holds, so the faces holding a vertex set are filled from their
+    # own chain of steps.
     full = (1 << (geom.n + 1)) - 1
     steps = []
     for mask in range(full - 1, 0, -1):
         low = ~mask & (mask + 1)
         steps.append((mask, mask | low, (mask & (low - 1)).bit_count()))
-    down_tops: dict[str, list[str]] = {c: [] for c in complex.cells()}
-    up_tops: dict[str, list[str]] = {c: [] for c in complex.cells()}
-    unstable_core: dict[str, str] = {}
+    chains = {m: [s for s in steps if s[0] & m == m] for m in range(1, full)}
+    above = {m: [full, *(s[0] for s in chain)] for m, chain in chains.items()}
     face: list[str | None] = [None] * (full + 1)
-    for t, (rise, fall) in signs.items():
+    down: dict[str, str] = {}
+    up: dict[str, str] = {}
+    extra_down: dict[str, int] = {}
+    extra_up: dict[str, int] = {}
+    stable: dict[str, frozenset[str]] = {}
+    unstable: dict[str, frozenset[str]] = {}
+    unstable_core: dict[str, str] = {}
+    for t, (rise, fall, _) in signs.items():
+        if not rise or not fall:
+            raise AssertionError(f"{t} lacks a rising or a falling vertex")
         face[full] = t
-        for mask, parent, i in steps:
+        for mask, parent, i in chains[fall]:
             face[mask] = facets(face[parent])[i]
-        for mask in range(1, full + 1):
-            if mask & fall == fall:
-                down_tops[face[mask]].append(t)
-            if mask & rise == rise:
-                up_tops[face[mask]].append(t)
+        for mask, parent, i in chains[rise]:
+            face[mask] = facets(face[parent])[i]
+        owned = list(map(face.__getitem__, above[fall]))
+        for c in owned:
+            if down.setdefault(c, t) is not t:
+                extra_down[c] = extra_down.get(c, 1) + 1
+        stable[t] = frozenset(owned) - exiting
+        owned = list(map(face.__getitem__, above[rise]))
+        for c in owned:
+            if up.setdefault(c, t) is not t:
+                extra_up[c] = extra_up.get(c, 1) + 1
+        unstable[t] = frozenset(owned) - entering
         unstable_core[t] = face[rise]
 
-    downstream: dict[str, str] = {}
-    upstream: dict[str, str] = {}
-    for c in complex.cells():
-        if c not in split.exiting:
-            downstream[c] = _only(c, down_tops[c])
-        if c not in split.entering:
-            upstream[c] = _only(c, up_tops[c])
-
-    stable: dict[str, set[str]] = {t: set() for t in signs}
-    unstable: dict[str, set[str]] = {t: set() for t in signs}
-    for c, t in downstream.items():
-        stable[t].add(c)
-    for c, t in upstream.items():
-        unstable[t].add(c)
+    cells = complex.cells()
+    try:
+        downstream = {c: down[c] for c in cells if c not in exiting}
+        upstream = {c: up[c] for c in cells if c not in entering}
+    except KeyError:
+        downstream = None
+    if (
+        downstream is None
+        or not exiting.issuperset(extra_down)
+        or not entering.issuperset(extra_up)
+    ):
+        raise _claim_error(cells, split, ((down, extra_down), (up, extra_up)))
 
     rng = random.Random(seed) if base_rule == "random" else None
     base_vertex: dict[str, Token] = {}
-    for t, (rise, fall) in signs.items():
-        if not rise or not fall:
-            raise AssertionError(f"{t} lacks a rising or a falling vertex")
-        choices = complex.vertices(unstable_core[t])  # ascending token order
+    for t, core in unstable_core.items():
+        choices = complex.vertices(core)  # ascending token order
         base_vertex[t] = choices[0] if rng is None else rng.choice(choices)
 
     return FlowStructure(
@@ -333,8 +404,8 @@ def flow_structure(
         split=split,
         downstream=downstream,
         upstream=upstream,
-        stable={t: frozenset(s) for t, s in stable.items()},
-        unstable={t: frozenset(s) for t, s in unstable.items()},
+        stable=stable,
+        unstable=unstable,
         unstable_core=unstable_core,
         base_vertex=base_vertex,
         base_rule=base_rule,
@@ -347,27 +418,19 @@ def flow_matching(fs: FlowStructure) -> Matching:
 
     The mate of a cell drops the base vertex of its downstream simplex when
     present, and joins it otherwise; mates always share the same downstream
-    simplex. A mate rule that is not an involution puts a cell in two
-    pairs, or one in the base, and the one check of the output reports it.
+    simplex. Each pair is looked up once, from its cell holding the base
+    vertex: the partner is the facet at that vertex's position. A mate rule
+    that is not an involution leaves a cell out of every pair, or puts one
+    of the base in a pair, and the one check of the output reports it.
     """
     complex = fs.geometry.complex
     pair = SubcomplexPair(complex, fs.split.exiting)
+    base_vertex = fs.base_vertex
+    vertices, facets = complex.vertices, complex.facets
     mate: dict[str, str] = {}
-    for c in pair.rel_cells:
-        top = fs.downstream[c]
-        base = fs.base_vertex[top]
-        verts = complex.vertices(c)
-        if base in verts:
-            if len(verts) == 1:
-                raise AssertionError(f"mate of {c} would be empty")
-            partner = complex.facets(c)[verts.index(base)]
-        else:
-            partner = next((f for f in complex.cofacets(c) if base in complex.vertices(f)), None)
-            if partner is None:
-                raise AssertionError(f"mate {cell_id((*verts, base))} of {c} is not a cell")
-        if fs.downstream.get(partner) != top:
-            raise AssertionError(
-                f"mate {partner} of {c} has a different downstream simplex"
-            )
-        mate[c] = partner
+    for c, top in fs.downstream.items():
+        base = base_vertex[top]
+        verts = vertices(c)
+        if base in verts and len(verts) > 1:
+            mate[c] = facets(c)[verts.index(base)]
     return _checked(pair, mate.items(), "flow matching failed validation")

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from conftest import (
     affinely_independent_by_minors,
     flow_matching_by_vertex_sets,
     flow_structure_by_resolve,
+    subprocess_env,
 )
 
 
@@ -303,6 +306,78 @@ def test_folded_triangles_have_no_unique_downstream_simplex(field, message):
     assert str(err.value) == message
 
 
+def _fan(exit_at_0: bool = False) -> GeometricComplex:
+    """Three triangles that share only vertex 0 and lie above it, each
+    holding the upward ray from 0, with no vertical edge: under the field
+    (0, 1) all three are downstream of vertex 0. With ``exit_at_0`` a
+    fourth triangle below 0 puts 0 in the exiting closure, through its
+    edge 0.7, so that the three claims are allowed."""
+    coords = {
+        0: (0, 0), 1: (-1, 1), 2: (1, 1), 3: (-1, 2), 4: (2, 3), 5: (-3, 1), 6: (1, 2),
+    }
+    tops = [[0, 1, 2], [0, 3, 4], [0, 5, 6]]
+    if exit_at_0:
+        coords.update({7: (2, 1), 8: (1, -1)})
+        tops.append([0, 7, 8])
+    return GeometricComplex(from_simplices(tops, coordinates=coords))
+
+
+def test_three_claims_of_one_cell_are_counted():
+    geom = _fan()
+    message = "degenerate configuration at 0: 3 candidate top simplices"
+    assert _outcome(flow_structure, geom, (0, 1)) == (PreconditionError, message)
+    assert _outcome(flow_structure_by_resolve, geom, (0, 1)) == (PreconditionError, message)
+
+
+# The flow structure of interval(4) under the field (-1,), built
+# positionally with the base vertex of edge 0.1 moved off its unstable
+# core {0}: to vertex 3, outside the edge, which leaves cell 1 without a
+# mate, or to vertex 1, which would pair cell 1 with nothing and pairs
+# 0.1 with the base cell 0.
+_WRONG_BASE = (
+    "from cellmatch import FlowStructure, GeometricComplex, flow_structure\n"
+    "from cellmatch.generators import interval\n"
+    "fs = flow_structure(GeometricComplex(interval(4)), (-1,))\n"
+    "wrong = FlowStructure(\n"
+    "    fs.geometry, fs.field, fs.split, fs.downstream, fs.upstream, fs.stable,\n"
+    "    fs.unstable, fs.unstable_core, {{**fs.base_vertex, '0.1': {base}}}, fs.base_rule,\n"
+    ")\n"
+)
+_WRONG_BASE_TEXT = {
+    3: "flow matching failed validation: ('uncovered: 1', 'uncovered: 0.1')",
+    1: "flow matching failed validation: ('cell in relative base: 0', 'uncovered: 1')",
+}
+
+
+@pytest.mark.parametrize("base", list(_WRONG_BASE_TEXT))
+def test_wrong_base_vertex_fails_the_one_check(base):
+    scope = {}
+    exec(_WRONG_BASE.format(base=base), scope)
+    with pytest.raises(AssertionError) as err:
+        flow_matching(scope["wrong"])
+    assert str(err.value) == _WRONG_BASE_TEXT[base]
+
+
+@pytest.mark.parametrize("base", list(_WRONG_BASE_TEXT))
+def test_wrong_base_vertex_fails_the_one_check_under_optimize(base):
+    script = (
+        "if __debug__:\n"
+        "    raise SystemExit('assertions are enabled')\n"
+        "from cellmatch import flow_matching\n"
+        + _WRONG_BASE.format(base=base)
+        + "try:\n"
+        "    flow_matching(wrong)\n"
+        "except AssertionError as err:\n"
+        "    print('raised:', err)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"raised: {_WRONG_BASE_TEXT[base]}\n"
+
+
 def _segment_in_plane() -> GeometricComplex:
     coords = {0: (Fraction(0), Fraction(0)), 1: (Fraction(1), Fraction(0))}
     return GeometricComplex(from_simplices([[0, 1]], coordinates=coords))
@@ -344,6 +419,76 @@ def _bent_pair() -> GeometricComplex:
     return GeometricComplex(from_simplices([[0, 1, 2], [0, 1, 3]], coordinates=coords))
 
 
+def _jittered_grid() -> GeometricComplex:
+    """``grid_square(4)`` with each vertex moved by small rationals over
+    11 * 13 and 13, so that every top simplex has a translate key of its
+    own and goes through an elimination of its own."""
+    X = grid_square(4)
+    rng = random.Random(4)
+    coords = {
+        t: (x + Fraction(rng.randint(-3, 3), 11 * 13), y + Fraction(rng.randint(-3, 3), 13))
+        for t, (x, y) in X.coordinates.items()
+    }
+    return GeometricComplex(
+        from_simplices([X.vertices(t) for t in X.top_cells()], coordinates=coords)
+    )
+
+
+def _mirror_pair() -> GeometricComplex:
+    """Two triangles on the edge 0.1, mirror images of each other in the
+    x-axis: congruent, but not translates."""
+    coords = {0: (0, 0), 1: (1, 0), 2: ("1/3", 1), 3: ("1/3", -1)}
+    return GeometricComplex(from_simplices([[0, 1, 2], [0, 1, 3]], coordinates=coords))
+
+
+def _stretched_pair() -> GeometricComplex:
+    """Two disjoint triangles, the second a translate of the first with
+    its edge 3.4 halved. Their keys agree in the numerators N_j * D_0 -
+    N_0 * D_j and differ only in D_0 * D_j, and their derivatives differ
+    in sign under the field (1, -3/2)."""
+    coords = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (5, 0), 4: ("11/2", 0), 5: (5, 1)}
+    return GeometricComplex(from_simplices([[0, 1, 2], [3, 4, 5]], coordinates=coords))
+
+
+def _l_shape() -> GeometricComplex:
+    """``grid_square(2)`` without its upper right square."""
+    X = grid_square(2)
+    tops = [X.vertices(t) for t in X.top_cells() if not set(X.vertices(t)) <= {4, 5, 7, 8}]
+    return GeometricComplex(from_simplices(tops, coordinates=X.coordinates))
+
+
+@pytest.mark.parametrize("make, field", [
+    (_l_shape, (1, -3)), (_l_shape, (-2, 5)), (_l_shape, (3, 1)), (_l_shape, (1, 1)),
+    (_fan, (0, -1)), (lambda: _fan(exit_at_0=True), (0, 1)),
+    (lambda: _fan(exit_at_0=True), (1, 3)),
+], ids=["l_down", "l_up", "l_none", "l_tangent", "fan_down", "fan_exit", "fan_exit_tilted"])
+def test_claims_in_the_boundary_closures_are_left_out(make, field):
+    """At the reflex vertex 4 of the L-shape, and at vertex 0 of the fan
+    with a triangle exiting there, top simplices claim a cell of the
+    exiting (or entering) closure: those claims, even three of one cell,
+    are no error, and the stable (or unstable) sets leave the cell out.
+    Under (0, -1) the plain fan has three upstream claims of vertex 0,
+    which is off the entering closure: an error. Every outcome equals the
+    per-cell search's. Only the structure is compared, as the flow
+    matching of the first fields pairs a cell with one in the base."""
+    geom = make()
+    got = _outcome(flow_structure, geom, field)
+    assert got == _outcome(flow_structure_by_resolve, geom, field)
+
+
+def _eliminations(geom: GeometricComplex) -> int:
+    return len({id(solve) for solve in geom._eliminated.values()})
+
+
+def test_translates_share_one_elimination():
+    # two triangle shapes, each in at most 3! vertex orders
+    assert _eliminations(GeometricComplex(grid_square(6))) <= 12
+    jittered = _jittered_grid()
+    assert _eliminations(jittered) == len(jittered.complex.top_cells())
+    assert _eliminations(_mirror_pair()) == 2
+    assert _eliminations(_stretched_pair()) == 2
+
+
 _ORACLE_CASES = [
     (grid_square(3), [(1, -3), (3, 1), (-2, 5), (2, -1), (1, 1), (0, -1), (1, 2, 3)]),
     (interval(4), [(1,), (-1,), ("1/2",)]),
@@ -353,6 +498,10 @@ _ORACLE_CASES = [
     (_sheared_grid().complex, [("1/3", "-2/7"), (5, "3/11"), (-1, -1), (2, -1), ("-7/5", 3)]),
     (_tilted_grid().complex, [(1, -3, "3/2"), (2, 1, "2/3"), (1, -3, 1)]),
     (_bent_pair().complex, [(0, 1, 0), (1, 1, 0), (1, 0, 0)]),
+    (product(interval(4), grid_square(2)), [(1, -3, 5), (2, 3, -1), ("1/2", 1, -7), (0, 1, 1)]),
+    (_jittered_grid().complex, [(1, -3), (3, 1), (-2, 5), (1, 1), (0, -1)]),
+    (_mirror_pair().complex, [(1, 1), (1, -3), (-2, 1), (0, 1), (1, 0)]),
+    (_stretched_pair().complex, [(1, "-3/2"), (1, 1), (-1, "1/2")]),
 ]
 
 
