@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from . import __version__, io
@@ -143,7 +144,9 @@ def _cmd_enumerate(args) -> int:
         if value < 0:
             raise _UsageError(f"{flag} must be nonnegative, got {value}")
     pair = _load_pair(args)
-    count, matchings = enumerate_matchings(pair, limit=args.limit, bound=args.bound)
+    # The listed matchings go only into -o, so without it none are listed.
+    limit = args.limit if args.output else 0
+    count, matchings = enumerate_matchings(pair, limit=limit, bound=args.bound)
     print(count)
     if args.output:
         io.write_json(
@@ -340,6 +343,9 @@ def build_parser() -> _Parser:
     p.add_argument("--field", required=True, help="components p/q,p/q,...")
     p.add_argument("--base", default="lowest", help="lowest | random:SEED")
     p.add_argument("-o", "--output")
+    # A value such as -2,5 or -1/3,2 is a field, not an option: argparse
+    # takes a word for an option unless it looks like a negative number.
+    p._negative_number_matcher = re.compile(r"^-\d")
     p.set_defaults(func=_cmd_flow)
 
     p = sub.add_parser("orbits", help="classify a matching: collapse order or orbit")

@@ -252,6 +252,12 @@ def _reach(table, start) -> frozenset[str]:
     return frozenset(out)
 
 
+def _maximal_simplices(complex: CellComplex) -> list[tuple[Token, ...]]:
+    """The vertex tuples of the cells without cofacets, in the cell order."""
+    cofaces, vertices = complex._cofaces, complex.vertices
+    return [vertices(c) for c in complex._sorted_cells if not cofaces[c]]
+
+
 def _check_known(complex: CellComplex, ids: set) -> None:
     """Raise for the smallest of ``ids`` that names no cell of ``complex``."""
     known = complex._dim.keys()

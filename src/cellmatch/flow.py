@@ -28,11 +28,13 @@ elimination, memoised for all its translates: the pivot rows give the
 signs, and the residual rows give zero exactly when the field is tangent.
 
 The faces of a top simplex are read off its facets by vertex-position
-mask. One claim pass per top simplex writes it as the downstream (or
-upstream) simplex of each face holding its falling (or rising) vertices,
-and a face claimed twice is counted. Each pair of the matching is looked
-up once, from its cell that holds the base vertex, and the one check of
-the output covers the partner side.
+mask. One claim pass per time direction writes each top simplex as the
+downstream (or upstream) simplex of each face holding its falling (or
+rising) vertices, and a face claimed twice is counted. Each pair of the
+matching is looked up once, from its cell that holds the base vertex; a
+partner in the exiting closure is a precondition failure, the only way
+the rule can fail on a structure built here, and the one check of the
+output covers the rest.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import SIMPLICIAL, CellComplex, SubcomplexPair, Token
+from .complexes import SIMPLICIAL, CellComplex, SubcomplexPair, Token, euler_characteristic
 from .errors import InvalidComplexError, NotTransverseError, PreconditionError
 from .matching import Matching, _checked
 
@@ -201,26 +203,26 @@ class BoundarySplit:
 def check_transverse(geom: GeometricComplex, field_vec) -> BoundarySplit:
     """Exact transversality test; returns the boundary split or raises a
     degeneracy report naming every offending codimension-1 simplex."""
-    split, _ = _sign_split(geom, field_vec)
-    return split
+    return _sign_split(geom, field_vec)[1]
 
 
 def _sign_split(geom: GeometricComplex, field_vec):
-    """The boundary split, and per top simplex the vertex-position masks
-    of its rising, falling and zero vertices (bit i for its i-th vertex).
+    """The parsed field, the boundary split, and per top simplex the
+    vertex-position masks of its rising, falling and zero vertices (bit i
+    for its i-th vertex).
 
     The field is scaled to integers u = L * v, L > 0 the lcm of its
-    denominators. With the homogeneous columns D_j * (1, p_j) the system
-    for (0, u) is solved by c'_j = L * c_j / D_j, which has the sign of
-    c_j. The elimination kept at construction turns (0, u) into d * c'_i
-    on pivot row i, the dot product of that row's tracked operations with
-    u, and into zero on every residual row exactly when the field is
-    tangent. So each sign is that of d times one dot product, and nothing
-    is eliminated here. The masks are computed once per shared
-    elimination, memoised by its ``id``, and every translate reads them.
-    The first top simplex the field is not tangent to raises at once;
-    degenerate facets, read per top, are gathered over all of them and
-    raised after."""
+    denominators, as :func:`_homogeneous` scales a vertex. With the
+    homogeneous columns D_j * (1, p_j) the system for (0, u) is solved by
+    c'_j = L * c_j / D_j, which has the sign of c_j. The elimination kept
+    at construction turns (0, u) into d * c'_i on pivot row i, the dot
+    product of that row's tracked operations with u, and into zero on
+    every residual row exactly when the field is tangent. So each sign is
+    that of d times one dot product, and nothing is eliminated here. The
+    masks are computed once per shared elimination, memoised by its
+    ``id``, and every translate reads them. The first top simplex the
+    field is not tangent to raises at once; degenerate facets, read per
+    top, are gathered over all of them and raised after."""
     if geom.n < 1:
         raise PreconditionError("flow structures need dimension at least 1")
     v = direction(*field_vec)
@@ -228,8 +230,7 @@ def _sign_split(geom: GeometricComplex, field_vec):
         raise InvalidComplexError(
             f"field has {len(v)} components, ambient dimension is {geom.ambient_dim}"
         )
-    scale = math.lcm(*(x.denominator for x in v))
-    u = [x.numerator * (scale // x.denominator) for x in v]
+    u = _homogeneous(v)[1:]
     complex = geom.complex
     memo: dict[int, tuple[int, int, int]] = {}
     signs: dict[str, tuple[int, int, int]] = {}
@@ -273,7 +274,7 @@ def _sign_split(geom: GeometricComplex, field_vec):
         complex.closure(exiting),
         complex.closure(entering),
     )
-    return split, signs
+    return v, split, signs
 
 
 @dataclass(frozen=True)
@@ -317,33 +318,18 @@ def _claim_error(cells, split, claims) -> PreconditionError:
     raise AssertionError("no degenerate configuration found")
 
 
-def flow_structure(
-    geom: GeometricComplex, field_vec, base_rule: str = "lowest", seed: int | None = None
-) -> FlowStructure:
-    """Compute downstream/upstream maps, stable/unstable faces, and base
-    vertices for a transverse constant field.
-
-    One claim pass per top simplex: it writes itself as the downstream
-    simplex of every face holding all its falling vertices and as the
-    upstream one of every face holding all its rising ones, and counts a
-    second claim of a face. Each face off the exiting (or entering)
-    closure must be claimed exactly once, and the faces a top claims,
-    less that closure, are its stable (or unstable) set."""
-    if base_rule not in ("lowest", "random"):
-        raise ValueError("base_rule must be 'lowest' or 'random'")
-    if base_rule == "random" and seed is None:
-        raise ValueError("base_rule 'random' requires a seed")
-    split, signs = _sign_split(geom, field_vec)
-    complex = geom.complex
-    facets = complex.facets
-    exiting, entering = split.exiting, split.entering
-
-    # The faces of a top simplex by vertex-position mask (bit i for its
-    # i-th vertex), filled from the full mask down: a mask's face is a facet
-    # of its parent, the face with the mask's lowest unset bit added, and
-    # the i-th facet omits the i-th vertex. A parent holds every bit its
-    # mask holds, so the faces holding a vertex set are filled from their
-    # own chain of steps.
+def _claims(geom: GeometricComplex, signs, side: int, skip):
+    """One time direction's claim pass: each top simplex claims every face
+    holding all its ``side`` vertices (1: falling, downstream; 0: rising,
+    upstream). Returns the first claimant of each face, the count of each
+    face claimed more than once, and per top the faces it claims less
+    ``skip`` and the face of its ``side`` vertices. Faces are read by
+    vertex-position mask (bit i for the i-th vertex) from the full mask
+    down: a mask's face is a facet of its parent, the face with the mask's
+    lowest unset bit added, and the i-th facet omits the i-th vertex. A
+    parent holds every bit its mask holds, so the faces holding a vertex
+    set are filled from their own chain of steps."""
+    facets = geom.complex.facets
     full = (1 << (geom.n + 1)) - 1
     steps = []
     for mask in range(full - 1, 0, -1):
@@ -352,45 +338,56 @@ def flow_structure(
     chains = {m: [s for s in steps if s[0] & m == m] for m in range(1, full)}
     above = {m: [full, *(s[0] for s in chain)] for m, chain in chains.items()}
     face: list[str | None] = [None] * (full + 1)
-    down: dict[str, str] = {}
-    up: dict[str, str] = {}
-    extra_down: dict[str, int] = {}
-    extra_up: dict[str, int] = {}
-    stable: dict[str, frozenset[str]] = {}
-    unstable: dict[str, frozenset[str]] = {}
-    unstable_core: dict[str, str] = {}
-    for t, (rise, fall, _) in signs.items():
-        if not rise or not fall:
+    first: dict[str, str] = {}
+    extra: dict[str, int] = {}
+    kept: dict[str, frozenset[str]] = {}
+    cores: dict[str, str] = {}
+    for t, masks in signs.items():
+        core = masks[side]
+        if not core or core == full:
             raise AssertionError(f"{t} lacks a rising or a falling vertex")
         face[full] = t
-        for mask, parent, i in chains[fall]:
+        for mask, parent, i in chains[core]:
             face[mask] = facets(face[parent])[i]
-        for mask, parent, i in chains[rise]:
-            face[mask] = facets(face[parent])[i]
-        owned = list(map(face.__getitem__, above[fall]))
+        owned = list(map(face.__getitem__, above[core]))
         for c in owned:
-            if down.setdefault(c, t) is not t:
-                extra_down[c] = extra_down.get(c, 1) + 1
-        stable[t] = frozenset(owned) - exiting
-        owned = list(map(face.__getitem__, above[rise]))
-        for c in owned:
-            if up.setdefault(c, t) is not t:
-                extra_up[c] = extra_up.get(c, 1) + 1
-        unstable[t] = frozenset(owned) - entering
-        unstable_core[t] = face[rise]
+            if first.setdefault(c, t) is not t:
+                extra[c] = extra.get(c, 1) + 1
+        kept[t] = frozenset(owned) - skip
+        cores[t] = face[core]
+    return first, extra, kept, cores
 
+
+def flow_structure(
+    geom: GeometricComplex, field_vec, base_rule: str = "lowest", seed: int | None = None
+) -> FlowStructure:
+    """Compute downstream/upstream maps, stable/unstable faces, and base
+    vertices for a transverse constant field.
+
+    The upstream structure of v is the downstream one of -v, so one claim
+    pass, :func:`_claims`, runs per time direction. Each face off the
+    exiting (or entering) closure must be claimed exactly once, and the
+    faces a top claims, less that closure, are its stable (or unstable)
+    set."""
+    if base_rule not in ("lowest", "random"):
+        raise ValueError("base_rule must be 'lowest' or 'random'")
+    if base_rule == "random" and seed is None:
+        raise ValueError("base_rule 'random' requires a seed")
+    field, split, signs = _sign_split(geom, field_vec)
+    complex = geom.complex
     cells = complex.cells()
-    try:
-        downstream = {c: down[c] for c in cells if c not in exiting}
-        upstream = {c: up[c] for c in cells if c not in entering}
-    except KeyError:
-        downstream = None
-    if (
-        downstream is None
-        or not exiting.issuperset(extra_down)
-        or not entering.issuperset(extra_up)
-    ):
-        raise _claim_error(cells, split, ((down, extra_down), (up, extra_up)))
+    skips = (split.exiting, split.entering)
+    claims = [_claims(geom, signs, side, skip) for side, skip in zip((1, 0), skips)]
+    maps = []
+    for (first, extra, _, _), skip in zip(claims, skips):
+        try:
+            if skip.issuperset(extra):
+                maps.append({c: first[c] for c in cells if c not in skip})
+                continue
+        except KeyError:
+            pass
+        raise _claim_error(cells, split, [claim[:2] for claim in claims])
+    (_, _, stable, _), (_, _, unstable, unstable_core) = claims
 
     rng = random.Random(seed) if base_rule == "random" else None
     base_vertex: dict[str, Token] = {}
@@ -400,10 +397,10 @@ def flow_structure(
 
     return FlowStructure(
         geometry=geom,
-        field=direction(*field_vec),
+        field=field,
         split=split,
-        downstream=downstream,
-        upstream=upstream,
+        downstream=maps[0],
+        upstream=maps[1],
         stable=stable,
         unstable=unstable,
         unstable_core=unstable_core,
@@ -414,23 +411,57 @@ def flow_structure(
 
 def flow_matching(fs: FlowStructure) -> Matching:
     """The matching induced by the flow structure, relative to the closure
-    of the exiting boundary.
+    E of the exiting boundary.
 
     The mate of a cell drops the base vertex of its downstream simplex when
     present, and joins it otherwise; mates always share the same downstream
     simplex. Each pair is looked up once, from its cell holding the base
-    vertex: the partner is the facet at that vertex's position. A mate rule
-    that is not an involution leaves a cell out of every pair, or puts one
-    of the base in a pair, and the one check of the output reports it.
+    vertex: the partner is the facet at that vertex's position.
+
+    When every base vertex lies in its top's unstable core, as
+    :func:`flow_structure` chooses it, the rule gives a complete matching
+    rel E exactly when no cell's partner lies in E. Proof: take a cell c
+    off E, its downstream simplex t and t's base vertex b. c holds t's
+    falling vertices, and b rises. If b is in c, then c - b is nonempty and
+    holds the falling vertices, so t claims it; if c - b is off E, t is its
+    one claimant, and its partner is c again. If b is not in c, then c + b
+    holds the falling vertices too, and it is off E, as E is closed and c
+    is not in it; so t is its one claimant, and its partner is c. So when
+    no partner c - b lies in E, the pairs are incident, and each cell off
+    E lies in exactly one of them. When one does, that pair holds a cell
+    of the base, and a PreconditionError names the first such cell in the
+    cell order, with the Euler characteristic rel E when it is nonzero and
+    so rules out every complete matching. A base vertex outside its core,
+    which only a structure built by hand has, may make the rule no
+    involution; the one check of the output reports that.
     """
     complex = fs.geometry.complex
-    pair = SubcomplexPair(complex, fs.split.exiting)
-    base_vertex = fs.base_vertex
+    exiting = fs.split.exiting
+    pair = SubcomplexPair(complex, exiting)
+    base_vertex, core = fs.base_vertex, fs.unstable_core
     vertices, facets = complex.vertices, complex.facets
     mate: dict[str, str] = {}
     for c, top in fs.downstream.items():
         base = base_vertex[top]
         verts = vertices(c)
         if base in verts and len(verts) > 1:
-            mate[c] = facets(c)[verts.index(base)]
+            partner = mate[c] = facets(c)[verts.index(base)]
+            if partner in exiting and base in vertices(core[top]):
+                raise _exit_error(pair, c, partner, top)
     return _checked(pair, mate.items(), "flow matching failed validation")
+
+
+def _exit_error(pair: SubcomplexPair, cell: str, partner: str, top: str) -> PreconditionError:
+    """The error of a mate rule that pairs ``cell`` with ``partner``, a
+    cell of the exiting closure, in their downstream simplex ``top``."""
+    message = (
+        f"the flow mate of {cell} in its downstream simplex {top} is {partner}, "
+        "which lies in the exiting closure"
+    )
+    chi = euler_characteristic(pair)
+    if chi:
+        message += (
+            f"; the Euler characteristic relative to that closure is {chi}, "
+            "so no complete matching relative to it exists"
+        )
+    return PreconditionError(message)

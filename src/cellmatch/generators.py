@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .complexes import CellComplex, cell_id, from_simplices
+from .complexes import CellComplex, _maximal_simplices, cell_id, from_simplices
 from .errors import InvalidComplexError
 
 
@@ -108,16 +108,10 @@ def product(a: CellComplex, b: CellComplex) -> CellComplex:
     def encode(u: int, w: int) -> int:
         return u * stride + w
 
-    def maximal(complex: CellComplex) -> list[tuple[int, ...]]:
-        return [
-            complex.vertices(c)
-            for c in complex.cells()
-            if not complex.cofacets(c)
-        ]
-
     tops = []
-    for sa in maximal(a):
-        for sb in maximal(b):
+    maximal_b = _maximal_simplices(b)
+    for sa in _maximal_simplices(a):
+        for sb in maximal_b:
             p, q = len(sa) - 1, len(sb) - 1
             for path in _lattice_paths(p, q):
                 tops.append([encode(sa[i], sb[j]) for i, j in path])
@@ -153,12 +147,7 @@ def cone(base: CellComplex) -> CellComplex:
     if not all(isinstance(t, int) for t in tokens):
         raise InvalidComplexError("cone base needs integer vertex indices")
     apex = max(tokens) + 1
-    tops = [
-        tuple(base.vertices(c)) + (apex,)
-        for c in base.cells()
-        if not base.cofacets(c)
-    ]
-    return from_simplices(tops)
+    return from_simplices([v + (apex,) for v in _maximal_simplices(base)])
 
 
 def apex_of(cone_complex: CellComplex) -> str:

@@ -20,7 +20,7 @@ once, left to right by lowest row (``linalg.reduce_columns``), and ranks,
 pivot columns, Betti numbers, the acyclic filtration and its layer checks
 all read that one reduction. Its pivot columns are the leftmost-lowest
 pivots of dense elimination, so filtrations and matchings depend only on
-the id order of the cells. One walk over the reduction lists each layer
+the cell order. One walk over the reduction lists each layer
 of an acyclic pair; the filtration stacks the layers into stages, and the
 matching pairs each layer's cells on the parent complex, with no
 subcomplex built per layer.
@@ -43,8 +43,8 @@ def _default_field(complex: CellComplex) -> str:
 class ChainComplex:
     """Boundary maps of a subcomplex pair over an exact field.
 
-    ``basis(n)`` lists the n-dimensional cells outside the subcomplex in id
-    order. The boundary from dimension n to n-1 is stored as one sparse
+    ``basis(n)`` lists the n-dimensional cells outside the subcomplex in
+    the complex's cell order. The boundary from dimension n to n-1 is stored as one sparse
     ``linalg`` column per cell of ``basis(n)``: a ``{row: coefficient}``
     dict of ints, with rows indexed by ``basis(n-1)``. ``matrix(n)`` gives
     it as dense rows. One column reduction per dimension, run once on first

@@ -20,6 +20,7 @@ from .complexes import (
     SIMPLICIAL,
     CellComplex,
     DualLoop,
+    _maximal_simplices,
     _token_key,
     build_cw,
     from_simplices,
@@ -237,11 +238,7 @@ def read_json(path: str):
 def encode_complex(complex: CellComplex) -> dict:
     obj: dict = {"format": COMPLEX_FORMAT, "kind": complex.kind}
     if complex.kind == SIMPLICIAL:
-        maximal = [
-            list(complex.vertices(c))
-            for c in complex.cells()
-            if not complex.cofacets(c)
-        ]
+        maximal = list(map(list, _maximal_simplices(complex)))
         try:
             obj["simplices"] = sorted(maximal)
         except TypeError:  # an int and a str token met; ints go first

@@ -49,14 +49,11 @@ class IncidenceGraph:
 
 
 def incidence_graph(pair: SubcomplexPair) -> IncidenceGraph:
-    """Each rel cell's rel neighbours in the cell order: its facets, read
-    backwards, all rank below its cofacets."""
-    complex = pair.complex
-    sub = pair.sub
-    adjacency = {}
-    for c in pair.rel_cells:
-        nbrs = chain(reversed(complex.facets(c)), complex.cofacets(c))
-        adjacency[c] = tuple(x for x in nbrs if x not in sub)
+    """Each rel cell's rel neighbours in the cell order of
+    :func:`_positions`, the adjacency every search reads."""
+    rel = pair.rel_cells
+    near = _positions(pair.complex, rel, rel)
+    adjacency = {c: tuple(map(rel.__getitem__, js)) for c, js in zip(rel, near)}
     return IncidenceGraph(pair.rel_even, pair.rel_odd, adjacency)
 
 
@@ -149,8 +146,8 @@ class OrbitReport:
 
 def _positions(complex: CellComplex, left, right) -> list[list[int]]:
     """For each cell of ``left``, the positions in ``right`` of its
-    neighbours that lie in ``right``, in the cell order of
-    :func:`incidence_graph`: facets read backwards, then cofacets."""
+    neighbours that lie in ``right``, in the cell order: its facets, read
+    backwards, all rank below its cofacets."""
     place = {c: i for i, c in enumerate(right)}.get
     facets, cofacets = complex.facets, complex.cofacets
     return [

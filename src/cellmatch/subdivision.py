@@ -109,18 +109,9 @@ def barycentric(complex: CellComplex) -> SubdivisionMap:
 
     The subdivision is the order complex of the face poset, which
     ``complexes._order_complex`` builds one chain at a time, with each
-    cell's carrier, its chain's top cell, in the subdivided order. The
-    carried cells are read off that list. Every source cell's own vertex
-    "b"+id comes first, in id order, so the first carriers list each
-    source cell once, in the order in which the subdivided cells first
-    meet them."""
+    cell's carrier, its chain's top cell, in the subdivided order."""
     subdivided, carriers = _order_complex(complex)
-    cells = subdivided.cells()
-    carried: dict[str, list[str]] = {s: [] for s in carriers[:len(complex)]}
-    for c, s in zip(cells, carriers):
-        carried[s].append(c)
-    smap = SubdivisionMap(complex, subdivided, dict(zip(cells, carriers)))
-    object.__setattr__(smap, "_carried", carried)
+    smap = SubdivisionMap(complex, subdivided, dict(zip(subdivided.cells(), carriers)))
     object.__setattr__(smap, "_from_barycentric", True)
     object.__setattr__(smap, "_validated", True)
     return smap

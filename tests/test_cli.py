@@ -8,7 +8,7 @@ import pytest
 
 from cellmatch import build_cw, cli, io
 from cellmatch.cli import main
-from cellmatch.matching import validate_matching
+from cellmatch.matching import enumerate_matchings, validate_matching
 
 from conftest import shuffled_path_rel_end, subprocess_env
 
@@ -81,6 +81,35 @@ def test_flow_flags_checked_before_the_complex_is_read(tmp_path, capsys, flag, m
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["-2,5", "-1/3,2"])
+def test_flow_field_may_start_with_a_negative_component(tmp_path, capsys, field):
+    """``--field -2,5`` is the field -2,5, as ``--field=-2,5`` is: both
+    write the same bytes."""
+    g = tmp_path / "g.json"
+    assert run("generate", "grid_square", "--params", "2", "-o", str(g)) == 0
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    assert run("flow", str(g), "--field", field, "-o", str(spaced)) == 0
+    assert run("flow", str(g), f"--field={field}", "-o", str(joined)) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--field", "-1"], 1, "field has 1 components, ambient dimension is 2"),
+    (["--field=-1"], 1, "field has 1 components, ambient dimension is 2"),
+    (["--field", "1,-3"], 0, ""),
+    (["--field", "-x"], 1, "argument --field: expected one argument"),
+    (["--field", "-2,5", "--base"], 1, "argument --base: expected one argument"),
+])
+def test_flow_field_forms_keep_their_exit_codes(tmp_path, capsys, argv, code, message):
+    g = tmp_path / "g.json"
+    assert run("generate", "grid_square", "--params", "2", "-o", str(g)) == 0
+    capsys.readouterr()
+    assert run("flow", str(g), *argv, "-o", str(tmp_path / "m.json")) == code
+    err = capsys.readouterr().err
+    assert message in err if message else err == ""
+
+
 def test_chi_and_homology(tmp_path, capsys):
     t = tmp_path / "t.json"
     assert run("generate", "torus7", "-o", str(t)) == 0
@@ -102,6 +131,28 @@ def test_enumerate(tmp_path, capsys):
     t = tmp_path / "t.json"
     assert run("generate", "torus7", "-o", str(t)) == 0
     assert run("enumerate", str(t)) == 3  # brute-force bound exceeded
+
+
+def test_enumerate_lists_matchings_only_for_the_output_file(tmp_path, capsys, monkeypatch):
+    """The listed matchings go only into ``-o``: without it ``--limit``
+    asks the enumerator for none, and the printed count is the same."""
+    asked = []
+
+    def recording(pair, limit, bound):
+        asked.append(limit)
+        return enumerate_matchings(pair, limit=limit, bound=bound)
+
+    monkeypatch.setattr(cli, "enumerate_matchings", recording)
+    c = tmp_path / "c.json"
+    out = tmp_path / "e.json"
+    assert run("generate", "circle", "--params", "6", "-o", str(c)) == 0
+    capsys.readouterr()
+    assert run("enumerate", str(c), "--limit", "5") == 0
+    assert capsys.readouterr().out == "2\n"
+    assert run("enumerate", str(c), "--limit", "5", "-o", str(out)) == 0
+    assert capsys.readouterr().out == "2\n"
+    assert asked == [0, 5]
+    assert len(io.read_json(str(out))["matchings"]) == 2
 
 
 @pytest.mark.parametrize("flag, value", [("--bound", "-1"), ("--limit", "-3")])

@@ -23,6 +23,7 @@ from cellmatch import (
     orbit_analysis,
     validate_matching,
 )
+from cellmatch import cli, io
 from cellmatch.generators import grid_square, interval, product
 
 from conftest import (
@@ -474,6 +475,54 @@ def test_claims_in_the_boundary_closures_are_left_out(make, field):
     geom = make()
     got = _outcome(flow_structure, geom, field)
     assert got == _outcome(flow_structure_by_resolve, geom, field)
+
+
+# Inputs whose mate rule pairs a rel cell with a cell of the exiting
+# closure: the reflex vertex 4 of the L-shape, and vertex 0 of the fan with
+# a triangle exiting there. Each has a negative Euler characteristic rel
+# that closure, so no complete matching rel it exists at all.
+_LEAVING_THE_BASE = {
+    "l_down": (_l_shape, (1, -3), ("1.4", "1.4.5", "4", -1)),
+    "l_up": (_l_shape, (-2, 5), ("3.4", "3.4.7", "4", -1)),
+    "fan_exit": (lambda: _fan(exit_at_0=True), (0, 1), ("0.1", "0.1.2", "0", -3)),
+    "fan_exit_tilted": (lambda: _fan(exit_at_0=True), (1, 3), ("0.1", "0.1.2", "0", -3)),
+}
+
+
+def _leaving_text(cell, top, partner, chi) -> str:
+    return (
+        f"the flow mate of {cell} in its downstream simplex {top} is {partner}, which lies in "
+        f"the exiting closure; the Euler characteristic relative to that closure is {chi}, "
+        "so no complete matching relative to it exists"
+    )
+
+
+@pytest.mark.parametrize("case", list(_LEAVING_THE_BASE))
+def test_a_mate_in_the_exiting_closure_is_a_precondition_error(case):
+    """The structure is the per-cell search's; the matching is refused
+    with the cell, its downstream simplex and its partner, where the mate
+    rule alone pairs exactly that cell with a cell of the base."""
+    make, field, (cell, top, partner, chi) = _LEAVING_THE_BASE[case]
+    geom = make()
+    fs = flow_structure(geom, field)
+    with pytest.raises(PreconditionError) as err:
+        flow_matching(fs)
+    assert str(err.value) == _leaving_text(cell, top, partner, chi)
+    pair = SubcomplexPair(geom.complex, fs.split.exiting)
+    assert euler_characteristic(pair) == chi
+    rule = flow_matching_by_vertex_sets(fs)
+    assert rule.mate(cell) == partner and partner in fs.split.exiting
+
+
+@pytest.mark.parametrize("case", ["l_down", "fan_exit"])
+def test_cli_flow_exits_3_when_a_mate_leaves_the_rel_cells(tmp_path, capsys, case):
+    make, field, expected = _LEAVING_THE_BASE[case]
+    path = tmp_path / "x.json"
+    io.save_complex(make().complex, str(path))
+    assert cli.main(["flow", str(path), "--field", ",".join(map(str, field))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cellmatch: {_leaving_text(*expected)}\n"
 
 
 def _eliminations(geom: GeometricComplex) -> int:

@@ -131,14 +131,15 @@ def test_json_is_written_only_by_the_joined_formatter():
 def test_hopcroft_karp_runs_on_positions_from_one_builder():
     """The search runs on the int adjacency that ``matching._positions``
     builds, and only the complete matching and the acyclic layers run it;
-    the parity shortcut's certificate, the odd-side certificate and the
-    enumerator read the same adjacency."""
+    the public incidence graph, the parity shortcut's certificate, the
+    odd-side certificate and the enumerator read the same adjacency."""
     assert _call_sites("_hopcroft_karp") == [
         "homology.py: _acyclic_pairs",
         "matching.py: complete_matching",
     ]
     assert _call_sites("_positions") == [
         "homology.py: _acyclic_pairs",
+        "matching.py: incidence_graph",
         "matching.py: complete_matching",
         "matching.py: complete_matching",
         "matching.py: complete_matching",

@@ -133,11 +133,22 @@ def test_barycentric_equals_face_poset_chains(case):
 
 @pytest.mark.parametrize("case", sorted(_CHAIN_CASES))
 def test_barycentric_lists_carried_cells_as_a_fresh_map_does(case):
-    """The carried cells ``barycentric`` fills in equal, in order, those a
-    map built from its carrier dict alone derives."""
-    smap = barycentric(_CHAIN_CASES[case]())
-    fresh = SubdivisionMap(smap.source, smap.subdivided, dict(smap.carrier))
+    """A map from ``barycentric`` lists the carried cells a map built from
+    its carrier dict alone lists, and both equal the face poset's chains
+    grouped by their top cell: the source cells in id order, the order of
+    their own vertices "b"+id, which come first, and each one's chains in
+    the subdivided cell order."""
+    X = _CHAIN_CASES[case]()
+    smap = barycentric(X)
+    Y = smap.subdivided
+    fresh = SubdivisionMap(X, Y, dict(smap.carrier))
     assert list(smap._carried.items()) == list(fresh._carried.items())
+    cell_of = {frozenset(Y.vertices(c)): c for c in Y.cells()}
+    topped: dict[str, list[str]] = {s: [] for s in sorted(X.cells())}
+    for ch in face_poset_chains(X):
+        topped[ch[-1]].append(cell_of[frozenset("b" + c for c in ch)])
+    expected = [(s, sorted(cells, key=Y.sort_key)) for s, cells in topped.items()]
+    assert list(smap._carried.items()) == expected
 
 
 @pytest.mark.parametrize("extra, message", [
