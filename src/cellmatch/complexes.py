@@ -276,22 +276,6 @@ def _check_simplices(vertex_sets) -> None:
             raise InvalidComplexError(f"negative vertex index {v[0]}")
 
 
-def _raise_shared_id(maximal) -> None:
-    """Raise for the first two distinct vertex sets under one id that a
-    depth-first walk meets, from the last of the ``maximal`` ascending
-    token tuples, each simplex's facets pushed in vertex order."""
-    seen: dict[str, tuple[Token, ...]] = {}
-    stack = list(maximal)
-    while stack:
-        v = stack.pop()
-        cid = _simplex_id(v)
-        known = seen.setdefault(cid, v)
-        if known != v:
-            raise InvalidComplexError(f"vertex sets {known} and {v} share the cell id {cid!r}")
-        if known is v and len(v) > 1:
-            stack.extend(v[:i] + v[i + 1:] for i in range(len(v)))
-
-
 def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
     """Build the simplicial complex spanned by the given simplices.
 
@@ -304,7 +288,9 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
     natively, and :func:`_simplicial` writes the tables. Raises
     InvalidComplexError on the first bad input simplex, and when two
     distinct vertex sets would share an id (vertex ``"1.2"`` and edge
-    ``{1, 2}``, or int ``1`` and str ``"1"``).
+    ``{1, 2}``, or int ``1`` and str ``"1"``); that error names the first
+    such pair in the cell order, the earlier cell first, so it is the same
+    however the simplices and their tokens are listed.
     """
     vertex_sets = []
     try:
@@ -333,14 +319,10 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
             levels[d - 1].update(combinations(t, d))
     for d, level in enumerate(levels):
         levels[d] = sorted(level)
-    return _simplicial(
-        levels, tokens,
-        lambda: (tuple(sorted(v, key=_token_key)) for v in vertex_sets),
-        coordinates,
-    )
+    return _simplicial(levels, tokens, coordinates)
 
 
-def _simplicial(levels, tokens, maximal, coordinates=None) -> CellComplex:
+def _simplicial(levels, tokens, coordinates=None) -> CellComplex:
     """The simplicial complex whose d-simplices are ``levels[d]``, a sorted
     list of ascending tuples of places in ``tokens``, the distinct vertex
     tokens in order; each simplex's facets lie in the level below. Cells
@@ -350,15 +332,16 @@ def _simplicial(levels, tokens, maximal, coordinates=None) -> CellComplex:
     facet omits its i-th vertex, which is descending rank, and its id is
     its last facet's id, a dot and its last token. Only the last level's
     place-tuple-to-id map is kept, and each level is dropped from
-    ``levels`` once written. When two vertex tuples write one id, the
-    error names the first pair that :func:`_raise_shared_id` meets in the
-    ascending token tuples ``maximal()`` lists."""
+    ``levels`` once written. The vertex tuples are kept in the cell order,
+    so when two of them write one id, the error names the first cell in
+    that order whose id an earlier cell holds, the earliest holder first;
+    the listing order of the input cannot change it."""
     token = tokens.__getitem__
     text = list(map(str, tokens))
     plain = tokens == list(range(len(tokens)))  # each token is its own place
     ids: dict[tuple[int, ...], str] = {}
     dims: dict[str, int] = {}
-    verts: dict[str, tuple[Token, ...]] = {}
+    tuples: list[tuple[Token, ...]] = []  # the vertex tuples, in the cell order
     facets: dict[str, tuple[str, ...]] = {}
     cofaces: dict[str, tuple[str, ...]] = {}
     order: list[str] = []
@@ -373,9 +356,8 @@ def _simplicial(levels, tokens, maximal, coordinates=None) -> CellComplex:
         else:
             fs = [()] * len(ts)
             cids = [text[i] for i, in ts]
-        vs = ts if plain else [tuple(map(token, t)) for t in ts]
+        tuples += ts if plain else [tuple(map(token, t)) for t in ts]
         ids = dict(zip(ts, cids))
-        verts.update(zip(cids, vs))
         dims.update(dict.fromkeys(cids, d))
         order += cids
         facets.update(zip(cids, fs))
@@ -385,8 +367,11 @@ def _simplicial(levels, tokens, maximal, coordinates=None) -> CellComplex:
         cofaces.update(zip(below, map(tuple, below.values())))
         below = {c: [] for c in cids}
     cofaces.update(dict.fromkeys(below, ()))
+    verts = dict(zip(order, tuples))
     if len(verts) < len(order):  # two vertex tuples wrote one id
-        _raise_shared_id(maximal())
+        first = dict(zip(order[::-1], tuples[::-1]))  # each id's earliest tuple
+        c, v = next((c, v) for c, v in zip(order, tuples) if first[c] != v)
+        raise InvalidComplexError(f"vertex sets {first[c]} and {v} share the cell id {c!r}")
     return CellComplex(
         SIMPLICIAL, dims, facets, cofaces, tuple(order), verts,
         _coerce_coordinates(coordinates),
@@ -404,7 +389,9 @@ def _order_complex(complex: CellComplex) -> tuple[CellComplex, list[str]]:
     itself, and every chain a proper face tops, extended by the cell. So
     each chain is made once, as the ascending tuple of its cells' places in
     the id order, which is the "b"+id tokens' order, and the tables are
-    the ones :func:`from_simplices` builds from the maximal flags."""
+    the ones :func:`from_simplices` builds from the maximal flags. Two
+    chains whose "b"+id tokens write one id (vertex "b"+"a.bb" and the
+    chain of "a" and "b") fail as they do there, named in the cell order."""
     cells = sorted(complex._dim)
     at = dict(zip(cells, range(len(cells))))
     facets = complex._facets
@@ -430,22 +417,8 @@ def _order_complex(complex: CellComplex) -> tuple[CellComplex, list[str]]:
         carriers += [c for _, c in level]
     del chains_of, tops_of, level
     tokens = ["b" + c for c in cells]
-    subdivided = _simplicial(levels, tokens, lambda: _maximal_flags(complex))
+    subdivided = _simplicial(levels, tokens)
     return subdivided, carriers
-
-
-def _maximal_flags(complex: CellComplex):
-    """The maximal flags of ``complex``'s face poset as ascending "b"+id
-    token tuples: the flags of each cell without cofacets, in the cell
-    order, a cell's flags being those of each of its facets, extended by
-    the cell."""
-    flags: dict[str, list[tuple[str, ...]]] = {}
-    for c in complex._sorted_cells:
-        tip = ("b" + c,)
-        flags[c] = [flag + tip for f in complex._facets[c] for flag in flags[f]] or [tip]
-    for c in complex._sorted_cells:
-        if not complex._cofaces[c]:
-            yield from map(tuple, map(sorted, flags[c]))
 
 
 def build_cw(cell_records, coordinates=None) -> CellComplex:

@@ -70,14 +70,19 @@ class SubdivisionMap:
     def validate(self) -> None:
         """Raise InvalidSubdivisionError unless every subdivided cell has a
         known carrier, carriers are monotone and each source cell's carried
-        cells have its interior Euler count; mark the map as validated."""
+        cells have its interior Euler count; mark the map as validated.
+        A fault is named in the subdivided cell order, and an unknown key of
+        the carrier dict by the smallest one, so the error does not depend
+        on the dict's order."""
         source, sub = self.source, self.subdivided
         for c in sub.cells():
             if c not in self.carrier:
                 raise InvalidSubdivisionError(f"no carrier recorded for {c}")
-        for c, s in self.carrier.items():
-            if c not in sub:
-                raise InvalidSubdivisionError(f"carrier names unknown cell {c}")
+        if len(self.carrier) > len(sub):
+            unknown = min((c for c in self.carrier if c not in sub), key=str)
+            raise InvalidSubdivisionError(f"carrier names unknown cell {unknown}")
+        for c in sub.cells():
+            s = self.carrier[c]
             if s not in source:
                 raise InvalidSubdivisionError(f"carrier of {c} names unknown cell {s}")
         # monotone: the carrier of a face is a face of the carrier

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import combinations, islice, permutations
 
 import pytest
@@ -219,6 +221,16 @@ def test_sphere_pipeline_raises_as_a_check_of_every_step(make):
         match_sphere_pipeline(X)
     assert str(err.value) == str(expected.value)
     assert getattr(err.value, "betti", None) == getattr(expected.value, "betti", None)
+
+
+def test_sphere_pipeline_on_the_47292_cell_rung():
+    """barycentric(sphere_boundary(6)), 47 292 cells, gives the recorded
+    matching: the first 16 hex digits of the sha256 of its sorted pairs
+    as JSON."""
+    X = barycentric(sphere_boundary(6)).subdivided
+    assert len(X) == 47292
+    pairs = match_sphere_pipeline(X).sorted_pairs()
+    assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest()[:16] == "983d99883e4831e4"
 
 
 def test_find_dual_loop_torus_annulus():

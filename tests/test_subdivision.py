@@ -94,6 +94,27 @@ def test_carrier_validation_names_unknown_cells(change, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda carrier: {"bz": "0", **carrier, "bx": "0"}, "carrier names unknown cell bx"),
+        (lambda carrier: {**carrier, "b1": "y", "b0": "x"}, "carrier of b0 names unknown cell x"),
+    ],
+    ids=["two_unknown_subdivided_cells", "two_unknown_source_cells"],
+)
+def test_carrier_validation_names_the_same_cell_in_any_dict_order(change, message):
+    """With two faults of one kind, the one named is the smallest unknown
+    key, or the first subdivided cell in the cell order whose carrier is
+    unknown, for the map listed either way."""
+    smap = barycentric(simplex(1))
+    carrier = change(dict(smap.carrier))
+    for listed in (carrier, dict(reversed(carrier.items()))):
+        bad = SubdivisionMap(smap.source, smap.subdivided, listed)
+        with pytest.raises(InvalidSubdivisionError) as err:
+            bad.validate()
+        assert str(err.value) == message
+
+
 def test_propagate_rejects_a_map_of_another_complex():
     smap = barycentric(circle(3))
     pair = SubcomplexPair(circle(4))
@@ -151,15 +172,26 @@ def test_barycentric_lists_carried_cells_as_a_fresh_map_does(case):
     assert list(smap._carried.items()) == expected
 
 
-@pytest.mark.parametrize("extra, message", [
-    ([], "vertex sets ('ba', 'bb') and ('ba.bb',) share the cell id 'ba.bb'"),
-    ([("b.bc", 0, [])], "vertex sets ('bb', 'bc') and ('bb.bc',) share the cell id 'bb.bc'"),
-], ids=["one_pair", "two_pairs"])
-def test_barycentric_names_the_first_vertex_sets_that_share_an_id(extra, message):
+_CLASH = [("a", 0, []), ("c", 0, []), ("b", 1, ["a", "c"]), ("a.bb", 0, [])]
+_TWO_CLASHES = _CLASH + [("b.bc", 0, [])]
+
+
+@pytest.mark.parametrize("records, message", [
+    (_CLASH, "vertex sets ('ba.bb',) and ('ba', 'bb') share the cell id 'ba.bb'"),
+    (_TWO_CLASHES, "vertex sets ('ba.bb',) and ('ba', 'bb') share the cell id 'ba.bb'"),
+    (
+        [(c, d, fs[::-1]) for c, d, fs in reversed(_TWO_CLASHES)],
+        "vertex sets ('ba.bb',) and ('ba', 'bb') share the cell id 'ba.bb'",
+    ),
+], ids=["one_pair", "two_pairs", "two_pairs_listed_backwards"])
+def test_barycentric_names_the_first_vertex_sets_that_share_an_id(records, message):
     """The vertex "b"+"a.bb" and the chain of "a" and "b" get one id; with
-    "b.bc" too, two pairs do, and the one named is the one the maximal
-    flags, walked as ``from_simplices`` walks them, meet first."""
-    X = build_cw([("a", 0, []), ("c", 0, []), ("b", 1, ["a", "c"]), ("a.bb", 0, []), *extra])
+    "b.bc" too, two pairs do. The one named is the first cell in the
+    subdivided cell order whose id an earlier cell holds, the earlier cell
+    first: the edge ("ba", "bb") comes after every vertex and before the
+    edge ("bb", "bc"). Listing the records and their hyperfaces backwards
+    names the same pair."""
+    X = build_cw(records)
     with pytest.raises(InvalidComplexError) as err:
         barycentric(X)
     assert str(err.value) == message
