@@ -19,7 +19,7 @@ import re
 import sys
 
 from . import __version__, io
-from .complexes import SubcomplexPair, euler_characteristic
+from .complexes import SubcomplexPair, _part_pair, euler_characteristic
 from .errors import (
     BruteForceBoundError,
     CellmatchError,
@@ -249,8 +249,8 @@ def _cmd_dualloop(args) -> int:
         def predicate(pair):
             if len(pair.rel_cells) == len(pair.complex):
                 return False
-            sub_complex = pair.complex.restrict(pair.sub)
-            return betti_numbers(SubcomplexPair(sub_complex)).betti == wanted
+            # the complement of a valid loop is closed: its own pair, with no copy
+            return betti_numbers(_part_pair(pair.complex, pair.sub, ())).betti == wanted
     else:
         raise _UsageError("dualloop find needs --complement-betti or --complement-empty")
     loop = find_dual_loop(complex, predicate, budget=args.budget)

@@ -11,6 +11,8 @@ Tables are checked once, where they enter from outside the program:
 ``from_simplices`` checks the vertex tokens and that no two vertex sets
 share an id, and ``build_cw`` checks every raw record. Everything derived
 from a built complex (``restrict``, the builders' own faces) is trusted.
+A construction's parts are pairs read off the complex they live in, with
+no copy of its tables (``_part_pair``).
 The builders fill every table the complex stores (dimensions, facets,
 cofacets, vertex tuples) and fix its cell order, by dimension first;
 ``restrict`` keeps that order and slices the parent's tables. ``facets``
@@ -487,7 +489,9 @@ class SubcomplexPair:
     A pair is immutable. The constructor stores ``sub``;
     :func:`complement_of_dual_loop` builds its pair from the rel side
     alone, and there ``sub`` is derived the first time it is read and then
-    cached.
+    cached. The package's constructions build the pairs of their parts
+    from the parts' cells on the complex they walk, with no check (see
+    :func:`_part_pair`).
     """
 
     def __init__(self, complex: CellComplex, sub: Iterable[str] = (), close: bool = False):
@@ -589,21 +593,28 @@ class DualLoop:
 
 def complement_of_dual_loop(complex: CellComplex, loop: DualLoop) -> SubcomplexPair:
     """The pair whose subcomplex holds every cell not on the loop, after
-    validating the loop; :func:`_loop_pair` builds it."""
+    validating the loop; :func:`_part_pair` builds it. The rest is closed,
+    since the loop is valid: its tops have no cofaces, and each link's only
+    cofaces are two of its tops."""
     loop.validate(complex)
-    return _loop_pair(complex, loop.cells)
+    return _part_pair(complex, loop.cells)
 
 
-def _loop_pair(complex: CellComplex, cells) -> SubcomplexPair:
-    """The complement pair of a valid dual loop's ``cells``, built from its
-    rel side, so it costs work on those cells only, not on the complex: the
-    loop cells are put in the cell order and split by parity. The rest is
-    closed without a check, since the loop is valid: its tops have no
-    cofaces, and each link's only cofaces are two of its tops. ``sub``,
-    which holds almost every cell, is derived when it is first read."""
+def _part_pair(complex: CellComplex, rel, sub=None) -> SubcomplexPair:
+    """The pair of the closed piece ``rel`` ∪ ``sub`` of ``complex``
+    relative to ``sub``, read off ``complex`` itself: no table is copied
+    and nothing is checked, so the caller must know that ``sub`` and the
+    piece are closed. It costs work on ``rel`` and ``sub`` only: the rel
+    cells are put in the cell order and split by parity. Without ``sub``
+    the piece is the whole complex, as for a dual loop's complement, and
+    ``sub``, which then holds almost every cell, is derived when it is
+    first read. A chain complex of the pair takes its top dimension from
+    the piece (see :class:`cellmatch.homology.ChainComplex`)."""
     pair = SubcomplexPair.__new__(SubcomplexPair)
     pair.complex = complex
-    pair._set_rel(sorted(cells, key=complex._rank.__getitem__))
+    pair._set_rel(sorted(rel, key=complex._rank.__getitem__))
+    if sub is not None:
+        pair.sub = frozenset(sub)
     return pair
 
 

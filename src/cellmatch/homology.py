@@ -29,6 +29,7 @@ subcomplex built per layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from . import linalg
 from .complexes import CW, SIMPLICIAL, CellComplex, SubcomplexPair
@@ -44,7 +45,11 @@ class ChainComplex:
     """Boundary maps of a subcomplex pair over an exact field.
 
     ``basis(n)`` lists the n-dimensional cells outside the subcomplex in
-    the complex's cell order. The boundary from dimension n to n-1 is stored as one sparse
+    the complex's cell order, for n up to the top dimension: the largest
+    among the pair's rel and base cells. For a pair of the whole complex
+    that is the complex's dimension; a construction's part, a closed
+    piece of the complex it walks, gets the piece's, as a copy of the
+    piece would. The boundary from dimension n to n-1 is stored as one sparse
     ``linalg`` column per cell of ``basis(n)``: a ``{row: coefficient}``
     dict of ints, with rows indexed by ``basis(n-1)``. ``matrix(n)`` gives
     it as dense rows. One column reduction per dimension, run once on first
@@ -63,7 +68,9 @@ class ChainComplex:
         bases: dict[int, list[str]] = {d: [] for d in range(complex.dim + 1)}
         for c in pair.rel_cells:
             bases[complex.dim_of(c)].append(c)
-        self._bases = {d: tuple(cells) for d, cells in bases.items()}
+        rel_dims = (d for d, cells in bases.items() if cells)
+        self._top = max(chain(rel_dims, map(complex.dim_of, pair.sub)), default=-1)
+        self._bases = {d: tuple(bases[d]) for d in range(self._top + 1)}
         self._columns = {d: self._boundary_columns(d, signs) for d in self._bases}
         self._lows: dict[int, dict[int, int]] | None = None
         if complex.kind == CW:
@@ -96,7 +103,7 @@ class ChainComplex:
         return columns
 
     def _check_boundary_squared(self):
-        for d in range(1, self.pair.complex.dim + 1):
+        for d in range(1, self._top + 1):
             if not linalg.composes_to_zero(
                 self._columns[d - 1], self._columns[d], self.field_name
             ):
@@ -145,8 +152,7 @@ class ChainComplex:
         return tuple(self._reduced(d))
 
     def betti(self) -> "BettiVector":
-        top = self.pair.complex.dim
-        betti = tuple(self.kernel_dim(d) - self.rank(d + 1) for d in range(top + 1))
+        betti = tuple(self.kernel_dim(d) - self.rank(d + 1) for d in range(self._top + 1))
         return BettiVector(betti, self.field_name)
 
 
@@ -202,7 +208,7 @@ def _acyclic_layers(pair: SubcomplexPair, field, signs):
         raise HomologyNonzeroError(
             f"pair has nonzero homology {bv.betti}", betti=bv
         )
-    for d in range(1, pair.complex.dim + 2):
+    for d in range(1, cc._top + 2):
         lows = cc._reduced(d)
         selected = cc._reduced(d - 1)
         lower = [i for i in range(len(cc.basis(d - 1))) if i not in selected]

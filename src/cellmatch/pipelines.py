@@ -15,9 +15,12 @@ reports a cell in two different pairs as duplicated.
 Each fact is checked once. The sphere pipeline checks that its input is
 a sphere before its loop; each later sphere is one by the exact
 sequences of a pair and a triple (see :func:`match_sphere_pipeline`).
-The dual-loop search checks no loop it builds itself, since the walk
-makes every candidate valid (see :func:`find_dual_loop`); a loop handed
-in by a caller is validated.
+No loop a pipeline walks itself, a star cycle, a circle's spanning loop
+or a search candidate, is validated, since the walk makes it valid (see
+:func:`find_dual_loop`); a loop handed in by a caller is validated. An
+acyclic part is a pair read off the complex being walked, from the
+part's own cells (``complexes._part_pair``): no part is a copy, and no
+closedness the construction already knows is checked again.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .complexes import (
     CellComplex,
     DualLoop,
     SubcomplexPair,
-    _loop_pair,
+    _part_pair,
     dual_graph,
     spanning_dual_loop,
     star_cycle,
@@ -49,13 +52,16 @@ def match_sphere_pipeline(complex: CellComplex) -> Matching:
     the Betti numbers of an n-sphere. While the sphere has dimension
     n >= 3, around the lowest codimension-2 cell tau of the lowest
     codimension-1 cell sigma, the cells containing tau form an alternating
-    cycle and get the cycle matching; the rest of the sphere relative to
-    ``rim``, sigma's boundary, is an acyclic pair; ``rim`` is the next
-    sphere. At the circle, the cells of its spanning dual loop get the
-    cycle matching. The parts' pairs go into one matching, checked once
-    against the whole complex. A homology sphere of cw cells may have no
-    codimension-1 cell, or sigma may have no hyperface; either raises
-    PreconditionError at the step it reaches.
+    cycle and get the cycle matching, each link with the top cell before
+    it; ``rest``, the other cells, relative to ``rim``, sigma's boundary,
+    is an acyclic pair, read off the sphere from its cells; ``rim`` is
+    the next sphere, the one piece copied. At the circle, the cells of
+    its spanning dual loop get the cycle matching. Both loops are valid
+    as walked, so neither is validated again. The parts' pairs go into
+    one matching, checked once against the whole complex. A homology
+    sphere of cw cells may have no codimension-1 cell, or sigma may have
+    no hyperface; either raises PreconditionError at the step it
+    reaches.
 
     Why each later sphere needs no check, by induction from X's. Let the
     sphere be a homology n-sphere, n >= 3 odd. No cell of the star cycle,
@@ -90,14 +96,15 @@ def match_sphere_pipeline(complex: CellComplex) -> Matching:
         sigma = codim1[0]
         if not sphere.facets(sigma):
             raise PreconditionError(f"{step}: {sigma} has no hyperfaces")
-        tau = sphere.facets(sigma)[-1]
-        cycle_part = match_dual_cycle(sphere, star_cycle(sphere, tau), 0)
-        rest = sphere.restrict(cycle_part.relative_to)
+        loop = star_cycle(sphere, sphere.facets(sigma)[-1])
         rim = sphere.faces(sigma)
-        pairs += cycle_part.pairs
-        pairs += _acyclic_pairs(SubcomplexPair(rest, rim))
+        pairs += zip(loop.link_cells, loop.top_cells)
+        on_loop = set(loop.cells)
+        rel = [c for c in sphere.cells() if c not in rim and c not in on_loop]
+        pairs += _acyclic_pairs(_part_pair(sphere, rel, rim))
         sphere = sphere.restrict(rim)
-    pairs += match_dual_cycle(sphere, spanning_dual_loop(sphere), 0).pairs
+    loop = spanning_dual_loop(sphere)
+    pairs += zip(loop.link_cells, loop.top_cells)
     return _checked(SubcomplexPair(complex), pairs, "sphere pipeline output invalid")
 
 
@@ -131,6 +138,11 @@ def match_loop_pipeline(
     Betti vector travels with the error when not); the circle, when given,
     gets its own cycle matching. A loop through every cell leaves an
     empty complement, and its cycle matching is the whole answer.
+
+    The caller's loop, base and circle are checked; the complement pair
+    is then read off ``complex`` with no copy and no second check: the
+    complement of a valid loop is closed, and so are the base and the
+    circle, which lie in it.
     """
     cycle_part = match_dual_cycle(complex, loop, 0)
     loop_cells = set(loop.cells)
@@ -149,16 +161,15 @@ def match_loop_pipeline(
 
     inner_base = base_set | circle_set if circle_set is not None else base_set
     pairs = list(cycle_part.pairs)
-    if cycle_part.relative_to:  # else the loop covers every cell
-        rest = complex.restrict(cycle_part.relative_to)
-        try:
-            pairs += _acyclic_pairs(SubcomplexPair(rest, inner_base))
-        except HomologyNonzeroError as err:
-            raise HomologyNonzeroError(
-                "loop complement is not acyclic relative to the base: "
-                f"betti {err.betti.betti}",
-                betti=err.betti,
-            ) from err
+    complement = _part_pair(complex, cycle_part.relative_to - inner_base, inner_base)
+    try:
+        pairs += _acyclic_pairs(complement)
+    except HomologyNonzeroError as err:
+        raise HomologyNonzeroError(
+            "loop complement is not acyclic relative to the base: "
+            f"betti {err.betti.betti}",
+            betti=err.betti,
+        ) from err
     if circle_set is not None:
         pairs += circle_part.pairs
 
@@ -225,7 +236,7 @@ def find_dual_loop(
                 f"no dual loop found within budget {budget}"
             )
         remaining -= 1
-        return DualLoop(tuple(sequence)) if predicate(_loop_pair(complex, sequence)) else None
+        return DualLoop(tuple(sequence)) if predicate(_part_pair(complex, sequence)) else None
 
     for start in nodes:
         by_other: dict[str, list[str]] = {}

@@ -9,14 +9,15 @@ smallest original cell containing the subdivided cell.
 
 Propagation matches one acyclic block per matched pair (lower, upper):
 the chains of the closed source cell ``upper``, relative to the chains
-that avoid both ``upper`` and ``lower``. Most blocks are one block under
-a renaming of cells that keeps their order, and each distinct block is
-matched once. The key is read off the source alone: the closed cell
-sorted by id, each of its cells as the positions of its facets in that
-list, and the positions of ``lower`` and ``upper``. This is exact. The
-vertices are "b"+id tokens, so a chain's vertex tuple follows the id
-order of its source cells, and the block's cells, their rank order,
-their facets and its base depend only on the key. The block's matching
+that avoid both ``upper`` and ``lower``, read off the subdivided complex
+as a pair of those cells, with no copy of its tables. Most blocks are
+one block under a renaming of cells that keeps their order, and each
+distinct block is matched once. The key is read off the source alone:
+the closed cell sorted by id, each of its cells as the positions of its
+facets in that list, and the positions of ``lower`` and ``upper``. This
+is exact. The vertices are "b"+id tokens, so a chain's vertex tuple
+follows the id order of its source cells, and the block's cells, their
+rank order, their facets and its base depend only on the key. The block's matching
 reads nothing else (the complex is simplicial, so the field is q and
 each sign is the parity of a facet position). A solved block keeps each
 cell as its carrier's position in the key's list and its index among
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import CellComplex, SubcomplexPair, _order_complex
+from .complexes import CellComplex, SubcomplexPair, _order_complex, _part_pair
 from .errors import InvalidMatchingError, InvalidSubdivisionError
 from .homology import _acyclic_pairs
 from .matching import Matching, _checked, _covers, _lower_upper_pairs, validate_matching
@@ -109,6 +110,11 @@ class SubdivisionMap:
         object.__setattr__(self, "_validated", True)
 
 
+def _hyperfaces(complex: CellComplex) -> dict[str, frozenset[str]]:
+    """Each cell's id with its hyperfaces."""
+    return {c: complex.hyperfaces(c) for c in complex.cells()}
+
+
 def barycentric(complex: CellComplex) -> SubdivisionMap:
     """First barycentric subdivision with its carrier map.
 
@@ -141,21 +147,30 @@ def propagate_matching(
     the same errors as ever, unless it has passed validation already, and
     each of its blocks is matched on its own: a caller's map may subdivide
     two cells of one shape differently, and a copy of the source need not
-    share its faces.
+    share its faces. A complex other than the map's source is accepted
+    when it has the source's cells, each with the source's hyperfaces;
+    any other raises InvalidSubdivisionError before the map is validated.
 
-    The blocks' pairs go into one matching, checked once. A block's rel
-    cells are those carried by its own ``lower`` and ``upper``; each source
-    cell is in one matched pair and a carrier is a function, so blocks are
+    Each block is read off the subdivided complex, with no copy and no
+    check: its rel cells are those carried by its own ``lower`` and
+    ``upper``, and its base is the cells carried by the rest of the closed
+    upper cell. Both are closed by construction: that rest, all faces of
+    ``upper`` but ``lower``, is closed, as no face of ``upper`` but
+    ``upper`` itself contains ``lower``; and a validated map's carriers
+    are monotone, so the cells over a closed set are closed.
+
+    The blocks' pairs go into one matching, checked once. Each source cell
+    is in one matched pair and a carrier is a function, so blocks are
     disjoint, and the one check sees every pair a check per block would.
     """
-    complex = pair.complex
-    if complex is not smap.source and set(complex.cells()) != set(smap.source.cells()):
+    complex, source = pair.complex, smap.source
+    if complex is not source and _hyperfaces(complex) != _hyperfaces(source):
         raise InvalidSubdivisionError("subdivision map does not cover the pair's complex")
     if not getattr(smap, "_validated", False):
         smap.validate()
     if not _covers(pair, matching):
         raise InvalidMatchingError("; ".join(validate_matching(pair, matching).violations[:5]))
-    shared = getattr(smap, "_from_barycentric", False) and complex is smap.source
+    shared = getattr(smap, "_from_barycentric", False) and complex is source
     carried = smap._carried
     sub_base = smap.cells_over(pair.sub)
     solved: dict[object, tuple[tuple[int, int, int, int], ...]] = {}
@@ -169,8 +184,8 @@ def propagate_matching(
         matched = solved.get(key)
         if matched is None:
             where = {c: (p, i) for p, s in enumerate(closed) for i, c in enumerate(carried[s])}
-            rim = set(closed) - {upper, lower}
-            block = SubcomplexPair(smap.subdivided.restrict(where), smap.cells_over(rim))
+            base = smap.cells_over(set(closed) - {upper, lower})
+            block = _part_pair(smap.subdivided, carried[lower] + carried[upper], base)
             matched = solved[key] = tuple(where[x] + where[y] for x, y in _acyclic_pairs(block))
         pairs += ((carried[closed[p]][i], carried[closed[q]][j]) for p, i, q, j in matched)
     target = SubcomplexPair(smap.subdivided, sub_base)

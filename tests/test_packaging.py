@@ -181,6 +181,38 @@ def test_acyclic_pairs_feed_only_checked_constructions():
     ]
 
 
+def test_constructions_read_their_parts_off_the_complex_they_walk():
+    """Every part a construction derives, a sphere step's acyclic pair, a
+    loop complement, a propagation block, the complement the CLI's
+    ``--complement-betti`` reads and each dual-loop candidate, is a pair
+    that ``complexes._part_pair`` reads off its complex, with no copy and
+    no second check. ``restrict`` copies only a piece the construction
+    walks on: the next sphere, and the circle whose loop it finds. Every
+    other ``SubcomplexPair`` is built on a whole complex: a caller's
+    pair, a sphere's input check or a construction's checked output."""
+    assert _call_sites("_part_pair") == [
+        "cli.py: _cmd_dualloop",
+        "complexes.py: complement_of_dual_loop",
+        "pipelines.py: match_sphere_pipeline",
+        "pipelines.py: match_loop_pipeline",
+        "pipelines.py: find_dual_loop",
+        "subdivision.py: propagate_matching",
+    ]
+    assert _call_sites("restrict") == [
+        "pipelines.py: match_sphere_pipeline",
+        "pipelines.py: _circle_cycle_matching",
+    ]
+    assert _call_sites("SubcomplexPair") == [
+        "cli.py: _rel_pair",
+        "cli.py: _rel_pair",
+        "flow.py: flow_matching",
+        "pipelines.py: match_sphere_pipeline",
+        "pipelines.py: match_sphere_pipeline",
+        "pipelines.py: match_loop_pipeline",
+        "subdivision.py: propagate_matching",
+    ]
+
+
 def _writes_marker(node: ast.AST, marker: str) -> bool:
     """Whether ``node`` sets attribute ``marker``: as a store to
     ``x.marker``, or by a ``setattr``/``__setattr__`` call naming it."""

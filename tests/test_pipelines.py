@@ -7,6 +7,7 @@ from itertools import combinations, islice, permutations
 import pytest
 
 from cellmatch import (
+    BettiVector,
     DualLoop,
     HomologyNonzeroError,
     InvalidLoopError,
@@ -306,13 +307,13 @@ def _search(monkeypatch, X, predicate, budget):
     """find_dual_loop's result, or "over budget", and the loops it tried,
     in the order it tried them."""
     tried = []
-    complement = pipelines._loop_pair
+    complement = pipelines._part_pair
 
     def recording(complex, cells):
         tried.append(tuple(cells))
         return complement(complex, cells)
 
-    monkeypatch.setattr(pipelines, "_loop_pair", recording)
+    monkeypatch.setattr(pipelines, "_part_pair", recording)
     try:
         return pipelines.find_dual_loop(X, predicate, budget=budget), tried
     except SearchBudgetExceededError:
@@ -526,6 +527,19 @@ def test_loop_pipeline_rejects_bad_complement():
     with pytest.raises(HomologyNonzeroError) as err:
         match_loop_pipeline(X, loop, base=(), circle_cells=core)
     assert not err.value.betti.is_zero()
+
+
+def test_loop_pipeline_error_keeps_the_complements_dimension():
+    """The dual loop through all 14 triangles of torus7 leaves a graph of
+    7 vertices and 7 edges. Its Betti vector has the complement's length,
+    as for a copy of the complement, not the torus's (1, 1, 0)."""
+    X = torus7()
+    loop = find_dual_loop(X, lambda pair: len(pair.rel_cells) == 28)
+    assert loop.cells[:3] == ("0.1.3", "0.1", "0.1.5")
+    with pytest.raises(HomologyNonzeroError) as err:
+        match_loop_pipeline(X, loop)
+    assert str(err.value) == "loop complement is not acyclic relative to the base: betti (1, 1)"
+    assert err.value.betti == BettiVector((1, 1), "q")
 
 
 def test_loop_pipeline_reduces_once(monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -120,6 +122,26 @@ def test_propagate_rejects_a_map_of_another_complex():
     pair = SubcomplexPair(circle(4))
     with pytest.raises(InvalidSubdivisionError) as err:
         propagate_matching(smap, pair, complete_matching(pair))
+    assert str(err.value) == "subdivision map does not cover the pair's complex"
+
+
+def test_propagate_rejects_a_complex_with_the_source_ids_but_other_facets():
+    """Two cw circles with the same cell ids, whose edges join other
+    vertices: the map of one does not cover the other, though every id
+    matches. The blocks are read off the subdivision by their carriers,
+    so a map is used only on a complex with its source's facets."""
+    ids = ("a", "b", "c", "d")
+
+    def cw_circle(ends):
+        edges = [(f"e{i}", 1, list(end)) for i, end in enumerate(ends)]
+        return build_cw([(v, 0, []) for v in ids] + edges)
+
+    A = cw_circle(["ab", "bc", "cd", "da"])
+    B = cw_circle(["ac", "cb", "bd", "da"])
+    assert set(A.cells()) == set(B.cells())
+    pair = SubcomplexPair(B)
+    with pytest.raises(InvalidSubdivisionError) as err:
+        propagate_matching(barycentric(A), pair, complete_matching(pair))
     assert str(err.value) == "subdivision map does not cover the pair's complex"
 
 
@@ -300,6 +322,23 @@ def test_propagate_block_betti_zero_at_runtime():
     pm = propagate_matching(smap, pair, m)
     target = SubcomplexPair(smap.subdivided, smap.cells_over(pair.sub))
     assert validate_matching(target, pm).ok
+
+
+def test_propagation_onto_9072_cells_gives_the_recorded_matching():
+    """The complete matching of barycentric^2(torus7), 1 512 cells, carried
+    onto its subdivision, 9 072 cells, through the built map and through
+    the map read back from its file: both give the recorded matching, the
+    first 16 hex digits of the sha256 of its sorted pairs as JSON."""
+    X = barycentric(barycentric(torus7()).subdivided).subdivided
+    assert len(X) == 1512
+    pair = SubcomplexPair(X)
+    matching = complete_matching(pair)
+    smap = barycentric(X)
+    assert len(smap.subdivided) == 9072
+    decoded = io.decode_subdivision(io.encode_subdivision(smap), X, smap.subdivided)
+    for through in (smap, decoded):
+        pairs = propagate_matching(through, pair, matching).sorted_pairs()
+        assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest()[:16] == "a8daa28fec37f2f1"
 
 
 def test_propagate_validates_only_maps_from_elsewhere(monkeypatch):
