@@ -13,14 +13,17 @@ share an id, and ``build_cw`` checks every raw record. Everything derived
 from a built complex (``restrict``, the builders' own faces) is trusted.
 A construction's parts are pairs read off the complex they live in, with
 no copy of its tables (``_part_pair``).
-The builders fill every table the complex stores (dimensions, facets,
-cofacets, vertex tuples) and fix its cell order, by dimension first;
-``restrict`` keeps that order and slices the parent's tables. ``facets``
-and ``cofacets`` store the hyperface relation once each way, as tuples by
-descending and ascending rank, so a cell's neighbours in rank order are
-its reversed facets, then its cofacets. Simplices rank by dimension, then
-vertex tuple, and dropping a later vertex gives an earlier tuple, so a
-simplex's i-th facet omits its i-th vertex.
+The builders fix the cell order, by dimension first, and fill every
+table the complex stores by rank, a cell's place in that order: ids,
+facets, cofacets and vertex tuples, with one start rank per dimension;
+``restrict`` keeps that order and renumbers the parent's tables. Facets
+and cofacets store the hyperface relation once each way, as tuples of
+ranks, descending and ascending, so a cell's neighbours in rank order are
+its reversed facets, then its cofacets. Ids meet ranks only at the edges:
+the public methods map them, and the package's readers walk the ranks.
+Simplices rank by dimension, then vertex tuple, and dropping a later
+vertex gives an earlier tuple, so a simplex's i-th facet omits its i-th
+vertex.
 
 Complexes and pairs are immutable after construction and safe to share;
 a loop complement derives its subcomplex once, when it is first read.
@@ -28,11 +31,13 @@ a loop complement derives its subcomplex once, when it is first read.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations, compress, filterfalse
+from operator import attrgetter, not_
 from typing import Iterable
 
 from .errors import (
@@ -72,11 +77,12 @@ _FRACTION = frozenset((Fraction,))
 
 
 def _coerce_coordinates(coordinates) -> dict[Token, tuple[Fraction, ...]] | None:
-    """The points as tuples of Fractions. A point that already is one, as
-    the file decoder makes them, is kept; any other goes through
-    ``_exact``, which rejects floats."""
-    if coordinates is None:
-        return None
+    """The points as tuples of Fractions. A point that already is one is
+    kept; any other goes through ``_exact``, which rejects floats. The file
+    decoder hands over a function that makes its checked points, which the
+    complex calls when its coordinates are first read."""
+    if coordinates is None or callable(coordinates):
+        return coordinates
     return {
         token: point
         if type(point) is tuple and _FRACTION.issuperset(map(type, point))
@@ -95,176 +101,193 @@ class CellComplex:
     """Immutable face-poset model of a finite polyhedral complex.
 
     Build one with :func:`from_simplices` or :func:`build_cw`, or take a
-    piece of one with :meth:`restrict`, which slices its parent's tables.
-    The constructor trusts its tables: it checks only the kind and
-    non-emptiness, stores the tables it is handed (dimensions, facets,
-    cofacets, vertex tuples, and coordinates the builders have made exact)
-    and builds only the rank, so the tables must come from one of those
-    builders, which own them.
-    The builders own the cell order too: ``order`` lists every cell once,
-    by dimension first, and :meth:`cells` returns it as given. ``facets``
-    and ``cofacets`` are rank-ordered tuples; :meth:`hyperfaces` and
-    :meth:`cofaces` build their sets from them. No per-cell set is stored.
+    piece of one with :meth:`restrict`. The constructor trusts its tables:
+    it checks only the kind and non-emptiness and stores the tables it is
+    handed, so they must come from one of those builders, which own them
+    and the cell order: every cell once, by dimension first.
+
+    Each table is indexed by a cell's rank, its place in that order.
+    ``_ids`` holds the cells' ids; ``_starts[d]`` is the rank of the first
+    d-cell, so a dimension's cells are one slice, and ``_starts[-1]`` is
+    the cell count; ``_down`` and ``_up`` hold each cell's facets by
+    descending rank and cofacets by ascending rank, as tuples of ranks;
+    and ``_tuples`` holds the simplices' vertex tuples. The id-to-rank
+    dict ``_rank`` is the one table keyed by id, and the facets and
+    cofacets share its int objects. The public methods take and give ids,
+    mapped at this edge; the package's own readers walk the ranks through
+    the accessors below the class. Coordinates, made exact by the builders
+    or checked by the file decoder, become Fractions when first read.
     """
 
-    def __init__(
-        self, kind, dims, facets, cofaces, order, verts=None, coordinates=None
-    ):
+    def __init__(self, kind, ids, starts, down, up, rank, verts=None, coordinates=None):
         if kind not in (SIMPLICIAL, CW):
             raise InvalidComplexError(f"unknown complex kind {kind!r}")
-        if not dims:
+        if not ids:
             raise InvalidComplexError("empty complex")
         self.kind = kind
-        self._dim = dims
-        self._facets = facets
-        self._cofaces = cofaces
-        self._verts = verts
-        self.coordinates = coordinates
-        self.dim = max(self._dim.values())
-        self._sorted_cells = order
-        self._rank = dict(zip(order, range(len(order))))
+        self._ids = ids
+        self._starts = starts
+        self._down = down
+        self._up = up
+        self._rank = rank
+        self._tuples = verts
+        self._points = coordinates
+        self.dim = len(starts) - 2
+
+    @property
+    def coordinates(self) -> dict[Token, tuple[Fraction, ...]] | None:
+        points = self._points
+        if callable(points):  # the file decoder's checked points, read now
+            points = self._points = points()
+        return points
 
     # -- queries ---------------------------------------------------------
 
     def __contains__(self, cid: str) -> bool:
-        return cid in self._dim
+        return cid in self._rank
 
     def __len__(self) -> int:
-        return len(self._dim)
+        return len(self._ids)
 
     def cells(self) -> tuple[str, ...]:
-        return self._sorted_cells
+        return self._ids
 
     def dim_of(self, cid: str) -> int:
-        return self._dim[cid]
+        return bisect_right(self._starts, self._rank[cid]) - 1
 
     def hyperfaces(self, cid: str) -> frozenset[str]:
-        return frozenset(self._facets[cid])
+        return frozenset(map(self._ids.__getitem__, self._down[self._rank[cid]]))
 
     def facets(self, cid: str) -> tuple[str, ...]:
         """Hyperfaces of ``cid`` by descending rank, as the builder stored
         them; for a simplex, the i-th omits the i-th of its ``vertices``."""
-        return self._facets[cid]
+        return tuple(map(self._ids.__getitem__, self._down[self._rank[cid]]))
 
     def cofacets(self, cid: str) -> tuple[str, ...]:
         """Cells having ``cid`` as a hyperface, by ascending rank, as the
         builder stored them."""
-        return self._cofaces[cid]
+        return tuple(map(self._ids.__getitem__, self._up[self._rank[cid]]))
 
     def cofaces(self, cid: str) -> frozenset[str]:
         """Cells having ``cid`` as a hyperface."""
-        return frozenset(self._cofaces[cid])
+        return frozenset(map(self._ids.__getitem__, self._up[self._rank[cid]]))
 
     def vertices(self, cid: str) -> tuple[Token, ...]:
-        if self._verts is None:
+        if self._tuples is None:
             raise InvalidComplexError("cw-kind cells carry no vertex tuples")
-        return self._verts[cid]
+        return self._tuples[self._rank[cid]]
 
     def vertex_tokens(self) -> tuple[Token, ...]:
-        zero_cells = (c for c in self._sorted_cells if self._dim[c] == 0)
-        if self._verts is not None:
-            return tuple(self._verts[c][0] for c in zero_cells)
-        return tuple(zero_cells)
+        if self._tuples is not None:
+            return tuple(v for v, in self._tuples[: self._starts[1]])
+        return self.cells_of_dim(0)
 
     def sort_key(self, cid: str) -> int:
         """An int rank; the order is fixed by the builder."""
         return self._rank[cid]
 
     def cells_of_dim(self, d: int) -> tuple[str, ...]:
-        return tuple(c for c in self._sorted_cells if self._dim[c] == d)
+        if not 0 <= d <= self.dim:
+            return ()
+        return self._ids[self._starts[d] : self._starts[d + 1]]
 
     def top_cells(self) -> tuple[str, ...]:
         return self.cells_of_dim(self.dim)
 
     def faces(self, cid: str) -> frozenset[str]:
         """All proper faces of ``cid`` (transitive closure of hyperfaces)."""
-        return _reach(self._facets, (cid,))
+        return self._named(_reach(self._down, (self._rank[cid],)))
 
     def cofaces_all(self, cid: str) -> frozenset[str]:
         """All proper cofaces of ``cid`` (cells strictly containing it)."""
-        return _reach(self._cofaces, (cid,))
+        return self._named(_reach(self._up, (self._rank[cid],)))
 
     def closure(self, ids: Iterable[str]) -> frozenset[str]:
         """``ids`` and all their faces; raises for the smallest unknown id."""
-        idset = set(ids)
-        _check_known(self, idset)
-        return _reach(self._facets, idset).union(idset)
+        ranks = _known_ranks(self, ids)
+        return self._named(_reach(self._down, ranks).union(ranks))
 
     def is_closed(self, ids: Iterable[str]) -> bool:
-        idset = set(ids)
-        _check_known(self, idset)
-        facets = self._facets
-        return all(idset.issuperset(facets[c]) for c in idset)
+        ranks = _known_ranks(self, ids)
+        down = self._down
+        return all(ranks.issuperset(down[r]) for r in ranks)
 
     def is_pure(self) -> bool:
         """Whether every cell is a face of a top cell: exactly when every
-        cell without cofaces is of dimension ``dim``."""
-        dim = self._dim
-        return all(dim[c] == self.dim for c, cofs in self._cofaces.items() if not cofs)
+        cell below the top dimension has a cofacet."""
+        return all(self._up[: self._starts[-2]])
 
     def restrict(self, ids: Iterable[str]) -> "CellComplex":
         """The subcomplex on ``ids``, which must be nonempty and closed. It
         lists its cells in this complex's order, so both rank them alike,
-        and slices this complex's tables: a closed piece keeps every cell's
-        facets, and its cofaces are this complex's cofaces that lie in the
-        piece, in the same order."""
-        idset = set(ids)
-        if not idset:
+        and renumbers this complex's tables: a closed piece keeps every
+        cell's facets, and its cofacets are this complex's cofacets that
+        lie in the piece, in the same order."""
+        ids = set(ids)
+        if not ids:
             raise InvalidSubcomplexError("cannot restrict to an empty cell set")
-        if not self.is_closed(idset):
+        if not self.is_closed(ids):
             raise InvalidSubcomplexError("cell set is not closed under hyperfaces")
-        order = tuple(sorted(idset, key=self._rank.__getitem__))
-        dims = {c: self._dim[c] for c in order}
-        facets = {c: self._facets[c] for c in order}
-        cofaces = {}
-        for c in order:
-            cofs = self._cofaces[c]
-            if not idset.issuperset(cofs):
-                cofs = tuple(x for x in cofs if x in idset)
-            cofaces[c] = cofs
-        verts = None
-        coords = None
-        if self._verts is not None:
-            verts = {c: self._verts[c] for c in order}
-            if self.coordinates is not None:
-                tokens = {verts[c][0] for c in order if dims[c] == 0}
-                coords = {t: self.coordinates[t] for t in tokens if t in self.coordinates}
-        return CellComplex(
-            self.kind, dims, facets, cofaces, order, verts=verts, coordinates=coords
-        )
+        old = sorted(map(self._rank.__getitem__, ids))
+        new = dict(zip(old, range(len(old))))  # the piece's ranks, by this one's
+        cut = [bisect_left(old, s) for s in self._starts]
+        while cut[-2] == cut[-1]:  # the piece's top dimension may be lower
+            del cut[-1]
+        at, keep = new.__getitem__, new.__contains__
+        down = [tuple(map(at, self._down[r])) for r in old]
+        up = [tuple(map(at, filter(keep, self._up[r]))) for r in old]
+        ids = tuple(map(self._ids.__getitem__, old))
+        verts = coords = None
+        if self._tuples is not None:
+            verts = list(map(self._tuples.__getitem__, old))
+            points = self.coordinates
+            if points is not None:
+                tokens = (v for v, in verts[: cut[1]])
+                coords = {t: points[t] for t in tokens if t in points}
+        rank = dict(zip(ids, new.values()))
+        return CellComplex(self.kind, ids, tuple(cut), down, up, rank, verts, coords)
+
+    def _named(self, ranks) -> frozenset[str]:
+        return frozenset(map(self._ids.__getitem__, ranks))
 
     def __repr__(self):
-        counts = {}
-        for d in self._dim.values():
-            counts[d] = counts.get(d, 0) + 1
-        f_vec = tuple(counts.get(d, 0) for d in range(self.dim + 1))
-        return f"CellComplex(kind={self.kind!r}, f={f_vec})"
+        f_vector = tuple(map(int.__sub__, self._starts[1:], self._starts))
+        return f"CellComplex(kind={self.kind!r}, f={f_vector})"
 
 
-def _reach(table, start) -> frozenset[str]:
-    """The cells reachable from the cells ``start`` by one or more steps of
-    ``table`` (facets or cofacets), in one walk; nothing is cached."""
-    out: set[str] = set()
+# The rank accessors, one per table: the package's readers walk a complex's
+# tables by rank through these, and only this module indexes them itself.
+_rank_of = attrgetter("_rank")  # id -> rank
+_facet_ranks = attrgetter("_down")  # rank -> facet ranks, descending
+_cofacet_ranks = attrgetter("_up")  # rank -> cofacet ranks, ascending
+_dim_starts = attrgetter("_starts")  # first rank of each dimension, then the count
+_vertex_tuples = attrgetter("_tuples")  # rank -> vertex tuple (simplicial only)
+
+
+def _reach(table, start) -> set[int]:
+    """The ranks reachable from the ranks ``start`` by one or more steps of
+    ``table`` (facet or cofacet ranks), in one walk; nothing is cached."""
+    out: set[int] = set()
     stack = [c for s in start for c in table[s]]
     while stack:
         c = stack.pop()
         if c not in out:
             out.add(c)
             stack.extend(table[c])
-    return frozenset(out)
+    return out
 
 
 def _maximal_simplices(complex: CellComplex) -> list[tuple[Token, ...]]:
     """The vertex tuples of the cells without cofacets, in the cell order."""
-    cofaces, vertices = complex._cofaces, complex.vertices
-    return [vertices(c) for c in complex._sorted_cells if not cofaces[c]]
+    return list(compress(complex._tuples, map(not_, complex._up)))
 
 
-def _check_known(complex: CellComplex, ids: set) -> None:
-    """Raise for the smallest of ``ids`` that names no cell of ``complex``."""
-    known = complex._dim.keys()
+def _known_ranks(complex: CellComplex, ids: Iterable[str]) -> set[int]:
+    """The ranks of ``ids``; raises for the smallest that names no cell."""
+    ids, known = set(ids), complex._rank.keys()
     if not known >= ids:
         raise InvalidSubcomplexError(f"unknown cell {min(ids - known, key=str)!r}")
+    return set(map(complex._rank.__getitem__, ids))
 
 
 def _check_simplices(vertex_sets) -> None:
@@ -333,50 +356,54 @@ def _simplicial(levels, tokens, coordinates=None) -> CellComplex:
     order writes each id once and fills every table: a simplex's i-th
     facet omits its i-th vertex, which is descending rank, and its id is
     its last facet's id, a dot and its last token. Only the last level's
-    place-tuple-to-id map is kept, and each level is dropped from
-    ``levels`` once written. The vertex tuples are kept in the cell order,
-    so when two of them write one id, the error names the first cell in
-    that order whose id an earlier cell holds, the earliest holder first;
-    the listing order of the input cannot change it."""
+    place-tuple-to-rank map is kept, and each level is dropped from
+    ``levels`` once written. Each rank is one int object, which the rank
+    dict and the facet and cofacet tuples share. The vertex tuples are
+    kept in the cell order, so when two of them write one id, the error
+    names the first cell in that order whose id an earlier cell holds,
+    the earliest holder first; the listing order of the input cannot
+    change it."""
     token = tokens.__getitem__
     text = list(map(str, tokens))
     plain = tokens == list(range(len(tokens)))  # each token is its own place
-    ids: dict[tuple[int, ...], str] = {}
-    dims: dict[str, int] = {}
-    tuples: list[tuple[Token, ...]] = []  # the vertex tuples, in the cell order
-    facets: dict[str, tuple[str, ...]] = {}
-    cofaces: dict[str, tuple[str, ...]] = {}
-    order: list[str] = []
-    below: dict[str, list[str]] = {}  # cofaces of the last dimension's cells, by rank
+    ids: list[str] = []
+    tuples: list[tuple[Token, ...]] = []  # the vertex tuples, by rank
+    down: list[tuple[int, ...]] = []
+    up: list = []  # cofacet lists, each made a tuple once its level is done
+    starts = [0]
+    rank: dict[str, int] = {}
+    at: dict[tuple[int, ...], int] = {}  # the last level's ranks, by place tuple
     for d in range(len(levels)):
         ts, levels[d] = levels[d], None
+        ranks = list(range(len(ids), len(ids) + len(ts)))
+        top = d == len(levels) - 1
         if d:
             # combinations lists the facets by ascending rank; the last one
             # drops the last vertex, so its id is a prefix of the cell's
-            fs = [tuple(map(ids.__getitem__, combinations(t, d)))[::-1] for t in ts]
-            cids = [f"{f[-1]}.{text[t[-1]]}" for f, t in zip(fs, ts)]
+            fs = [tuple(map(at.__getitem__, combinations(t, d)))[::-1] for t in ts]
+            cids = [f"{ids[f[-1]]}.{text[t[-1]]}" for f, t in zip(fs, ts)]
+            for c, f in zip(ranks, fs):
+                for x in f:
+                    up[x].append(c)
+            up[starts[-2] :] = map(tuple, up[starts[-2] :])  # the level below is done
         else:
             fs = [()] * len(ts)
             cids = [text[i] for i, in ts]
+        ids += cids
+        down += fs
+        up += [()] * len(ts) if top else [[] for _ in ts]
         tuples += ts if plain else [tuple(map(token, t)) for t in ts]
-        ids = dict(zip(ts, cids))
-        dims.update(dict.fromkeys(cids, d))
-        order += cids
-        facets.update(zip(cids, fs))
-        for c, cf in zip(cids, fs):
-            for f in cf:
-                below[f].append(c)
-        cofaces.update(zip(below, map(tuple, below.values())))
-        below = {c: [] for c in cids}
-    cofaces.update(dict.fromkeys(below, ()))
-    verts = dict(zip(order, tuples))
-    if len(verts) < len(order):  # two vertex tuples wrote one id
-        first = dict(zip(order[::-1], tuples[::-1]))  # each id's earliest tuple
-        c, v = next((c, v) for c, v in zip(order, tuples) if first[c] != v)
+        rank.update(zip(cids, ranks))
+        if not top:
+            at = dict(zip(ts, ranks))
+        starts.append(len(ids))
+    if len(rank) < len(ids):  # two vertex tuples wrote one id
+        first = dict(zip(ids[::-1], tuples[::-1]))  # each id's earliest tuple
+        c, v = next((c, v) for c, v in zip(ids, tuples) if first[c] != v)
         raise InvalidComplexError(f"vertex sets {first[c]} and {v} share the cell id {c!r}")
     return CellComplex(
-        SIMPLICIAL, dims, facets, cofaces, tuple(order), verts,
-        _coerce_coordinates(coordinates),
+        SIMPLICIAL, tuple(ids), tuple(starts), down, up, rank,
+        tuples, _coerce_coordinates(coordinates),
     )
 
 
@@ -394,31 +421,32 @@ def _order_complex(complex: CellComplex) -> tuple[CellComplex, list[str]]:
     the ones :func:`from_simplices` builds from the maximal flags. Two
     chains whose "b"+id tokens write one id (vertex "b"+"a.bb" and the
     chain of "a" and "b") fail as they do there, named in the cell order."""
-    cells = sorted(complex._dim)
-    at = dict(zip(cells, range(len(cells))))
-    facets = complex._facets
-    faces: dict[str, tuple[str, ...]] = {}
-    topped: dict[str, list[tuple[int, ...]]] = {}
+    ids, down = complex._ids, complex._down
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    at = sorted(range(len(ids)), key=by_id.__getitem__)  # each rank's place in by_id
+    faces: list[tuple[int, ...]] = []
+    topped: list[list[tuple[int, ...]]] = []
     # the chains of each length, and the top of each
     chains_of: list[list[tuple[int, ...]]] = [[] for _ in range(complex.dim + 1)]
-    tops_of: list[list[str]] = [[] for _ in range(complex.dim + 1)]
-    for c in complex._sorted_cells:
-        fs = facets[c]
-        below = faces[c] = tuple(set(fs).union(*map(faces.__getitem__, fs)))
-        p = (at[c],)
-        chains = topped[c] = [p]
+    tops_of: list[list[int]] = [[] for _ in range(complex.dim + 1)]
+    for r, fs in enumerate(down):
+        below = tuple(set(fs).union(*map(faces.__getitem__, fs)))
+        faces.append(below)
+        p = (at[r],)
+        chains = [p]
         chains += [tuple(sorted(ch + p)) for f in below for ch in topped[f]]
+        topped.append(chains)
         for ch in chains:
             chains_of[len(ch) - 1].append(ch)
-            tops_of[len(ch) - 1].append(c)
+            tops_of[len(ch) - 1].append(r)
     del faces, topped
     levels: list = []
     carriers: list[str] = []
     for level in map(sorted, map(zip, chains_of, tops_of)):  # no two chains are equal
         levels.append([ch for ch, _ in level])
-        carriers += [c for _, c in level]
+        carriers += [ids[c] for _, c in level]
     del chains_of, tops_of, level
-    tokens = ["b" + c for c in cells]
+    tokens = ["b" + ids[r] for r in by_id]
     subdivided = _simplicial(levels, tokens)
     return subdivided, carriers
 
@@ -467,11 +495,14 @@ def build_cw(cell_records, coordinates=None) -> CellComplex:
                 f"1-cell {c} must have exactly 2 hyperfaces (regularity)"
             )
     order = tuple(sorted(dims, key=lambda c: (dims[c], c)))
-    facets = {c: tuple(sorted(listed[c], reverse=True)) for c in order}
-    cofs = {c: tuple(sorted(cofaces[c])) for c in order}
-    return CellComplex(
-        CW, dims, facets, cofs, order, coordinates=_coerce_coordinates(coordinates)
-    )
+    rank = dict(zip(order, range(len(order))))
+    at = rank.__getitem__
+    counts = Counter(dims.values())
+    starts = tuple(accumulate(map(counts.__getitem__, range(max(counts) + 1)), initial=0))
+    down = [tuple(sorted(map(at, listed[c]), reverse=True)) for c in order]
+    up = [tuple(sorted(map(at, cofaces[c]))) for c in order]
+    coords = _coerce_coordinates(coordinates)
+    return CellComplex(CW, order, starts, down, up, rank, coordinates=coords)
 
 
 class SubcomplexPair:
@@ -484,7 +515,7 @@ class SubcomplexPair:
     The constructor checks that every cell of ``sub`` is in the complex
     and, unless ``close`` asks for the closure, that ``sub`` is closed:
     every sub cell's hyperfaces lie in ``sub``. It then lists the rel
-    cells in one pass over the cell order.
+    cells by rank and splits them by dimension, one slice each.
 
     A pair is immutable. The constructor stores ``sub``;
     :func:`complement_of_dual_loop` builds its pair from the rel side
@@ -499,25 +530,28 @@ class SubcomplexPair:
         subset = frozenset(sub)
         if close:
             subset = complex.closure(subset)
-        else:
-            _check_known(complex, subset)
-            facets = complex._facets
-            if not all(subset.issuperset(facets[c]) for c in subset):
-                _raise_not_closed(f for c in subset for f in facets[c] if f not in subset)
-        self._set_rel([c for c in complex.cells() if c not in subset])
+        ranks = _known_ranks(complex, subset)
+        down = complex._down
+        if not close and not all(ranks.issuperset(down[r]) for r in ranks):
+            ids = complex._ids
+            _raise_not_closed(ids[f] for r in ranks for f in down[r] if f not in ranks)
+        self._set_rel(list(filterfalse(ranks.__contains__, range(len(complex)))))
         self.sub = subset
 
     @cached_property
     def sub(self) -> frozenset[str]:
         """The subcomplex: every cell not in ``rel_cells``."""
-        return frozenset(self.complex._dim.keys() - self.rel_cells)
+        return frozenset(self.complex._rank.keys() - self.rel_cells)
 
-    def _set_rel(self, rel: list[str]) -> None:
-        """Store the rel cells, given in the cell order, split by parity."""
-        dim = self.complex._dim
-        self.rel_cells = tuple(rel)
-        self.rel_even = tuple(c for c in rel if dim[c] % 2 == 0)
-        self.rel_odd = tuple(c for c in rel if dim[c] % 2 == 1)
+    def _set_rel(self, rel: list[int]) -> None:
+        """Store the rel cells, given as ascending ranks, and split them by
+        parity; ``_cut[d]`` is the place of the first rel cell of dimension
+        d or more, so each dimension's rel cells are one slice."""
+        cells = self.rel_cells = tuple(map(self.complex._ids.__getitem__, rel))
+        cut = self._cut = [bisect_left(rel, s) for s in self.complex._starts]
+        parts = [cells[a:b] for a, b in zip(cut, cut[1:])]
+        self.rel_even = tuple(chain.from_iterable(parts[0::2]))
+        self.rel_odd = tuple(chain.from_iterable(parts[1::2]))
 
     def __repr__(self):
         return (
@@ -537,7 +571,7 @@ def _raise_not_closed(missing: Iterable[str]):
 
 def euler_characteristic(pair: SubcomplexPair) -> int:
     """Alternating cell count of the cells outside the subcomplex."""
-    return sum((-1) ** pair.complex.dim_of(c) for c in pair.rel_cells)
+    return len(pair.rel_even) - len(pair.rel_odd)
 
 
 @dataclass(frozen=True)
@@ -566,23 +600,23 @@ class DualLoop:
         return self.cells[1::2]
 
     def validate(self, complex: CellComplex) -> None:
-        cells, dims, cofaces = self.cells, complex._dim, complex._cofaces
+        cells = self.cells
         if len(set(cells)) < len(cells):
             repeats = [c for c, count in Counter(cells).items() if count > 1]
             raise InvalidLoopError(f"not simple: repeated cell {min(repeats)}")
         for cid in cells:
-            if cid not in dims:
+            if cid not in complex:
                 raise InvalidLoopError(f"unknown cell {cid!r}")
         n = complex.dim
         tops = cells[0::2]
         for c in tops:
-            if dims[c] != n:
+            if complex.dim_of(c) != n:
                 raise InvalidLoopError(f"{c} is not a top-dimensional cell")
         k = len(tops)
         for i, f in enumerate(cells[1::2]):
-            if dims[f] != n - 1:
+            if complex.dim_of(f) != n - 1:
                 raise InvalidLoopError(f"{f} is not a codimension-1 cell")
-            cofs = cofaces[f]
+            cofs = complex.cofacets(f)
             a, b = tops[i], tops[(i + 1) % k]
             if cofs != (a, b) and cofs != (b, a):
                 raise InvalidLoopError(
@@ -612,7 +646,7 @@ def _part_pair(complex: CellComplex, rel, sub=None) -> SubcomplexPair:
     the piece (see :class:`cellmatch.homology.ChainComplex`)."""
     pair = SubcomplexPair.__new__(SubcomplexPair)
     pair.complex = complex
-    pair._set_rel(sorted(rel, key=complex._rank.__getitem__))
+    pair._set_rel(sorted(map(complex._rank.__getitem__, rel)))
     if sub is not None:
         pair.sub = frozenset(sub)
     return pair
@@ -646,12 +680,14 @@ def dual_graph(complex: CellComplex) -> DualGraph:
             "complex is not pure: some cell is not a face of a top-dimensional cell"
         )
     n = complex.dim
+    ids, up, starts = complex._ids, complex._up, complex._starts
     nodes = complex.cells_of_dim(n)
     edges: dict[str, tuple[str, str]] = {}
     boundary = set()
     non_manifold = set()
-    for f in complex.cells_of_dim(n - 1) if n >= 1 else ():
-        cofs = sorted(complex.cofacets(f))
+    for r in range(starts[n - 1], starts[n]) if n >= 1 else ():
+        f = ids[r]
+        cofs = sorted(map(ids.__getitem__, up[r]))
         if len(cofs) == 1:
             boundary.add(f)
         elif len(cofs) == 2:
@@ -727,8 +763,10 @@ def star_cycle(complex: CellComplex, tau: str) -> DualLoop:
         raise PreconditionError(
             f"{tau} has dimension {complex.dim_of(tau)}; expected {n - 2}"
         )
-    mids = {c: complex.cofacets(c) for c in complex.cofacets(tau)}
-    tops = sorted(set(chain.from_iterable(mids.values())), key=complex.sort_key)
+    ids, up = complex._ids, complex._up
+    around = up[complex._rank[tau]]
+    mids = {ids[c]: tuple(map(ids.__getitem__, up[c])) for c in around}
+    tops = list(map(ids.__getitem__, sorted(set().union(*map(up.__getitem__, around)))))
     loop = _alternating_cycle(tops, mids)
     if loop is None:
         raise PreconditionError(f"link of {tau} is not a single cycle")

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import SIMPLICIAL, CellComplex, SubcomplexPair, Token, euler_characteristic
+from .complexes import _cofacet_ranks, _dim_starts, _facet_ranks, _rank_of, _vertex_tuples
 from .errors import InvalidComplexError, NotTransverseError, PreconditionError
 from .matching import Matching, _checked
 
@@ -158,10 +159,10 @@ class GeometricComplex:
         # Against (0, N_0), entry by entry, column j gives D_j * D_0 and
         # then N_j * D_0 - N_0 * D_j.
         zeroed = {t: (c[0], (0, *c[1:])) for t, c in columns.items()}
+        ids, starts, down = complex.cells(), _dim_starts(complex), _facet_ranks(complex)
         by_key: dict[tuple, tuple] = {}
-        self._eliminated: dict[str, tuple] = {}
-        for top in complex.top_cells():
-            verts = complex.vertices(top)
+        self._eliminated: dict[int, tuple] = {}  # by top rank
+        for top, verts in enumerate(_vertex_tuples(complex)[starts[self.n] :], starts[self.n]):
             d0, z0 = zeroed[verts[0]]
             key = tuple([
                 a * d0 - b * c[0] for c in map(column, verts[1:]) for a, b in zip(c, z0)
@@ -170,21 +171,21 @@ class GeometricComplex:
             if solve is None:
                 solve = _eliminate([*map(column, verts), *track], len(verts))
                 if solve is None:
-                    raise InvalidComplexError(f"degenerate top simplex {top}")
+                    raise InvalidComplexError(f"degenerate top simplex {ids[top]}")
                 by_key[key] = solve
             self._eliminated[top] = solve
         # Each boundary facet, one with a single top coface, with that top
-        # and its position among the top's facets.
-        self._boundary: dict[str, tuple[str, int]] = {}
-        if self.n >= 1:
-            for f in complex.cells_of_dim(self.n - 1):
-                tops = complex.cofacets(f)
-                if len(tops) > 2:
-                    raise InvalidComplexError(
-                        f"codimension-1 simplex {f} bounds more than two top simplices"
-                    )
-                if len(tops) == 1:
-                    self._boundary[f] = (tops[0], complex.facets(tops[0]).index(f))
+        # and its position among the top's facets, all by rank.
+        self._boundary: dict[int, tuple[int, int]] = {}
+        up = _cofacet_ranks(complex)
+        for f in range(starts[self.n - 1], starts[self.n]) if self.n >= 1 else ():
+            tops = up[f]
+            if len(tops) > 2:
+                raise InvalidComplexError(
+                    f"codimension-1 simplex {ids[f]} bounds more than two top simplices"
+                )
+            if len(tops) == 1:
+                self._boundary[f] = (tops[0], down[tops[0]].index(f))
 
     def point(self, token: Token) -> tuple[Fraction, ...]:
         return self.coordinates[token]
@@ -232,8 +233,9 @@ def _sign_split(geom: GeometricComplex, field_vec):
         )
     u = _homogeneous(v)[1:]
     complex = geom.complex
+    ids, down = complex.cells(), _facet_ranks(complex)
     memo: dict[int, tuple[int, int, int]] = {}
-    signs: dict[str, tuple[int, int, int]] = {}
+    signs: dict[int, tuple[int, int, int]] = {}  # by top rank
     degenerate = set()
     for top, solve in geom._eliminated.items():
         masks = memo.get(id(solve))
@@ -241,7 +243,7 @@ def _sign_split(geom: GeometricComplex, field_vec):
             d, pivots, residuals = solve
             if any(sum(map(operator.mul, ops, u)) for ops in residuals):
                 raise NotTransverseError(
-                    f"field is not tangent to top simplex {top}", simplices=(top,)
+                    f"field is not tangent to top simplex {ids[top]}", simplices=(ids[top],)
                 )
             rise = fall = zero = 0
             for i, ops in enumerate(pivots):
@@ -254,9 +256,7 @@ def _sign_split(geom: GeometricComplex, field_vec):
                     zero |= 1 << i
             masks = memo[id(solve)] = (rise, fall, zero)
         if masks[2]:
-            degenerate.update(
-                f for i, f in enumerate(complex.facets(top)) if masks[2] >> i & 1
-            )
+            degenerate.update(ids[f] for i, f in enumerate(down[top]) if masks[2] >> i & 1)
         signs[top] = masks
     if degenerate:
         raise NotTransverseError(
@@ -267,7 +267,7 @@ def _sign_split(geom: GeometricComplex, field_vec):
     exiting = set()
     entering = set()
     for facet, (top, i) in geom._boundary.items():
-        (exiting if signs[top][1] >> i & 1 else entering).add(facet)
+        (exiting if signs[top][1] >> i & 1 else entering).add(ids[facet])
     split = BoundarySplit(
         frozenset(exiting),
         frozenset(entering),
@@ -309,9 +309,9 @@ def _claim_error(cells, split, claims) -> PreconditionError:
     upstream, not claimed by exactly one top simplex. ``claims`` holds,
     per direction, the first claimant of each cell and the count of each
     cell claimed more than once."""
-    for c in cells:
+    for r, c in enumerate(cells):
         for skip, (first, extra) in zip((split.exiting, split.entering), claims):
-            if c not in skip and (count := extra.get(c, int(c in first))) != 1:
+            if c not in skip and (count := extra.get(r, int(r in first))) != 1:
                 return PreconditionError(
                     f"degenerate configuration at {c}: {count} candidate top simplices"
                 )
@@ -321,15 +321,16 @@ def _claim_error(cells, split, claims) -> PreconditionError:
 def _claims(geom: GeometricComplex, signs, side: int, skip):
     """One time direction's claim pass: each top simplex claims every face
     holding all its ``side`` vertices (1: falling, downstream; 0: rising,
-    upstream). Returns the first claimant of each face, the count of each
-    face claimed more than once, and per top the faces it claims less
-    ``skip`` and the face of its ``side`` vertices. Faces are read by
+    upstream). Returns, by rank, the first claimant of each face and the
+    count of each face claimed more than once; and per top the faces it
+    claims less ``skip``, by id, and the rank of the face of its ``side``
+    vertices. Faces are read by
     vertex-position mask (bit i for the i-th vertex) from the full mask
     down: a mask's face is a facet of its parent, the face with the mask's
     lowest unset bit added, and the i-th facet omits the i-th vertex. A
     parent holds every bit its mask holds, so the faces holding a vertex
     set are filled from their own chain of steps."""
-    facets = geom.complex.facets
+    ids, down = geom.complex.cells(), _facet_ranks(geom.complex)
     full = (1 << (geom.n + 1)) - 1
     steps = []
     for mask in range(full - 1, 0, -1):
@@ -337,23 +338,23 @@ def _claims(geom: GeometricComplex, signs, side: int, skip):
         steps.append((mask, mask | low, (mask & (low - 1)).bit_count()))
     chains = {m: [s for s in steps if s[0] & m == m] for m in range(1, full)}
     above = {m: [full, *(s[0] for s in chain)] for m, chain in chains.items()}
-    face: list[str | None] = [None] * (full + 1)
-    first: dict[str, str] = {}
-    extra: dict[str, int] = {}
+    face = [0] * (full + 1)
+    first: dict[int, int] = {}
+    extra: dict[int, int] = {}
     kept: dict[str, frozenset[str]] = {}
-    cores: dict[str, str] = {}
+    cores: dict[int, int] = {}
     for t, masks in signs.items():
         core = masks[side]
         if not core or core == full:
-            raise AssertionError(f"{t} lacks a rising or a falling vertex")
+            raise AssertionError(f"{ids[t]} lacks a rising or a falling vertex")
         face[full] = t
         for mask, parent, i in chains[core]:
-            face[mask] = facets(face[parent])[i]
+            face[mask] = down[face[parent]][i]
         owned = list(map(face.__getitem__, above[core]))
         for c in owned:
-            if first.setdefault(c, t) is not t:
+            if first.setdefault(c, t) != t:
                 extra[c] = extra.get(c, 1) + 1
-        kept[t] = frozenset(owned) - skip
+        kept[ids[t]] = frozenset(map(ids.__getitem__, owned)) - skip
         cores[t] = face[core]
     return first, extra, kept, cores
 
@@ -381,19 +382,21 @@ def flow_structure(
     maps = []
     for (first, extra, _, _), skip in zip(claims, skips):
         try:
-            if skip.issuperset(extra):
-                maps.append({c: first[c] for c in cells if c not in skip})
+            if skip.issuperset(map(cells.__getitem__, extra)):
+                maps.append({c: cells[first[r]] for r, c in enumerate(cells) if c not in skip})
                 continue
         except KeyError:
             pass
         raise _claim_error(cells, split, [claim[:2] for claim in claims])
-    (_, _, stable, _), (_, _, unstable, unstable_core) = claims
+    (_, _, stable, _), (_, _, unstable, cores) = claims
 
     rng = random.Random(seed) if base_rule == "random" else None
+    verts = _vertex_tuples(complex)
     base_vertex: dict[str, Token] = {}
-    for t, core in unstable_core.items():
-        choices = complex.vertices(core)  # ascending token order
-        base_vertex[t] = choices[0] if rng is None else rng.choice(choices)
+    for t, core in cores.items():
+        choices = verts[core]  # ascending token order
+        base_vertex[cells[t]] = choices[0] if rng is None else rng.choice(choices)
+    unstable_core = {cells[t]: cells[core] for t, core in cores.items()}
 
     return FlowStructure(
         geometry=geom,
@@ -439,14 +442,15 @@ def flow_matching(fs: FlowStructure) -> Matching:
     exiting = fs.split.exiting
     pair = SubcomplexPair(complex, exiting)
     base_vertex, core = fs.base_vertex, fs.unstable_core
-    vertices, facets = complex.vertices, complex.facets
+    ids, rank, down = complex.cells(), _rank_of(complex), _facet_ranks(complex)
+    vertices = _vertex_tuples(complex)
     mate: dict[str, str] = {}
     for c, top in fs.downstream.items():
         base = base_vertex[top]
-        verts = vertices(c)
+        verts = vertices[r := rank[c]]
         if base in verts and len(verts) > 1:
-            partner = mate[c] = facets(c)[verts.index(base)]
-            if partner in exiting and base in vertices(core[top]):
+            partner = mate[c] = ids[down[r][verts.index(base)]]
+            if partner in exiting and base in vertices[rank[core[top]]]:
                 raise _exit_error(pair, c, partner, top)
     return _checked(pair, mate.items(), "flow matching failed validation")
 

@@ -33,6 +33,7 @@ from itertools import chain
 
 from . import linalg
 from .complexes import CW, SIMPLICIAL, CellComplex, SubcomplexPair
+from .complexes import _facet_ranks, _rank_of
 from .errors import HomologyNonzeroError, PreconditionError
 from .matching import Matching, _checked, _hopcroft_karp, _positions
 
@@ -65,12 +66,12 @@ class ChainComplex:
             raise PreconditionError(
                 "rational coefficients on a cw-kind complex require incidence signs"
             )
-        bases: dict[int, list[str]] = {d: [] for d in range(complex.dim + 1)}
-        for c in pair.rel_cells:
-            bases[complex.dim_of(c)].append(c)
-        rel_dims = (d for d, cells in bases.items() if cells)
-        self._top = max(chain(rel_dims, map(complex.dim_of, pair.sub)), default=-1)
-        self._bases = {d: tuple(bases[d]) for d in range(self._top + 1)}
+        # the cell of highest rank, rel or base, has the top dimension
+        rank = _rank_of(complex).__getitem__
+        last = max(chain(pair.rel_cells[-1:], pair.sub), key=rank, default=None)
+        self._top = -1 if last is None else complex.dim_of(last)
+        rel, cut = pair.rel_cells, pair._cut
+        self._bases = {d: rel[cut[d] : cut[d + 1]] for d in range(self._top + 1)}
         self._columns = {d: self._boundary_columns(d, signs) for d in self._bases}
         self._lows: dict[int, dict[int, int]] | None = None
         if complex.kind == CW:
@@ -78,14 +79,16 @@ class ChainComplex:
 
     def _boundary_columns(self, d: int, signs) -> list:
         complex = self.pair.complex
-        row_index = {c: i for i, c in enumerate(self._bases.get(d - 1, ()))}
+        rank, down, ids = _rank_of(complex), _facet_ranks(complex), complex.cells()
+        rows = self._bases.get(d - 1, ())
+        row_index = dict(zip(map(rank.__getitem__, rows), range(len(rows))))
         f2 = self.field_name == "f2"
         simplicial = complex.kind == SIMPLICIAL
         columns = []
         for cid in self._bases[d]:
             entries = {}
-            for position, fid in enumerate(complex.facets(cid)):
-                i = row_index.get(fid)
+            for position, f in enumerate(down[rank[cid]]):
+                i = row_index.get(f)
                 if i is None:
                     continue  # face lies in the subcomplex
                 if f2:
@@ -93,6 +96,7 @@ class ChainComplex:
                 elif simplicial:
                     entries[i] = -1 if position & 1 else 1
                 else:
+                    fid = ids[f]
                     value = signs.get((cid, fid))
                     if value not in (1, -1):
                         raise PreconditionError(

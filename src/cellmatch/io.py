@@ -20,6 +20,7 @@ from .complexes import (
     SIMPLICIAL,
     CellComplex,
     DualLoop,
+    _facet_ranks,
     _maximal_simplices,
     _token_key,
     build_cw,
@@ -81,13 +82,15 @@ def _is_list_of(value, types) -> bool:
 
 
 def _decode_coordinates(points, tokens):
-    """Coordinates keyed by vertex token. A key names the complex's own
-    token written as that text; a key that names no token is an int when
-    it is ASCII digits after an optional minus sign, else the text.
+    """A function that gives the coordinates keyed by vertex token, which
+    the complex calls when they are first read. A key names the complex's
+    own token written as that text; a key that names no token is an int
+    when it is ASCII digits after an optional minus sign, else the text.
 
-    A value in the encoder's "p/q" form is read as its two ints, and each
-    distinct text is read once; any other value takes ``_parse_fraction``,
-    so the values accepted and the errors raised are Fraction's own."""
+    Every value is checked here, in file order: a text in the encoder's
+    "p/q" form by its pattern, any other value by ``_parse_fraction``, so
+    the values accepted and the errors raised are Fraction's own. The
+    function reads a "p/q" text as its two ints, each distinct text once."""
     by_text = {str(t): t for t in tokens}
     texts: dict[str, Fraction] = {}
 
@@ -102,11 +105,14 @@ def _decode_coordinates(points, tokens):
 
     out = {}
     for key, point in points.items():
+        for value in point:
+            if type(value) is not str or not _RATIO.fullmatch(value):
+                _parse_fraction(value)
         token = by_text.get(key)
         if token is None:
             token = int(key) if re.fullmatch(r"-?[0-9]+", key) else key
-        out[token] = tuple(map(read, point))
-    return out
+        out[token] = point
+    return lambda: {token: tuple(map(read, point)) for token, point in out.items()}
 
 
 # -- writing ------------------------------------------------------------------
@@ -244,13 +250,10 @@ def encode_complex(complex: CellComplex) -> dict:
         except TypeError:  # an int and a str token met; ints go first
             obj["simplices"] = sorted(maximal, key=lambda s: list(map(_token_key, s)))
     else:
+        ids = complex.cells()
         obj["cells"] = [
-            {
-                "id": c,
-                "dim": complex.dim_of(c),
-                "faces": sorted(complex.facets(c)),
-            }
-            for c in sorted(complex.cells())
+            {"id": c, "dim": complex.dim_of(c), "faces": sorted(map(ids.__getitem__, fs))}
+            for c, fs in sorted(zip(ids, _facet_ranks(complex)))
         ]
     if complex.coordinates is not None:
         obj["coordinates"] = {

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 
 from .complexes import CellComplex, DualLoop, SubcomplexPair, complement_of_dual_loop
+from .complexes import _cofacet_ranks, _facet_ranks, _rank_of
 from .errors import BruteForceBoundError, InvalidMatchingError
 
 _UNREACHED = -1
@@ -119,8 +120,9 @@ class HallCertificate:
         own = (c in complex and c not in sub and complex.dim_of(c) % 2 == odd for c in self.cells)
         if not all(own):
             return False
-        recomputed = {x for c in self.cells for x in chain(complex.facets(c), complex.cofacets(c))}
-        recomputed -= sub
+        rank, down, up = _rank_of(complex), _facet_ranks(complex), _cofacet_ranks(complex)
+        near = {x for r in map(rank.__getitem__, self.cells) for x in chain(down[r], up[r])}
+        recomputed = set(map(complex.cells().__getitem__, near)) - sub
         return (
             recomputed == self.neighborhood
             and self.deficiency == len(self.cells) - len(recomputed)
@@ -148,11 +150,11 @@ def _positions(complex: CellComplex, left, right) -> list[list[int]]:
     """For each cell of ``left``, the positions in ``right`` of its
     neighbours that lie in ``right``, in the cell order: its facets, read
     backwards, all rank below its cofacets."""
-    place = {c: i for i, c in enumerate(right)}.get
-    facets, cofacets = complex.facets, complex.cofacets
+    rank, down, up = _rank_of(complex), _facet_ranks(complex), _cofacet_ranks(complex)
+    place = dict(zip(map(rank.__getitem__, right), range(len(right)))).get
     return [
-        [j for x in chain(reversed(facets(c)), cofacets(c)) if (j := place(x)) is not None]
-        for c in left
+        [j for x in chain(reversed(down[r]), up[r]) if (j := place(x)) is not None]
+        for r in map(rank.__getitem__, left)
     ]
 
 
@@ -312,8 +314,9 @@ def _covers(pair: SubcomplexPair, matching: Matching) -> bool:
         return False
     if not all(map(mate.__contains__, rel)):
         return False
-    facets = pair.complex.facets
-    return all(a in facets(b) or b in facets(a) for a, b in matching.pairs)
+    rank, down = _rank_of(pair.complex), _facet_ranks(pair.complex)
+    ranked = ((rank[a], rank[b]) for a, b in matching.pairs)
+    return all(a in down[b] or b in down[a] for a, b in ranked)
 
 
 def _checked(pair: SubcomplexPair, pairs, what: str) -> Matching:
@@ -477,9 +480,11 @@ def compose_matchings(parts, relative_to=()) -> Matching:
 
 def _lower_upper_pairs(pair: SubcomplexPair, matching: Matching):
     """The pairs of a matching that covers ``pair`` as (lower, upper), in
-    the cell order of their lower cells."""
-    dim, mate = pair.complex.dim_of, matching._mate
-    return [(c, mate[c]) for c in pair.rel_cells if dim(mate[c]) > dim(c)]
+    the cell order of their lower cells. The two cells of a pair differ by
+    one dimension, and the cell order is by dimension first, so the upper
+    cell is the one of higher rank."""
+    rank, mate = _rank_of(pair.complex), matching._mate
+    return [(c, m) for c in pair.rel_cells if rank[m := mate[c]] > rank[c]]
 
 
 def orbit_analysis(pair: SubcomplexPair, matching: Matching) -> OrbitReport:
@@ -503,16 +508,16 @@ def orbit_analysis(pair: SubcomplexPair, matching: Matching) -> OrbitReport:
     if not _covers(pair, matching):
         raise InvalidMatchingError("; ".join(validate_matching(pair, matching).violations[:5]))
     complex = pair.complex
+    rank, down = _rank_of(complex), _facet_ranks(complex)
     pairs = _lower_upper_pairs(pair, matching)
-    index = {lower: i for i, (lower, _) in enumerate(pairs)}
-    succ: list[list[int]] = []
-    for lower, upper in pairs:
-        nxt = []
-        for f in reversed(complex.facets(upper)):
-            j = index.get(f)
-            if j is not None and f != lower:
-                nxt.append(j)
-        succ.append(nxt)
+    ranked = [(rank[lower], rank[upper]) for lower, upper in pairs]
+    index = [-1] * len(complex)  # each lower cell's pair, by rank
+    for i, (lower, _) in enumerate(ranked):
+        index[lower] = i
+    succ = [
+        [j for f in reversed(down[upper]) if f != lower and (j := index[f]) >= 0]
+        for lower, upper in ranked
+    ]
 
     cycle = _find_cycle(succ)
     if cycle is not None:
@@ -522,8 +527,8 @@ def orbit_analysis(pair: SubcomplexPair, matching: Matching) -> OrbitReport:
             orbit.extend((lower, upper))
         return OrbitReport("cyclic", orbit=tuple(orbit))
 
-    order = _collapse_order(complex, pairs)
-    return OrbitReport("acyclic", collapse_order=tuple(order))
+    order = _collapse_order(complex, ranked)
+    return OrbitReport("acyclic", collapse_order=tuple(map(pairs.__getitem__, order)))
 
 
 def _find_cycle(succ: list[list[int]]) -> list[int] | None:
@@ -554,7 +559,8 @@ def _find_cycle(succ: list[list[int]]) -> list[int] | None:
 
 def _collapse_order(complex: CellComplex, pairs):
     """Free-face collapse order of an acyclic matching, replayed on facet
-    counters (Forman's correspondence of acyclic matchings and collapses).
+    counters (Forman's correspondence of acyclic matchings and collapses):
+    the indices of ``pairs``, its (lower, upper) ranks, in that order.
 
     The cells left, the base and the pairs not yet removed, always form a
     closed complex, and every proper coface of a cell contains one of its
@@ -573,18 +579,20 @@ def _collapse_order(complex: CellComplex, pairs):
     O(sum |facets| + n log n) over the n matched pairs.
     """
     cells = list(chain.from_iterable(pairs))
-    slot = dict(zip(cells, range(len(cells))))
-    facets = complex.facets
-    live = [len(complex.cofacets(c)) for c in cells]
+    slot = [-1] * len(complex)  # each matched cell's slot, by rank
+    for s, c in enumerate(cells):
+        slot[c] = s
+    down, up = _facet_ranks(complex), _cofacet_ranks(complex)
+    live = [len(up[c]) for c in cells]
     free = [i for i in range(len(pairs)) if live[2 * i] == 1 and not live[2 * i + 1]]
     order = []
     while free:  # ascending: a heap
         i = heapq.heappop(free)
-        order.append(pairs[i])
+        order.append(i)
         for cell in pairs[i]:
-            for f in facets(cell):
-                s = slot.get(f)
-                if s is not None:
+            for f in down[cell]:
+                s = slot[f]
+                if s >= 0:
                     live[s] -= 1
                     j = s & ~1
                     if live[j] == 1 and not live[j + 1]:

@@ -37,10 +37,12 @@ of one source shape may differ.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 from .complexes import CellComplex, SubcomplexPair, _order_complex, _part_pair
+from .complexes import _dim_starts, _facet_ranks, _rank_of, _reach
 from .errors import InvalidMatchingError, InvalidSubdivisionError
 from .homology import _acyclic_pairs
 from .matching import Matching, _checked, _covers, _lower_upper_pairs, validate_matching
@@ -74,37 +76,42 @@ class SubdivisionMap:
         cells have its interior Euler count; mark the map as validated.
         A fault is named in the subdivided cell order, and an unknown key of
         the carrier dict by the smallest one, so the error does not depend
-        on the dict's order."""
-        source, sub = self.source, self.subdivided
-        for c in sub.cells():
-            if c not in self.carrier:
+        on the dict's order. The checks walk both complexes by rank."""
+        source, sub, carrier = self.source, self.subdivided, self.carrier
+        cells = sub.cells()
+        for c in cells:
+            if c not in carrier:
                 raise InvalidSubdivisionError(f"no carrier recorded for {c}")
-        if len(self.carrier) > len(sub):
-            unknown = min((c for c in self.carrier if c not in sub), key=str)
+        if len(carrier) > len(sub):
+            unknown = min((c for c in carrier if c not in sub), key=str)
             raise InvalidSubdivisionError(f"carrier names unknown cell {unknown}")
-        for c in sub.cells():
-            s = self.carrier[c]
+        for c in cells:
+            s = carrier[c]
             if s not in source:
                 raise InvalidSubdivisionError(f"carrier of {c} names unknown cell {s}")
+        # each subdivided cell's carrier, as a source rank
+        at = list(map(_rank_of(source).__getitem__, map(carrier.__getitem__, cells)))
         # monotone: the carrier of a face is a face of the carrier
-        faces_of = {s: source.faces(s) for s in source.cells()}
-        for c in sub.cells():
-            s = self.carrier[c]
-            faces = faces_of[s]
-            for f in sub.facets(c):
-                t = self.carrier[f]
-                if t != s and t not in faces:
+        faces: list[set[int]] = []  # each source cell's proper faces, by rank
+        for fs in _facet_ranks(source):
+            faces.append(set(fs).union(*map(faces.__getitem__, fs)))
+        for c, s, fs in zip(cells, at, _facet_ranks(sub)):
+            for f in fs:
+                t = at[f]
+                if t != s and t not in faces[s]:
                     raise InvalidSubdivisionError(
-                        f"carrier not monotone at {f} < {c}"
+                        f"carrier not monotone at {cells[f]} < {c}"
                     )
         # the open cells carried by a given cell triangulate its interior
-        per_cell: dict[str, int] = {s: 0 for s in source.cells()}
-        for c, s in self.carrier.items():
-            per_cell[s] += (-1) ** sub.dim_of(c)
-        for s, chi in per_cell.items():
-            if chi != (-1) ** source.dim_of(s):
+        chi = [0] * len(source)
+        starts = _dim_starts(sub)
+        for d in range(sub.dim + 1):
+            for s, count in Counter(at[starts[d] : starts[d + 1]]).items():
+                chi[s] += (-1) ** d * count
+        for s, x in zip(source.cells(), chi):
+            if x != (-1) ** source.dim_of(s):
                 raise InvalidSubdivisionError(
-                    f"cells carried by {s} have interior Euler count {chi}, "
+                    f"cells carried by {s} have interior Euler count {x}, "
                     f"expected {(-1) ** source.dim_of(s)}"
                 )
         object.__setattr__(self, "_validated", True)
@@ -173,14 +180,16 @@ def propagate_matching(
     shared = getattr(smap, "_from_barycentric", False) and complex is source
     carried = smap._carried
     sub_base = smap.cells_over(pair.sub)
+    ids, rank, down = complex.cells(), _rank_of(complex), _facet_ranks(complex)
     solved: dict[object, tuple[tuple[int, int, int, int], ...]] = {}
     pairs = []
     for lower, upper in _lower_upper_pairs(pair, matching):
-        closed = sorted(complex.faces(upper) | {upper})
+        ranks = sorted(_reach(down, (rank[upper],)) | {rank[upper]}, key=ids.__getitem__)
+        closed = list(map(ids.__getitem__, ranks))
         key = upper  # unique: this block is matched on its own
         if shared:
-            at = dict(zip(closed, range(len(closed)))).__getitem__
-            key = (tuple(tuple(map(at, complex.facets(c))) for c in closed), at(lower), at(upper))
+            at = dict(zip(ranks, range(len(ranks)))).__getitem__
+            key = (tuple(tuple(map(at, down[r])) for r in ranks), at(rank[lower]), at(rank[upper]))
         matched = solved.get(key)
         if matched is None:
             where = {c: (p, i) for p, s in enumerate(closed) for i, c in enumerate(carried[s])}

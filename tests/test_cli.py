@@ -614,3 +614,19 @@ def test_match_long_shuffled_path(tmp_path):
     io.save_subcomplex(sorted(pair.sub), str(rel))
     assert run("match", str(c), "--rel", str(rel), "-o", str(m)) == 0
     assert len(io.read_json(str(m))["pairs"]) == 5000
+
+
+@pytest.mark.parametrize("command", [["chi"], ["match"], ["flow", "--field", "1,2"]])
+def test_bad_coordinate_text_is_exit_1_whether_or_not_coordinates_are_read(
+    tmp_path, capsys, command
+):
+    """Loading checks every coordinate text, though only ``flow`` reads
+    the coordinates as Fractions."""
+    g = tmp_path / "g.json"
+    assert run("generate", "grid_square", "--params", "2", "-o", str(g)) == 0
+    data = io.read_json(str(g))
+    data["coordinates"]["4"] = ["1/2", "1/0"]
+    g.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(command[0], str(g), *command[1:]) == 1
+    assert capsys.readouterr().err == "cellmatch: bad rational '1/0'\n"

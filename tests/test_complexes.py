@@ -768,3 +768,83 @@ def test_from_simplices_and_restrict_equal_combinations_oracle(monkeypatch, case
             closed["verts"][c] for c in closed["order"][-2:]
         )
         _assert_tables_equal(Y.restrict(inner["order"]), inner)
+
+
+def _cw_tables_from_records(records) -> dict:
+    """The tables of the cw complex of ``records`` (id, dim, hyperfaces),
+    from the records alone: ``order`` by dimension, then id, and each
+    cell's ``dims``, ``hyperfaces``, ``cofaces`` and proper ``faces``."""
+    dims = {c: d for c, d, _ in records}
+    hyperfaces = {c: set(fs) for c, _, fs in records}
+    cofaces = {c: {x for x, fs in hyperfaces.items() if c in fs} for c in dims}
+    faces: dict[str, set[str]] = {}
+    for c in sorted(dims, key=dims.__getitem__):
+        faces[c] = set(hyperfaces[c]).union(*(faces[f] for f in hyperfaces[c]))
+    order = sorted(dims, key=lambda c: (dims[c], c))
+    return {"order": order, "dims": dims, "hyperfaces": hyperfaces,
+            "cofaces": cofaces, "faces": faces}
+
+
+def _assert_cw_tables_equal(X, oracle):
+    order, dims = oracle["order"], oracle["dims"]
+    rank = {c: i for i, c in enumerate(order)}
+    top = max(dims.values())
+    assert X.cells() == tuple(order)
+    assert len(X) == len(order) and X.dim == top
+    assert [X.sort_key(c) for c in order] == list(range(len(order)))
+    for d in range(-1, top + 2):
+        assert X.cells_of_dim(d) == tuple(c for c in order if dims[c] == d), d
+    f_vector = tuple(sum(1 for c in order if dims[c] == d) for d in range(top + 1))
+    assert repr(X) == f"CellComplex(kind='cw', f={f_vector})"
+    assert X.vertex_tokens() == X.cells_of_dim(0)
+    for c in order:
+        assert c in X
+        assert X.dim_of(c) == dims[c], c
+        assert X.hyperfaces(c) == oracle["hyperfaces"][c], c
+        assert X.cofaces(c) == oracle["cofaces"][c], c
+        assert list(X.facets(c)) == sorted(oracle["hyperfaces"][c], reverse=True), c
+        assert list(X.cofacets(c)) == sorted(oracle["cofaces"][c], key=rank.__getitem__), c
+        assert X.faces(c) == oracle["faces"][c], c
+        assert X.closure([c]) == oracle["faces"][c] | {c}, c
+
+
+_TWO_DISC_RECORDS = [
+    ("u", 0, []), ("v", 0, []),
+    ("e", 1, ["u", "v"]), ("f", 1, ["v", "u"]),
+    ("D1", 2, ["e", "f"]), ("D2", 2, ["f", "e"]),
+]
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_build_cw_and_restrict_equal_record_oracle(seed):
+    """The tables of ``build_cw`` and of ``restrict``, which renumbers its
+    parent's ranks, against tables derived from the records alone."""
+    records = [(c, d, list(fs)) for c, d, fs in _TWO_DISC_RECORDS]
+    if seed is not None:
+        rng = random.Random(seed)
+        rng.shuffle(records)
+        for _, _, fs in records:
+            rng.shuffle(fs)
+    X = build_cw(records)
+    _assert_cw_tables_equal(X, _cw_tables_from_records(records))
+    assert X.cells() == two_disc_sphere().cells()
+
+    def piece(complex, cells):
+        kept = [(c, d, fs) for c, d, fs in records if c in cells]
+        Y = complex.restrict(cells)
+        _assert_cw_tables_equal(Y, _cw_tables_from_records(kept))
+        return Y
+
+    # each piece drops cells before some of its own, so its ranks shift
+    Y = piece(X, {"u", "v", "e", "f", "D2"})
+    piece(Y, {"u", "v", "f"})
+    piece(piece(X, {"u", "v", "f"}), {"v"})
+
+
+def test_build_cw_with_an_empty_dimension_equals_record_oracle():
+    records = [("v0", 0, []), ("f", 2, []), ("t0", 3, ["f"]), ("t1", 3, ["f"])]
+    X = build_cw(records)
+    _assert_cw_tables_equal(X, _cw_tables_from_records(records))
+    kept = records[:3]
+    _assert_cw_tables_equal(X.restrict(["v0", "f", "t0"]), _cw_tables_from_records(kept))
+    _assert_cw_tables_equal(X.restrict(["f"]), _cw_tables_from_records(records[1:2]))

@@ -256,14 +256,18 @@ def test_only_validation_and_barycentric_mark_a_subdivision_map_as_validated():
     assert sites == ["subdivision.py: SubdivisionMap", "subdivision.py: barycentric"], sites
 
 
+# The rank-indexed tables, then the names of earlier layouts, which must not
+# come back as attributes read from outside ``complexes.py``.
 _CELL_COMPLEX_TABLES = {
-    "_dim", "_hyperfaces", "_facets", "_cofaces", "_verts", "_rank", "_sorted_cells"
+    "_ids", "_starts", "_down", "_up", "_tuples", "_points", "_rank",
+    "_dim", "_hyperfaces", "_facets", "_cofaces", "_verts", "_sorted_cells",
 }
 
 
 def test_cell_complex_tables_are_read_only_in_complexes():
     """The tables' layout is private to ``complexes.py``; every other module
-    goes through the ``CellComplex`` methods, so the layout can change."""
+    goes through the ``CellComplex`` methods or the rank accessors that
+    ``complexes.py`` defines, so the layout can change."""
     package = Path(cellmatch.__file__).resolve().parent
     readers = {
         f"{path.name}: {node.attr}"
