@@ -36,8 +36,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, combinations, compress, filterfalse
-from operator import attrgetter, not_
+from itertools import accumulate, chain, combinations, compress, filterfalse, islice, repeat
+from operator import attrgetter, itemgetter, not_
 from typing import Iterable
 
 from .errors import (
@@ -237,15 +237,15 @@ class CellComplex:
         down = [tuple(map(at, self._down[r])) for r in old]
         up = [tuple(map(at, filter(keep, self._up[r]))) for r in old]
         ids = tuple(map(self._ids.__getitem__, old))
-        verts = coords = None
+        verts = None
         if self._tuples is not None:
             verts = list(map(self._tuples.__getitem__, old))
-            points = self.coordinates
-            if points is not None:
-                tokens = (v for v, in verts[: cut[1]])
-                coords = {t: points[t] for t in tokens if t in points}
         rank = dict(zip(ids, new.values()))
-        return CellComplex(self.kind, ids, tuple(cut), down, up, rank, verts, coords)
+        piece = CellComplex(self.kind, ids, tuple(cut), down, up, rank, verts)
+        points = self.coordinates
+        if points is not None:  # the points of the piece's vertex tokens
+            piece._points = {t: points[t] for t in piece.vertex_tokens() if t in points}
+        return piece
 
     def _named(self, ranks) -> frozenset[str]:
         return frozenset(map(self._ids.__getitem__, ranks))
@@ -290,11 +290,12 @@ def _known_ranks(complex: CellComplex, ids: Iterable[str]) -> set[int]:
     return set(map(complex._rank.__getitem__, ids))
 
 
-def _check_simplices(vertex_sets) -> None:
-    """Raise on the first faulty vertex set in input order: a bad token, an
-    empty set, or a negative int token (the set's smallest is named)."""
-    for v in vertex_sets:
-        v = sorted(v, key=_token_key)  # ints first, smallest first
+def _check_simplices(simplices) -> None:
+    """Raise on the first faulty simplex in input order: an unhashable token
+    (the TypeError of ``set``), a bad token, an empty set, or a negative int
+    token (the set's smallest is named)."""
+    for v in simplices:
+        v = sorted(set(v), key=_token_key)  # ints first, smallest first
         if not v:
             raise InvalidComplexError("empty complex")
         if isinstance(v[0], int) and v[0] < 0:
@@ -308,95 +309,100 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
     duplicate input simplices are harmless. The distinct tokens are checked
     and sorted once (ints first, smallest first; natively when all are
     ints), and each simplex becomes the ascending tuple of its tokens'
-    places in that order. The faces are generated one dimension at a time,
-    from the top down, as sets of such tuples; each dimension is sorted
-    natively, and :func:`_simplicial` writes the tables. Raises
-    InvalidComplexError on the first bad input simplex, and when two
-    distinct vertex sets would share an id (vertex ``"1.2"`` and edge
-    ``{1, 2}``, or int ``1`` and str ``"1"``); that error names the first
-    such pair in the cell order, the earlier cell first, so it is the same
-    however the simplices and their tokens are listed.
+    places in that order. The faces of each dimension from 1 up are
+    generated in one pass over the dimension above, from the top down, as
+    sets of such tuples, and sorted natively; every token is a vertex, so
+    the vertices are never generated. :func:`_simplicial` writes the
+    tables. Raises InvalidComplexError on the first bad input simplex, and
+    when two distinct vertex sets would share an id (vertex ``"1.2"`` and
+    edge ``{1, 2}``, or int ``1`` and str ``"1"``); that error names the
+    first such pair in the cell order, the earlier cell first, so it is the
+    same however the simplices and their tokens are listed.
     """
-    vertex_sets = []
+    tops: list = []
     try:
-        for s in maximal_simplices:
-            vertex_sets.append(set(s))
-    except TypeError:  # an unhashable token; a fault in an earlier simplex comes first
-        _check_simplices(vertex_sets)
+        tops += map(tuple, maximal_simplices)
+    except TypeError:  # a simplex is not iterable; a fault in an earlier one comes first
+        _check_simplices(tops)
         raise
-    if not vertex_sets:
+    if not tops:
         raise InvalidComplexError("empty complex")
     # A bool would hide in the union behind an equal int, so the types of
     # every token are read; anything unusual takes the per-simplex check.
-    kinds = set(map(type, chain.from_iterable(vertex_sets)))
-    if not all(vertex_sets) or not {int, str}.issuperset(kinds):
-        _check_simplices(vertex_sets)
-    tokens = set().union(*vertex_sets)
+    kinds = set(map(type, chain.from_iterable(tops)))
+    if not all(tops) or not {int, str}.issuperset(kinds):
+        _check_simplices(tops)
+    tokens = set(chain.from_iterable(tops))
     tokens = sorted(tokens) if kinds == {int} else sorted(tokens, key=_token_key)
     if isinstance(tokens[0], int) and tokens[0] < 0:
-        _check_simplices(vertex_sets)
+        _check_simplices(tops)
     index = dict(zip(tokens, range(len(tokens))))
-    levels: list = [set() for _ in range(max(map(len, vertex_sets)))]
-    for v in vertex_sets:
-        levels[len(v) - 1].add(tuple(sorted(map(index.__getitem__, v))))
-    for d in range(len(levels) - 1, 0, -1):
-        for t in levels[d]:
-            levels[d - 1].update(combinations(t, d))
-    for d, level in enumerate(levels):
-        levels[d] = sorted(level)
-    return _simplicial(levels, tokens, coordinates)
+    tops = list(map(tuple, map(sorted, map(set, map(map, repeat(index.__getitem__), tops)))))
+    sizes = set(map(len, tops))
+    levels: list = [set() for _ in range(max(sizes) - 1)]  # levels[d - 1]: the d-simplices
+    for k in sizes - {1}:
+        levels[k - 2].update(compress(tops, map(k.__eq__, map(len, tops))))
+    del tops
+    for d in range(len(levels), 0, -1):
+        level = levels[d - 1] = sorted(levels[d - 1])
+        if d > 1:
+            levels[d - 2].update(chain.from_iterable(map(combinations, level, repeat(d))))
+    return _simplicial(tokens, levels, coordinates)
 
 
-def _simplicial(levels, tokens, coordinates=None) -> CellComplex:
-    """The simplicial complex whose d-simplices are ``levels[d]``, a sorted
-    list of ascending tuples of places in ``tokens``, the distinct vertex
-    tokens in order; each simplex's facets lie in the level below. Cells
-    are ordered by dimension, then by place tuple. When the tokens are
-    0..n-1, a place tuple is the vertex tuple itself. One pass in that
-    order writes each id once and fills every table: a simplex's i-th
+def _simplicial(tokens, levels, coordinates=None) -> CellComplex:
+    """The simplicial complex whose vertices are ``tokens``, the distinct
+    vertex tokens in order, and whose d-simplices for d >= 1 are
+    ``levels[d - 1]``, a sorted list of ascending tuples of places in
+    ``tokens``; each simplex's facets lie in the level below. Cells are
+    ordered by dimension, then by place tuple, so a vertex's rank is its
+    place. When the tokens are 0..n-1, a place tuple is the vertex tuple
+    itself. One bulk pass per level fills every table: a simplex's i-th
     facet omits its i-th vertex, which is descending rank, and its id is
-    its last facet's id, a dot and its last token. Only the last level's
-    place-tuple-to-rank map is kept, and each level is dropped from
-    ``levels`` once written. Each rank is one int object, which the rank
-    dict and the facet and cofacet tuples share. The vertex tuples are
-    kept in the cell order, so when two of them write one id, the error
-    names the first cell in that order whose id an earlier cell holds,
-    the earliest holder first; the listing order of the input cannot
-    change it."""
-    token = tokens.__getitem__
-    text = list(map(str, tokens))
-    plain = tokens == list(range(len(tokens)))  # each token is its own place
-    ids: list[str] = []
-    tuples: list[tuple[Token, ...]] = []  # the vertex tuples, by rank
-    down: list[tuple[int, ...]] = []
-    up: list = []  # cofacet lists, each made a tuple once its level is done
-    starts = [0]
-    rank: dict[str, int] = {}
-    at: dict[tuple[int, ...], int] = {}  # the last level's ranks, by place tuple
-    for d in range(len(levels)):
-        ts, levels[d] = levels[d], None
+    its last facet's id, a dot and its last token. An edge's facets are
+    its places' vertex ranks; a higher simplex's facets are looked up in
+    the last level's place-tuple-to-rank map, the only one kept, and each
+    level is dropped from ``levels`` once written. Each rank is one int
+    object, which the rank dict and the facet and cofacet tuples share.
+    The vertex tuples are kept in the cell order, so when two of them
+    write one id, the error names the first cell in that order whose id
+    an earlier cell holds, the earliest holder first; the listing order of
+    the input cannot change it."""
+    n = len(tokens)
+    ids = list(map(str, tokens))
+    tail = list(map(".".__add__, ids))  # the id text a token adds as last vertex
+    plain = tokens == list(range(n))  # each token is its own place
+    at = list(range(n))  # the vertex ranks, by place; then the last level's ranks
+    tuples = list(zip(tokens))  # the vertex tuples, by rank
+    down: list[tuple[int, ...]] = [()] * n
+    up: list = []  # cofacet tuples, each level's made when the level above is written
+    starts = [0, n]
+    rank = dict(zip(ids, at))
+    last = itemgetter(-1)
+    for d in range(1, len(levels) + 1):
+        ts, levels[d - 1] = levels[d - 1], None
         ranks = list(range(len(ids), len(ids) + len(ts)))
-        top = d == len(levels) - 1
-        if d:
-            # combinations lists the facets by ascending rank; the last one
-            # drops the last vertex, so its id is a prefix of the cell's
-            fs = [tuple(map(at.__getitem__, combinations(t, d)))[::-1] for t in ts]
-            cids = [f"{ids[f[-1]]}.{text[t[-1]]}" for f, t in zip(fs, ts)]
-            for c, f in zip(ranks, fs):
-                for x in f:
-                    up[x].append(c)
-            up[starts[-2] :] = map(tuple, up[starts[-2] :])  # the level below is done
-        else:
-            fs = [()] * len(ts)
-            cids = [text[i] for i, in ts]
-        ids += cids
+        # combinations lists the facets by ascending rank; the last one
+        # drops the last vertex, so its id is a prefix of the cell's
+        faces = chain.from_iterable(map(combinations, ts, repeat(d)) if d > 1 else ts)
+        fs = list(map(itemgetter(*range(d, -1, -1)), zip(*[map(at.__getitem__, faces)] * (d + 1))))
+        # the level below's cofacets fill lists made just now, and each list
+        # is freed as its tuple is made, so few of them outlive a collection
+        count = starts[-1] - starts[-2]
+        up += [[] for _ in range(count)]
+        for c, f in zip(ranks, fs):
+            for x in f:
+                up[x].append(c)
+        filled = list(map(tuple, map(up.pop, repeat(-1, count))))
+        up += reversed(filled)
+        ids += map(str.__add__, map(ids.__getitem__, map(last, fs)), map(tail.__getitem__, map(last, ts)))
         down += fs
-        up += [()] * len(ts) if top else [[] for _ in ts]
-        tuples += ts if plain else [tuple(map(token, t)) for t in ts]
-        rank.update(zip(cids, ranks))
-        if not top:
+        tuples += ts if plain else map(tuple, map(map, repeat(tokens.__getitem__), ts))
+        rank.update(zip(islice(ids, starts[-1], None), ranks))
+        if d < len(levels):
             at = dict(zip(ts, ranks))
         starts.append(len(ids))
+    up += [()] * (len(ids) - len(up))  # the top level has no cofacets
     if len(rank) < len(ids):  # two vertex tuples wrote one id
         first = dict(zip(ids[::-1], tuples[::-1]))  # each id's earliest tuple
         c, v = next((c, v) for c, v in zip(ids, tuples) if first[c] != v)
@@ -425,29 +431,31 @@ def _order_complex(complex: CellComplex) -> tuple[CellComplex, list[str]]:
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
     at = sorted(range(len(ids)), key=by_id.__getitem__)  # each rank's place in by_id
     faces: list[tuple[int, ...]] = []
-    topped: list[list[tuple[int, ...]]] = []
-    # the chains of each length, and the top of each
-    chains_of: list[list[tuple[int, ...]]] = [[] for _ in range(complex.dim + 1)]
-    tops_of: list[list[int]] = [[] for _ in range(complex.dim + 1)]
+    topped: list[tuple[tuple[int, ...], ...]] = []  # the chains each cell tops
+    # the chains of two or more cells, by length, and the top of each; a
+    # chain of one cell is a vertex, and the vertices are every place
+    chains_of: list[list[tuple[int, ...]]] = [[] for _ in range(complex.dim)]
+    tops_of: list[list[int]] = [[] for _ in range(complex.dim)]
     for r, fs in enumerate(down):
         below = tuple(set(fs).union(*map(faces.__getitem__, fs)))
         faces.append(below)
         p = (at[r],)
-        chains = [p]
-        chains += [tuple(sorted(ch + p)) for f in below for ch in topped[f]]
-        topped.append(chains)
+        chains = [tuple(sorted(ch + p)) for f in below for ch in topped[f]]
         for ch in chains:
-            chains_of[len(ch) - 1].append(ch)
-            tops_of[len(ch) - 1].append(r)
+            chains_of[len(ch) - 2].append(ch)
+            tops_of[len(ch) - 2].append(r)
+        chains.append(p)
+        topped.append(tuple(chains))
     del faces, topped
     levels: list = []
-    carriers: list[str] = []
+    carriers = list(map(ids.__getitem__, by_id))  # the vertices' carriers
+    first = itemgetter(0)
     for level in map(sorted, map(zip, chains_of, tops_of)):  # no two chains are equal
-        levels.append([ch for ch, _ in level])
-        carriers += [ids[c] for _, c in level]
+        levels.append(list(map(first, level)))
+        carriers += map(ids.__getitem__, map(itemgetter(1), level))
     del chains_of, tops_of, level
     tokens = ["b" + ids[r] for r in by_id]
-    subdivided = _simplicial(levels, tokens)
+    subdivided = _simplicial(tokens, levels)
     return subdivided, carriers
 
 

@@ -75,10 +75,18 @@ def _is(value, types) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
-def _is_list_of(value, types) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(x, types) and not isinstance(x, bool) for x in value
+def _all_of(values, types) -> bool:
+    """Whether every one of ``values`` is of ``types``, a JSON boolean never
+    an integer: one pass reads their types, and each distinct type is
+    checked once."""
+    return all(
+        issubclass(kind, types) and not issubclass(kind, bool)
+        for kind in set(map(type, values))
     )
+
+
+def _is_list_of(value, types) -> bool:
+    return isinstance(value, list) and _all_of(value, types)
 
 
 def _decode_coordinates(points, tokens):
@@ -87,11 +95,25 @@ def _decode_coordinates(points, tokens):
     own token written as that text; a key that names no token is an int
     when it is ASCII digits after an optional minus sign, else the text.
 
-    Every value is checked here, in file order: a text in the encoder's
-    "p/q" form by its pattern, any other value by ``_parse_fraction``, so
-    the values accepted and the errors raised are Fraction's own. The
-    function reads a "p/q" text as its two ints, each distinct text once."""
-    by_text = {str(t): t for t in tokens}
+    Every value is checked here: one bulk pass accepts the file when all
+    are texts in the encoder's "p/q" form; otherwise a pass in file order
+    reads each other value with ``_parse_fraction``, so the values accepted
+    and the first error raised are Fraction's own. The function reads a
+    "p/q" text as its two ints, each distinct text once."""
+    values = points.values()
+    if not (
+        {str}.issuperset(map(type, chain.from_iterable(values)))
+        and all(map(_RATIO.fullmatch, chain.from_iterable(values)))
+    ):
+        for value in chain.from_iterable(values):
+            if type(value) is not str or not _RATIO.fullmatch(value):
+                _parse_fraction(value)
+    by_text = dict(zip(map(str, tokens), tokens))
+    by_text.update(
+        (key, int(key) if re.fullmatch(r"-?[0-9]+", key) else key)
+        for key in points.keys() - by_text.keys()
+    )
+    out = dict(zip(map(by_text.__getitem__, points), values))
     texts: dict[str, Fraction] = {}
 
     def read(value) -> Fraction:
@@ -103,15 +125,6 @@ def _decode_coordinates(points, tokens):
             q = texts[value] = Fraction(int(m[1]), int(m[2])) if m else _parse_fraction(value)
         return q
 
-    out = {}
-    for key, point in points.items():
-        for value in point:
-            if type(value) is not str or not _RATIO.fullmatch(value):
-                _parse_fraction(value)
-        token = by_text.get(key)
-        if token is None:
-            token = int(key) if re.fullmatch(r"-?[0-9]+", key) else key
-        out[token] = point
     return lambda: {token: tuple(map(read, point)) for token, point in out.items()}
 
 
@@ -270,8 +283,7 @@ def decode_complex(obj) -> CellComplex:
     kind = obj.get("kind")
     points = obj.get("coordinates")
     if "coordinates" in obj and not (
-        isinstance(points, dict)
-        and all(isinstance(point, list) for point in points.values())
+        isinstance(points, dict) and _all_of(points.values(), list)
     ):
         raise FileFormatError("'coordinates' must map vertex tokens to lists")
     if kind == SIMPLICIAL:
@@ -281,8 +293,8 @@ def decode_complex(obj) -> CellComplex:
         # One pass over every token; only a fault takes the per-simplex
         # loop, which names the first faulty simplex.
         if not (
-            all(type(simplex) is list for simplex in simplices)
-            and {int, str}.issuperset(map(type, chain.from_iterable(simplices)))
+            _all_of(simplices, list)
+            and _all_of(chain.from_iterable(simplices), (int, str))
         ):
             for simplex in simplices:
                 if not _is_list_of(simplex, (int, str)):
@@ -360,7 +372,7 @@ def encode_loop(loop: DualLoop) -> dict:
 def decode_loop(obj) -> DualLoop:
     _require_format(obj, LOOP_FORMAT)
     cells = obj.get("cells")
-    if not isinstance(cells, list) or not all(isinstance(c, str) for c in cells):
+    if not _is_list_of(cells, str):
         raise FileFormatError("loop file needs a 'cells' list of ids")
     return DualLoop(tuple(cells))
 
@@ -389,14 +401,21 @@ def decode_matching(obj) -> Matching:
     pairs = obj.get("pairs")
     if not isinstance(pairs, list):
         raise FileFormatError("matching file needs a 'pairs' list")
-    for p in pairs:
-        if not (isinstance(p, list) and len(p) == 2
-                and isinstance(p[0], str) and isinstance(p[1], str)):
-            raise FileFormatError(f"bad matching pair {p!r}: expected two ids")
+    # One bulk pass over every pair and id; only a fault takes the per-pair
+    # loop, which names the first bad pair.
+    if not (
+        _all_of(pairs, list)
+        and {2}.issuperset(map(len, pairs))
+        and _all_of(chain.from_iterable(pairs), str)
+    ):
+        for p in pairs:
+            if not (isinstance(p, list) and len(p) == 2
+                    and isinstance(p[0], str) and isinstance(p[1], str)):
+                raise FileFormatError(f"bad matching pair {p!r}: expected two ids")
     relative_to = obj.get("relative_to", [])
     if not _is_list_of(relative_to, str):
         raise FileFormatError("matching 'relative_to' must be a list of ids")
-    return Matching([tuple(p) for p in pairs], relative_to=relative_to)
+    return Matching(pairs, relative_to=relative_to)
 
 
 def save_matching(matching: Matching, path: str) -> None:
@@ -487,7 +506,7 @@ def decode_subdivision(obj, source: CellComplex, subdivided: CellComplex) -> Sub
     carrier = obj.get("carrier")
     if not isinstance(carrier, dict):
         raise FileFormatError("subdivision file needs a 'carrier' object")
-    if not all(_is(s, str) for s in carrier.values()):
+    if not _all_of(carrier.values(), str):
         raise FileFormatError("subdivision 'carrier' must map cell ids to cell ids")
     smap = SubdivisionMap(source, subdivided, dict(carrier))
     smap.validate()

@@ -98,6 +98,22 @@ def test_from_simplices_rejects_the_first_bad_simplex(simplices, message):
         from_simplices(simplices)
 
 
+def test_from_simplices_reads_each_simplex_once_and_in_order():
+    """Each simplex is read once, so one-shot iterators work; one that is
+    not iterable, or holds an unhashable token, raises TypeError unless an
+    earlier simplex is faulty."""
+    X = from_simplices(iter(s) for s in [[1, 0], [2, 1]])
+    assert X.cells() == ("0", "1", "2", "0.1", "1.2")
+    with pytest.raises(TypeError, match="not iterable"):
+        from_simplices([iter([0, 1]), iter([1, 2]), 5])
+    with pytest.raises(TypeError, match="unhashable"):
+        from_simplices([[0, 1], [[2]], [-1]])
+    with pytest.raises(InvalidComplexError, match="negative vertex index -2$"):
+        from_simplices([[0, 1], [-2, 1], 5])
+    with pytest.raises(InvalidComplexError, match="bad vertex token 1.5"):
+        from_simplices(iter(s) for s in [[0, 1.5], [[2]]])
+
+
 _DOTTED = "vertex sets ('1.2',) and (1, 2) share the cell id '1.2'"
 _INT_AND_STR = "vertex sets (1,) and ('1',) share the cell id '1'"
 
@@ -492,6 +508,22 @@ def test_from_simplices_makes_coordinates_exact():
     assert str(err.value) == "vertex sets ('1.2',) and (1, 2) share the cell id '1.2'"
 
 
+def test_restrict_keeps_the_points_of_the_pieces_vertices():
+    """A piece keeps its slice of the coordinates, for cw complexes too,
+    whose vertex tokens are the 0-cell ids."""
+    X = build_cw([("a", 0, []), ("b", 0, []), ("e", 1, ["a", "b"])],
+                 coordinates={"a": (0,), "b": (1,)})
+    assert X.restrict(["a", "b", "e"]).coordinates == {"a": (Fraction(0),), "b": (Fraction(1),)}
+    assert X.restrict(["b"]).coordinates == {"b": (Fraction(1),)}
+    Y = build_cw([("a", 0, []), ("b", 0, []), ("c", 0, []), ("e", 1, ["a", "b"])],
+                 coordinates={"a": (0,), "c": (2,)})  # "b" has no point
+    assert Y.restrict(["a", "b", "e"]).coordinates == {"a": (Fraction(0),)}
+    assert Y.restrict(["c"]).coordinates == {"c": (Fraction(2),)}
+    Z = from_simplices([[0, 1], [1, 2]], coordinates={0: (0,), 1: (1,), 2: (2,)})
+    assert Z.restrict(["0", "1", "0.1"]).coordinates == {0: (Fraction(0),), 1: (Fraction(1),)}
+    assert build_cw([("a", 0, [])]).restrict(["a"]).coordinates is None
+
+
 def test_dual_graph_edge_count_matches_interior():
     for X in (sphere_boundary(4), torus7()):
         g = dual_graph(X)
@@ -739,7 +771,24 @@ _TABLE_CASES = {
         [[0, 1, 2], [2, 1, 0], [0, 1], [2]]
     ),
     "repeated_token": lambda: generators.from_simplices([[0, 0, 1]]),
+    "zero_dimensional": lambda: generators.from_simplices([[3], [0], [7]]),
+    # int tokens that are not their own places
+    "gapped_ints": lambda: generators.from_simplices([[2, 5, 9], [9, 11]]),
+    # a seeded permutation of 0..n-1, as the benchmark labels its files
+    "shuffled_plain_grid_square3": lambda: generators.from_simplices(_shuffled_plain(3)),
+    "isolated_vertex_edge_tetrahedron": lambda: generators.from_simplices(
+        [[10, 11, 12, 13], [4], [5, 6]]
+    ),
 }
+
+
+def _shuffled_plain(seed):
+    X = grid_square(3)
+    tokens = X.vertex_tokens()
+    labels = list(range(len(tokens)))
+    random.Random(seed).shuffle(labels)
+    label = dict(zip(tokens, labels))
+    return [[label[t] for t in X.vertices(c)] for c in X.top_cells()]
 
 
 # subdivisions, checked against their source's chains

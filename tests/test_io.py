@@ -169,12 +169,22 @@ _BAD_SIMPLEX = "expected a list of integer or string vertex tokens"
             _simplicial([[0, 1]], {"0": ["1/2"], "1": [1.5]}),
             "floating-point numbers are rejected; use 'p/q' text",
         ),
+        # the bulk check finds a fault; the pass in file order names the first
+        (
+            _simplicial([[0, 1]], {"0": ["1/2", 1.5], "1": ["1/0"]}),
+            "floating-point numbers are rejected; use 'p/q' text",
+        ),
+        (
+            _simplicial([[0, 1, 2]], {"0": ["1/2"], "1": ["1/3"], "2": ["0", "x"]}),
+            "bad rational 'x'",
+        ),
         (_simplicial([[0, 1], [0, True]]), f"bad simplex [0, True]: {_BAD_SIMPLEX}"),
         (_simplicial([[0, 1], [2, 1.5], "ab"]), f"bad simplex [2, 1.5]: {_BAD_SIMPLEX}"),
         (_simplicial([[0, 1], "01"]), f"bad simplex '01': {_BAD_SIMPLEX}"),
         (_simplicial([[0, 1], {"0": 1}]), f"bad simplex {{'0': 1}}: {_BAD_SIMPLEX}"),
     ],
-    ids=["zero_den", "zero_den_padded", "null", "float", "bool_token", "first_of_two",
+    ids=["zero_den", "zero_den_padded", "null", "float", "float_before_zero_den",
+         "only_fault_under_later_key", "bool_token", "first_of_two",
          "str_simplex", "object_simplex"],
 )
 def test_complex_file_faults_keep_their_texts(obj, message):
@@ -217,6 +227,24 @@ def test_matching_roundtrip_sorted(tmp_path):
     assert data["pairs"] == sorted(data["pairs"])
     back = io.load_matching(str(path))
     assert back == m
+
+
+@pytest.mark.parametrize(
+    "pairs, named",
+    [
+        ([["a", "b"], ["c"], ["d", 5]], "['c']"),
+        ([["a", "b"], "cd"], "'cd'"),
+        ([["a", "b", "c"]], "['a', 'b', 'c']"),
+        ([["a", "b"], ["c", None]], "['c', None]"),
+        ([["a", "b"], ["c", "d"], {"e": "f"}], "{'e': 'f'}"),
+    ],
+    ids=["first_of_two_bad", "not_a_list", "three_ids", "null_id", "object_pair"],
+)
+def test_matching_file_names_its_first_bad_pair(pairs, named):
+    obj = {"format": io.MATCHING_FORMAT, "relative_to": [], "pairs": pairs}
+    with pytest.raises(FileFormatError) as err:
+        io.decode_matching(obj)
+    assert str(err.value) == f"bad matching pair {named}: expected two ids"
 
 
 def test_certificate_roundtrip(tmp_path):
