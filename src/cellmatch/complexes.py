@@ -337,7 +337,10 @@ def from_simplices(maximal_simplices, coordinates=None) -> CellComplex:
     if isinstance(tokens[0], int) and tokens[0] < 0:
         _check_simplices(tops)
     index = dict(zip(tokens, range(len(tokens))))
-    tops = list(map(tuple, map(sorted, map(set, map(map, repeat(index.__getitem__), tops)))))
+    # each simplex as the ascending tuple of its distinct tokens' places,
+    # put in the level of its dimension; a lone vertex is in no level
+    places = map(set, map(map, repeat(index.__getitem__), tops))
+    tops = list(map(tuple, map(sorted, places)))
     sizes = set(map(len, tops))
     levels: list = [set() for _ in range(max(sizes) - 1)]  # levels[d - 1]: the d-simplices
     for k in sizes - {1}:
@@ -385,7 +388,8 @@ def _simplicial(tokens, levels, coordinates=None) -> CellComplex:
         # combinations lists the facets by ascending rank; the last one
         # drops the last vertex, so its id is a prefix of the cell's
         faces = chain.from_iterable(map(combinations, ts, repeat(d)) if d > 1 else ts)
-        fs = list(map(itemgetter(*range(d, -1, -1)), zip(*[map(at.__getitem__, faces)] * (d + 1))))
+        ranked = map(at.__getitem__, faces)
+        fs = list(map(itemgetter(*range(d, -1, -1)), zip(*[ranked] * (d + 1))))
         # the level below's cofacets fill lists made just now, and each list
         # is freed as its tuple is made, so few of them outlive a collection
         count = starts[-1] - starts[-2]
@@ -395,7 +399,9 @@ def _simplicial(tokens, levels, coordinates=None) -> CellComplex:
                 up[x].append(c)
         filled = list(map(tuple, map(up.pop, repeat(-1, count))))
         up += reversed(filled)
-        ids += map(str.__add__, map(ids.__getitem__, map(last, fs)), map(tail.__getitem__, map(last, ts)))
+        ids += map(
+            str.__add__, map(ids.__getitem__, map(last, fs)), map(tail.__getitem__, map(last, ts))
+        )
         down += fs
         tuples += ts if plain else map(tuple, map(map, repeat(tokens.__getitem__), ts))
         rank.update(zip(islice(ids, starts[-1], None), ranks))

@@ -513,14 +513,17 @@ def test_restrict_keeps_the_points_of_the_pieces_vertices():
     whose vertex tokens are the 0-cell ids."""
     X = build_cw([("a", 0, []), ("b", 0, []), ("e", 1, ["a", "b"])],
                  coordinates={"a": (0,), "b": (1,)})
-    assert X.restrict(["a", "b", "e"]).coordinates == {"a": (Fraction(0),), "b": (Fraction(1),)}
+    points = {"a": (Fraction(0),), "b": (Fraction(1),)}
+    assert X.restrict(["a", "b", "e"]).coordinates == points
     assert X.restrict(["b"]).coordinates == {"b": (Fraction(1),)}
     Y = build_cw([("a", 0, []), ("b", 0, []), ("c", 0, []), ("e", 1, ["a", "b"])],
                  coordinates={"a": (0,), "c": (2,)})  # "b" has no point
     assert Y.restrict(["a", "b", "e"]).coordinates == {"a": (Fraction(0),)}
     assert Y.restrict(["c"]).coordinates == {"c": (Fraction(2),)}
     Z = from_simplices([[0, 1], [1, 2]], coordinates={0: (0,), 1: (1,), 2: (2,)})
-    assert Z.restrict(["0", "1", "0.1"]).coordinates == {0: (Fraction(0),), 1: (Fraction(1),)}
+    assert Z.restrict(["0", "1", "0.1"]).coordinates == {
+        0: (Fraction(0),), 1: (Fraction(1),)
+    }
     assert build_cw([("a", 0, [])]).restrict(["a"]).coordinates is None
 
 
